@@ -17,7 +17,10 @@ import numpy as np
 from .core import DivergenceError, RunTrace, TraceRecord
 from .geometry import project_ball
 from .losses import ProblemInstance, full_objective, loss_grad
-from .oracle import OracleCounters, SeededSampler, full_grad, sample_loss
+from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
+# The single-call sampler stays importable from here: perfbench/tracer.py
+# wraps mixedgrad.baselines.sample_loss by name.
+from .oracle import sample_loss  # noqa: F401
 
 SGD = "sgd"
 GD = "gd"
@@ -60,7 +63,9 @@ def _checkpoint(trace: RunTrace, instance: ProblemInstance, w: np.ndarray,
 
 
 def _check_finite(w: np.ndarray, t: int):
-    if not np.all(np.isfinite(w)):
+    # Runs on the point before projection, which would reject a non-finite
+    # point with a ValueError of its own.
+    if not np.isfinite(w).all():
         raise DivergenceError(f"non-finite iterate at step {t}")
 
 
@@ -81,11 +86,12 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
     mean = w.copy()
     count = 1
-    for t in range(1, config.iterations + 1):
-        i = sample_loss(sampler, counters, instance.n)
+    indices = sample_losses(sampler, counters, instance.n, config.iterations)
+    for t, i in enumerate(indices, 1):
         eta = c if config.step_rule == CONSTANT else c / math.sqrt(t)
-        w = project_ball(w - eta * loss_grad(instance, i, w), R)
-        _check_finite(w, t)
+        v = w - eta * loss_grad(instance, i, w)
+        _check_finite(v, t)
+        w = project_ball(v, R)
         count += 1
         mean += (w - mean) / count
         if t % config.checkpoint_stride == 0 or t == config.iterations:
@@ -107,8 +113,9 @@ def run_gd(instance: ProblemInstance, config: BaselineConfig,
     trace = RunTrace()
     w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
     for t in range(1, config.iterations + 1):
-        w = project_ball(w - eta * full_grad(instance, w, counters), R)
-        _check_finite(w, t)
+        v = w - eta * full_grad(instance, w, counters)
+        _check_finite(v, t)
+        w = project_ball(v, R)
         if t % config.checkpoint_stride == 0 or t == config.iterations:
             _checkpoint(trace, instance, w, t, counters, reference_value)
     return w, trace
@@ -135,9 +142,9 @@ def run_nag(instance: ProblemInstance, config: BaselineConfig,
     for t in range(1, config.iterations + 1):
         theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
         y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
-        g = full_grad(instance, y, counters)
-        w_next = project_ball(y - eta * g, R)
-        _check_finite(w_next, t)
+        v = y - eta * full_grad(instance, y, counters)
+        _check_finite(v, t)
+        w_next = project_ball(v, R)
         w_prev, w = w, w_next
         theta_prev = theta
         if t % config.checkpoint_stride == 0 or t == config.iterations:

@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,8 +44,22 @@ def _parse_kv(text: str) -> dict:
 
 
 def _build_solver(spec_text: str, args, instance) -> SolverSpec:
+    """Raises ArithmeticError, TypeError or ValueError on a bad spec."""
     name, _, kv_text = spec_text.partition(":")
     kv = _parse_kv(kv_text)
+    if name == "mixedgrad":
+        config_cls, fixed = MixedGradConfig, ()
+    elif name in baselines.METHODS:
+        config_cls, fixed = baselines.BaselineConfig, ("method",)
+    else:
+        raise ValueError(f"unknown solver {name!r}; accepted: "
+                         f"{', '.join(('mixedgrad',) + baselines.METHODS)}")
+    accepted = [f.name for f in dataclasses.fields(config_cls)
+                if f.name not in fixed]
+    for key in kv:
+        if key not in accepted:
+            raise ValueError(f"solver {name!r} has no option {key!r}; "
+                             f"accepted: {', '.join(accepted)}")
     if name == "mixedgrad":
         if args.theory_mode:
             config = theory_params(instance.smoothness, instance.domain_radius,
@@ -63,11 +78,9 @@ def _build_solver(spec_text: str, args, instance) -> SolverSpec:
             defaults.update(kv)
             config = MixedGradConfig(**defaults)
         return SolverSpec("mixedgrad", config)
-    if name in baselines.METHODS:
-        defaults = dict(method=name, iterations=1000)
-        defaults.update(kv)
-        return SolverSpec(name, baselines.BaselineConfig(**defaults))
-    raise SystemExit(f"unknown solver: {name!r}")
+    defaults = dict(method=name, iterations=1000)
+    defaults.update(kv)
+    return SolverSpec(name, baselines.BaselineConfig(**defaults))
 
 
 def _instance_from_args(args) -> ProblemInstance:
@@ -133,8 +146,12 @@ def main(argv=None) -> int:
         seeds = args.seed or [0]
         args.seed = seeds
         instance = _instance_from_args(args)
-        solver_texts = args.solver or ["mixedgrad"]
-        solvers = [_build_solver(s, args, instance) for s in solver_texts]
+        solvers = []
+        for text in args.solver or ["mixedgrad"]:
+            try:
+                solvers.append(_build_solver(text, args, instance))
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                p_run.error(f"--solver {text!r}: {exc}")
         spec = ExperimentSpec(instance, solvers, seeds, args.out,
                               reference_tolerance=args.ref_tol)
         manifest = run_experiment(spec)

@@ -17,7 +17,10 @@ import numpy as np
 
 from .geometry import EpochDomain, project_ball, project_epoch_domain
 from .losses import ProblemInstance, full_objective, loss_grad
-from .oracle import OracleCounters, SeededSampler, full_grad, sample_loss
+from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
+# The single-call sampler stays importable from here: perfbench/tracer.py
+# wraps mixedgrad.core.sample_loss by name.
+from .oracle import sample_loss  # noqa: F401
 
 # Largest delta (failure probability) the theory-mode parameter formulas
 # accept: exp(-9/2).
@@ -191,9 +194,8 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     mean = w.copy()            # running mean over iterates seen so far
     count = 1
     max_step_sq = 0.0
-    norm = np.linalg.norm
-    for t in range(1, T + 1):
-        i = sample_loss(sampler, counters, n)
+    indices = sample_losses(sampler, counters, n, T)
+    for t, i in enumerate(indices, 1):
         x = X[i]
         margin = float((w + anchor) @ x)
         if least_squares:
@@ -212,13 +214,18 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
         if step_sq > max_step_sq:
             max_step_sq = step_sq
         v = w - eta * (g_k + step_vec)
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(
-                f"non-finite iterate at epoch {state.epoch_index}, step {t}")
+        v_sq = v @ v
+        u = v + anchor
         # Projection fast path: inside both balls means no work.
-        if norm(v) <= delta and norm(v + anchor) <= R:
+        # math.sqrt(v @ v) is bit-identical to np.linalg.norm(v).
+        if math.sqrt(v_sq) <= delta and math.sqrt(u @ u) <= R:
             w = v
         else:
+            # A NaN or infinite entry makes v_sq non-finite, so such a v
+            # never takes the fast path, and a finite v_sq proves v finite.
+            if not math.isfinite(v_sq) and not np.isfinite(v).all():
+                raise DivergenceError(
+                    f"non-finite iterate at epoch {state.epoch_index}, step {t}")
             w = project_epoch_domain(v, domain)
         count += 1
         mean += (w - mean) / count

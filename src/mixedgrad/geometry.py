@@ -5,10 +5,16 @@ recentered variable: {v : ||v + anchor|| <= R} and {v : ||v|| <= Delta}.
 Projection onto a single ball is closed form; the intersection is handled
 by Dykstra's alternating projections, with a shortcut when one ball's
 closed-form projection already satisfies the other constraint.
+
+The public projections validate their input once, at entry; the
+shortcuts inside project_epoch_domain then work on the validated point
+without checking it again. Norms are taken as math.sqrt(v @ v), which is
+bit-identical to np.linalg.norm(v) for a 1-D float vector and cheaper.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,29 +48,35 @@ class EpochDomain:
                 and np.linalg.norm(w) <= self.inner_radius + tol)
 
 
-def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None) -> np.ndarray:
-    """Orthogonal projection onto the ball of given radius (default center 0)."""
-    w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("cannot project a non-finite point")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+def _project_ball(w: np.ndarray, radius: float,
+                  center: np.ndarray | None = None) -> np.ndarray:
+    # project_ball for a finite float vector and a positive radius.
     if center is None:
-        nrm = np.linalg.norm(w)
+        nrm = math.sqrt(w @ w)
         if nrm <= radius:
             return w
         return w * (radius / nrm)
     v = w - center
-    nrm = np.linalg.norm(v)
+    nrm = math.sqrt(v @ v)
     if nrm <= radius:
         return w
     return center + v * (radius / nrm)
 
 
+def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None) -> np.ndarray:
+    """Orthogonal projection onto the ball of given radius (default center 0)."""
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("cannot project a non-finite point")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    return _project_ball(w, radius, center)
+
+
 def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
     """Euclidean projection onto the two-ball intersection of the domain."""
     w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("cannot project a non-finite point")
     a = domain.anchor
     R = domain.outer_radius
@@ -72,12 +84,13 @@ def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
 
     # Exactness shortcuts: if the closed-form projection onto one ball is
     # already feasible for the other, it is the projection onto the
-    # intersection.
-    p = project_ball(w, delta)
-    if np.linalg.norm(p + a) <= R:
+    # intersection. The radii are positive by EpochDomain's construction.
+    p = _project_ball(w, delta)
+    q = p + a
+    if math.sqrt(q @ q) <= R:
         return p
-    p = project_ball(w, R, center=-a)
-    if np.linalg.norm(p) <= delta:
+    p = _project_ball(w, R, center=-a)
+    if math.sqrt(p @ p) <= delta:
         return p
 
     # Dykstra's alternating projections between the two balls.

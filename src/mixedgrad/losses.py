@@ -5,9 +5,9 @@ Two loss families are supported:
 * least squares:  g_i(w) = (y_i - <w, x_i>)^2
 * logistic:       g_i(w) = ln(1 + exp(-y_i <w, x_i>)),  y_i in {-1, +1}
 
-The objective is the plain average G(w) = (1/n) sum_i g_i(w). Sums are
-taken in a fixed left-to-right order so runs are bit-reproducible on a
-given platform.
+The objective is the plain average G(w) = (1/n) sum_i g_i(w). numpy
+does the summation, in an order that is fixed on a given platform, so
+runs are bit-reproducible there.
 """
 
 from __future__ import annotations
@@ -108,11 +108,10 @@ def _check_dim(instance: ProblemInstance, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _log1pexp(z: float) -> float:
-    # ln(1+exp(z)) without overflow for large positive z.
-    if z > 0:
-        return z + np.log1p(np.exp(-z))
-    return np.log1p(np.exp(z))
+def _log1pexp(z: float | np.ndarray) -> float | np.ndarray:
+    # ln(1+exp(z)) without overflow for large positive z, elementwise:
+    # z + ln(1+exp(-z)) for z > 0, ln(1+exp(z)) otherwise.
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def loss_value(instance: ProblemInstance, i: int, w: np.ndarray) -> float:
@@ -148,12 +147,17 @@ def loss_grad(instance: ProblemInstance, i: int, w: np.ndarray) -> np.ndarray:
 
 
 def full_objective(instance: ProblemInstance, w: np.ndarray) -> float:
-    """G(w) = (1/n) sum_i g_i(w), summed left to right."""
+    """G(w) = (1/n) sum_i g_i(w) from one matrix-vector product; numpy
+    does the summation, deterministically on a given platform."""
     w = _check_dim(instance, w)
-    total = 0.0
-    for i in range(instance.n):
-        total += loss_value(instance, i, w)
-    return total / instance.n
+    margins = instance.dataset.features @ w
+    y = instance.dataset.labels
+    if instance.loss_kind == LEAST_SQUARES:
+        r = y - margins
+        losses = r * r
+    else:
+        losses = _log1pexp(-y * margins)
+    return float(losses.sum()) / instance.n
 
 
 def mean_gradient(instance: ProblemInstance, w: np.ndarray) -> np.ndarray:

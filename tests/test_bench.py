@@ -167,3 +167,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentSpec(instance, [SolverSpec("gd", BaselineConfig("gd", 5))],
                            seeds=[], out_dir=tmp_path)
+
+    @pytest.mark.parametrize("method", ["sgd", "gd", "nag"])
+    def test_diverged_baseline_is_recorded(self, method, instance, tmp_path):
+        # An infinite step makes the first iterate non-finite; the run must
+        # end as a 'diverged' trace row, not as an exception.
+        cfg = BaselineConfig(method, 10, step_scale=math.inf)
+        spec = ExperimentSpec(instance, [SolverSpec(method, cfg)],
+                              seeds=[0], out_dir=tmp_path / "out")
+        manifest = run_experiment(spec)
+        rows = read_trace_csv(manifest["traces"][0])
+        assert [r["status"] for r in rows] == ["diverged"]
+        import csv
+        with open(manifest["summary"]) as f:
+            row = list(csv.DictReader(f))[0]
+        assert math.isnan(float(row["final_error"]))

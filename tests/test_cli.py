@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from mixedgrad.cli import main
 from mixedgrad.losses import load_dataset_csv
@@ -58,3 +59,23 @@ def test_theory_mode_config(tmp_path):
     # T1 = ceil(300 ln(2/0.01)) = 1590; total = T1 * (1 + 4)
     assert int(rows[0]["stoch_calls"]) == 1590 * 5
     assert int(rows[0]["full_calls"]) == 2
+
+
+def test_unknown_solver_option_is_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", "gd:iters=5", "--n", "10", "--d", "2",
+              "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'iters'" in err
+    assert "accepted: iterations, step_rule, step_scale" in err
+
+
+@pytest.mark.parametrize("spec", ["mixedgrad:t1=0", "nag:iterations=0",
+                                  "sgd:iterations=abc", "lbfgs"])
+def test_malformed_solver_spec_is_an_argparse_error(spec, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", spec, "--n", "10", "--d", "2",
+              "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    assert f"--solver {spec!r}" in capsys.readouterr().err

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from mixedgrad.core import (EpochState, MixedGradConfig, anchor_gradient,
-                            epoch_objective, epoch_subproblem_optimum,
-                            inner_step, run, run_epoch, shrink_schedule,
-                            theory_params, vr_gradient)
-from mixedgrad.geometry import EpochDomain
-from mixedgrad.losses import (LEAST_SQUARES, Dataset, ProblemInstance,
-                              full_objective, loss_grad, mean_gradient)
-from mixedgrad.oracle import OracleCounters, SeededSampler
+from mixedgrad.core import (DivergenceError, EpochState, MixedGradConfig,
+                            anchor_gradient, epoch_objective,
+                            epoch_subproblem_optimum, inner_step, run,
+                            run_epoch, shrink_schedule, theory_params,
+                            vr_gradient)
+from mixedgrad.geometry import EpochDomain, project_epoch_domain
+from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
+                              ProblemInstance, full_objective, loss_grad,
+                              mean_gradient)
+from mixedgrad.oracle import (INDEX_BLOCK, OracleCounters, SeededSampler,
+                              sample_loss)
 
 
 def make_instance(X, y, radius=1.0):
@@ -139,6 +142,66 @@ class TestRunEpoch:
         w_opt = min(2 * a / (lam + 2), delta)  # closed form, clamped
         assert abs(w_tilde[0] - w_opt) <= 10 * eta
         assert np.linalg.norm(w_tilde) <= delta + 1e-12
+
+    def test_infinite_step_diverges_at_first_step(self):
+        inst = random_instance()
+        c = OracleCounters()
+        g_k = anchor_gradient(inst, np.zeros(4), 1.0, c)
+        state = EpochState(1, np.zeros(4), 1.0, 1.0, math.inf, 50, g_k)
+        with pytest.raises(DivergenceError, match="epoch 1, step 1$"):
+            run_epoch(inst, state, SeededSampler(0), c)
+        assert c.stochastic_calls == 1
+
+
+def reference_epoch(inst, state, sampler, counters):
+    """The epoch written plainly: per step one sample_loss call, two
+    loss_grad calls and a project_epoch_domain call. Returns what
+    run_epoch returns."""
+    anchor, lam, eta = state.anchor, state.lam, state.eta
+    domain = EpochDomain(anchor, inst.domain_radius, state.delta)
+    w = np.zeros(inst.d)
+    mean = w.copy()
+    max_step_sq = 0.0
+    for t in range(1, state.inner_iters + 1):
+        i = sample_loss(sampler, counters, inst.n)
+        step = (loss_grad(inst, i, w + anchor)
+                - loss_grad(inst, i, anchor)) + lam * w
+        max_step_sq = max(max_step_sq, float(step @ step))
+        w = project_epoch_domain(w - eta * (state.anchor_grad + step), domain)
+        mean += (w - mean) / (t + 1)
+    return mean, max_step_sq
+
+
+class TestRunEpochMatchesReference:
+    # Features and anchors are small dyadic rationals, so every margin at
+    # the anchor is exact and the matrix-vector product run_epoch uses for
+    # the anchor gradients agrees bit for bit with loss_grad's row dot.
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("radius, delta, anchor", [
+        (100.0, 50.0, [0.25, -0.125, 0.0, 0.5]),   # interior: fast path
+        # boundary: each of the inner, outer and two-ball branches of
+        # the projection runs dozens of times or more
+        (0.5, 0.5, [-0.375, 0.25, 0.0, 0.125]),
+    ])
+    def test_bit_identical(self, kind, radius, delta, anchor):
+        rng = np.random.default_rng(7)
+        X = rng.integers(-4, 5, (16, 4)) / 4.0
+        y = (rng.integers(-8, 9, 16) / 4.0 if kind == LEAST_SQUARES
+             else np.where(rng.integers(0, 2, 16) == 1, 1.0, -1.0))
+        inst = ProblemInstance.create(Dataset(X, y), kind, radius)
+        anchor = np.array(anchor)
+        lam = 0.1 * inst.smoothness
+        g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
+        state = EpochState(1, anchor, delta, lam, 0.5 / inst.smoothness,
+                           INDEX_BLOCK + 40, g_k)
+        s_run, s_ref = SeededSampler(3), SeededSampler(3)
+        c_run, c_ref = OracleCounters(), OracleCounters()
+        mean, max_sq = run_epoch(inst, state, s_run, c_run)
+        ref_mean, ref_max_sq = reference_epoch(inst, state, s_ref, c_ref)
+        np.testing.assert_array_equal(mean, ref_mean)
+        assert max_sq == ref_max_sq
+        assert c_run == c_ref
+        assert s_run.draw(inst.n) == s_ref.draw(inst.n)
 
 
 class TestShrinkSchedule:

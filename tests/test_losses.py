@@ -79,6 +79,24 @@ class TestFullObjective:
                              LEAST_SQUARES)
         assert full_objective(inst, np.zeros(1)) == 2.0
 
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_matches_left_to_right_loss_sum(self, kind):
+        # Reference: the per-example losses summed in index order. Rows
+        # scaled to margins of +-800 cover both tails of the stable
+        # logistic kernel.
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((57, 5))
+        X[:3] = [[800.0, 0, 0, 0, 0], [-800.0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
+        y = np.where(rng.standard_normal(57) >= 0, 1.0, -1.0)
+        y[:2] = 1.0
+        inst = make_instance(X, y, kind, radius=2.0)
+        for w in (np.array([1.0, 0, 0, 0, 0]), rng.uniform(-0.3, 0.3, 5)):
+            total = 0.0
+            for i in range(inst.n):
+                total += loss_value(inst, i, w)
+            assert full_objective(inst, w) == pytest.approx(total / inst.n,
+                                                            rel=1e-14)
+
 
 class TestSmoothnessConstant:
     def test_least_squares_single_row(self):
