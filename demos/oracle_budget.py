@@ -31,8 +31,9 @@ def main():
     for k in range(1, m + 1):
         print(f"{k:>5} {delta:>9.4f} {lam:>9.4f} {eta:>10.5f} {t:>8}")
         total += t
+        # T_{k+1} = round(T1 gamma^{2k}), from T1 so rounding never compounds
         delta, lam, eta, t = delta / gamma, lam / gamma, eta / gamma, \
-            round(gamma * gamma * t)
+            round(t1 * gamma ** (2 * k))
 
     closed_form = t1 * (gamma ** (2 * m) - 1) / (gamma ** 2 - 1)
     print(f"\nstochastic calls, summed:      {total}")

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, RunTrace, TraceRecord
+from .core import DivergenceError, RunTrace, TraceRecord, _label_lookup
 from .geometry import project_ball
-from .losses import ProblemInstance, full_objective, loss_grad
+from .losses import ProblemInstance, _loss_derivative, full_objective
+# loss_grad stays importable from here: perfbench/tracer.py wraps
+# mixedgrad.baselines.loss_grad by name.
+from .losses import loss_grad  # noqa: F401
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 # The single-call sampler stays importable from here: perfbench/tracer.py
 # wraps mixedgrad.baselines.sample_loss by name.
@@ -62,11 +65,13 @@ def _checkpoint(trace: RunTrace, instance: ProblemInstance, w: np.ndarray,
                              counters.full_calls, obj, err))
 
 
-def _check_finite(w: np.ndarray, t: int):
+def _check_finite(w: np.ndarray, t: int, counters: OracleCounters,
+                  trace: RunTrace):
     # Runs on the point before projection, which would reject a non-finite
     # point with a ValueError of its own.
     if not np.isfinite(w).all():
-        raise DivergenceError(f"non-finite iterate at step {t}")
+        raise DivergenceError(f"non-finite iterate at step {t}", counters,
+                              trace)
 
 
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
@@ -83,16 +88,30 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         c = R * math.sqrt(instance.n) / instance.smoothness
     sampler = SeededSampler(seed)
     trace = RunTrace()
+    X = instance.dataset.features
+    labels = _label_lookup(instance.dataset.labels, config.iterations)
+    kind = instance.loss_kind
+    constant = config.step_rule == CONSTANT
     w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
     mean = w.copy()
-    count = 1
+    count = 1.0                # a float: dividing by it is cheaper, same bits
     indices = sample_losses(sampler, counters, instance.n, config.iterations)
     for t, i in enumerate(indices, 1):
-        eta = c if config.step_rule == CONSTANT else c / math.sqrt(t)
-        v = w - eta * loss_grad(instance, i, w)
-        _check_finite(v, t)
-        w = project_ball(v, R)
-        count += 1
+        # loss_grad and project_ball written out: ||v||^2 is taken once
+        # and serves the R-ball test, the projection and the finiteness
+        # check, which only a point outside the ball needs.
+        eta = c if constant else c / math.sqrt(t)
+        x = X[i]
+        v = w - eta * (_loss_derivative(labels[i], float(w.dot(x)), kind) * x)
+        v_sq = v.dot(v)
+        v_norm = math.sqrt(v_sq)
+        if v_norm <= R:
+            w = v
+        else:
+            if not math.isfinite(v_sq):
+                _check_finite(v, t, counters, trace)
+            w = v * (R / v_norm)
+        count += 1.0
         mean += (w - mean) / count
         if t % config.checkpoint_stride == 0 or t == config.iterations:
             point = mean if config.averaging else w
@@ -114,7 +133,7 @@ def run_gd(instance: ProblemInstance, config: BaselineConfig,
     w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
     for t in range(1, config.iterations + 1):
         v = w - eta * full_grad(instance, w, counters)
-        _check_finite(v, t)
+        _check_finite(v, t, counters, trace)
         w = project_ball(v, R)
         if t % config.checkpoint_stride == 0 or t == config.iterations:
             _checkpoint(trace, instance, w, t, counters, reference_value)
@@ -143,7 +162,7 @@ def run_nag(instance: ProblemInstance, config: BaselineConfig,
         theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
         y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
         v = y - eta * full_grad(instance, y, counters)
-        _check_finite(v, t)
+        _check_finite(v, t, counters, trace)
         w_next = project_ball(v, R)
         w_prev, w = w, w_next
         theta_prev = theta

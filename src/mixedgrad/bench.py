@@ -179,8 +179,8 @@ class ExperimentSpec:
         self.out_dir = Path(self.out_dir)
 
 
-def write_trace_csv(path, solver: str, seed: int, trace: RunTrace,
-                    status: str = "ok") -> None:
+def write_trace_csv(path, solver: str, seed: int, trace: RunTrace) -> None:
+    """One row per trace record, each with its own status."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(TRACE_COLUMNS)
@@ -188,7 +188,7 @@ def write_trace_csv(path, solver: str, seed: int, trace: RunTrace,
             writer.writerow([solver, seed, rec.epoch, rec.step,
                              rec.stoch_calls, rec.full_calls,
                              repr(float(rec.objective)), repr(float(rec.error)),
-                             rec.status if status == "ok" else status])
+                             rec.status])
 
 
 def read_trace_csv(path) -> list[dict]:
@@ -211,12 +211,12 @@ def read_trace_csv(path) -> list[dict]:
 
 
 def _run_one(instance: ProblemInstance, solver: SolverSpec, seed: int,
-             reference_value: float) -> tuple[np.ndarray | None, RunTrace,
-                                              OracleCounters, str]:
+             reference_value: float) -> tuple[np.ndarray, RunTrace,
+                                              OracleCounters]:
     counters = OracleCounters()
     if solver.name == "mixedgrad":
         result = run_mixedgrad(instance, solver.config, seed, reference_value)
-        return result.point, result.trace, result.counters, "ok"
+        return result.point, result.trace, result.counters
     if solver.name == "sgd":
         point, trace = baselines.run_sgd(instance, solver.config, seed,
                                          counters, reference_value)
@@ -228,16 +228,17 @@ def _run_one(instance: ProblemInstance, solver: SolverSpec, seed: int,
                                          reference_value)
     else:
         raise ValueError(f"unknown solver: {solver.name!r}")
-    return point, trace, counters, "ok"
+    return point, trace, counters
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run every (solver, seed) pair with fresh counters, writing one trace
     CSV per run plus an aggregate summary CSV.
 
-    A diverging run is recorded in the summary with a 'diverged' status row
-    in its trace; the experiment continues. Returns a manifest with the
-    written paths.
+    A diverging run keeps the oracle counters and trace records it had
+    reached; its trace ends in a 'diverged' row carrying those counters,
+    its summary row reports them with a nan final error, and the
+    experiment continues. Returns a manifest with the written paths.
     """
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     w_star, g_star = compute_reference_optimum(spec.instance,
@@ -247,21 +248,21 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     for solver in spec.solvers:
         for seed in spec.seeds:
             t0 = time.perf_counter()
-            status = "ok"
             try:
-                point, trace, counters, status = _run_one(
-                    spec.instance, solver, seed, g_star)
+                point, trace, counters = _run_one(spec.instance, solver, seed,
+                                                  g_star)
                 final_error = full_objective(spec.instance, point) - g_star
-            except DivergenceError:
-                status = "diverged"
-                trace = RunTrace()
-                trace.append(TraceRecord(0, 0, 0, 0, math.nan, math.nan,
-                                         "diverged"))
-                counters = OracleCounters()
+            except DivergenceError as exc:
+                trace = exc.trace if exc.trace is not None else RunTrace()
+                counters = (exc.counters if exc.counters is not None
+                            else OracleCounters())
+                trace.append(TraceRecord(0, 0, counters.stochastic_calls,
+                                         counters.full_calls, math.nan,
+                                         math.nan, "diverged"))
                 final_error = math.nan
             wall_ms = (time.perf_counter() - t0) * 1000.0
             path = spec.out_dir / f"trace_{solver.name}_seed{seed}.csv"
-            write_trace_csv(path, solver.name, seed, trace, status)
+            write_trace_csv(path, solver.name, seed, trace)
             trace_paths.append(path)
             summary_rows.append([solver.name, seed, repr(float(final_error)),
                                  counters.stochastic_calls,

@@ -62,6 +62,11 @@ def _build_solver(spec_text: str, args, instance) -> SolverSpec:
                              f"accepted: {', '.join(accepted)}")
     if name == "mixedgrad":
         if args.theory_mode:
+            ignored = [key for key in kv if key != "epochs"]
+            if ignored:
+                raise ValueError(
+                    f"--theory-mode derives every mixedgrad option but "
+                    f"epochs; it would ignore: {', '.join(ignored)}")
             config = theory_params(instance.smoothness, instance.domain_radius,
                                    args.delta, kv.get("epochs", args.epochs))
         else:

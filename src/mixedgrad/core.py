@@ -4,8 +4,16 @@ Each epoch recenters the problem at the current anchor, adds an L2 term
 whose weight shrinks by gamma per epoch, computes one exact averaged
 gradient at the anchor, and then runs variance-reduced projected
 stochastic steps inside a domain whose radius also shrinks by gamma.
-The number of inner steps grows by gamma^2 per epoch, so the stochastic
-budget after m epochs is T1 * (gamma^{2m} - 1) / (gamma^2 - 1).
+The number of inner steps grows by gamma^2 per epoch: epoch k runs
+T_k = round(T1 * gamma^{2(k-1)}) steps (half to even), so the stochastic
+budget after m epochs is their sum, which is T1 * (gamma^{2m} - 1) /
+(gamma^2 - 1) exactly when every T1 * gamma^{2(k-1)} is an integer (as
+for gamma = 2).
+
+run_epoch, the step loop, reuses each step's arithmetic: the norms of its
+projection fast-path test feed geometry's projection kernel, and w + anchor
+is carried to the next step. Each epoch's summary counts the steps that
+left the fast path, by projection branch.
 """
 
 from __future__ import annotations
@@ -15,8 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EpochDomain, project_ball, project_epoch_domain
-from .losses import ProblemInstance, full_objective, loss_grad
+from .geometry import (BOTH, INNER, OUTER, EpochDomain, _project_two_balls,
+                       project_ball, project_epoch_domain)
+from .losses import (ProblemInstance, _loss_derivative, _loss_derivatives,
+                     full_objective, loss_grad)
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 # The single-call sampler stays importable from here: perfbench/tracer.py
 # wraps mixedgrad.core.sample_loss by name.
@@ -28,7 +38,17 @@ MAX_FAILURE_PROBABILITY = math.exp(-4.5)
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate or gradient stops being finite."""
+    """Raised when an iterate or gradient stops being finite.
+
+    A solver that raises it attaches the oracle counters and the trace it
+    had reached (counters and trace are None when it has none to give).
+    """
+
+    def __init__(self, message: str, counters: OracleCounters | None = None,
+                 trace: RunTrace | None = None):
+        super().__init__(message)
+        self.counters = counters
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -105,6 +125,20 @@ class RunTrace:
 
 
 @dataclass
+class ProjectionCounts:
+    """Inner steps of an epoch that left the projection fast path, by the
+    branch of the two-ball projection that produced the new iterate."""
+
+    inner: int = 0             # scaled into the inner (Delta) ball
+    outer: int = 0             # scaled into the outer (R) ball
+    both: int = 0              # both constraints active: Dykstra
+
+    @property
+    def total(self) -> int:
+        return self.inner + self.outer + self.both
+
+
+@dataclass
 class EpochSummary:
     """End-of-epoch diagnostics."""
 
@@ -118,6 +152,12 @@ class EpochSummary:
     stoch_calls: int           # cumulative at epoch end
     full_calls: int
     max_step_norm_sq: float    # max ||grad correction + lam*w||^2 observed
+    projections: ProjectionCounts = field(default_factory=ProjectionCounts)
+
+    @property
+    def fast_steps(self) -> int:
+        """Inner steps that stayed inside both balls (no projection)."""
+        return self.inner_iters - self.projections.total
 
 
 @dataclass
@@ -154,101 +194,124 @@ def inner_step(w: np.ndarray, g_hat: np.ndarray, lam: float, eta: float,
     return project_epoch_domain(w - eta * (lam * w + g_hat), domain)
 
 
+def _label_lookup(labels: np.ndarray, draws: int):
+    # Labels as a list of Python floats, which index and compute faster
+    # than numpy scalars with the same results, when at least n labels
+    # will be looked up; otherwise the array, so that a loop of few steps
+    # over many examples does not hold a list of them.
+    return labels.tolist() if draws >= len(labels) else labels
+
+
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
               trace: RunTrace | None = None, checkpoint_stride: int = 100,
-              reference_value: float | None = None) -> tuple[np.ndarray, float]:
+              reference_value: float | None = None,
+              projections: ProjectionCounts | None = None
+              ) -> tuple[np.ndarray, float]:
     """One epoch of inner stochastic steps starting from 0.
 
     Returns the uniform average over the inner_iters + 1 iterates and the
     largest squared norm of (gradient correction + lam * w) seen, a
     diagnostic for the bounded-step property. Checkpoints are appended to
     the trace every checkpoint_stride steps; their objective evaluations
-    do not touch the oracle counters.
+    do not touch the oracle counters. Steps that leave the projection fast
+    path are added to projections by branch.
+
+    Each step is vr_gradient and inner_step written out so that it reuses
+    its own arithmetic: w + anchor is carried from step to step (it is the
+    margin operand and the checkpoint point), and the norms taken for the
+    fast-path test feed the projection kernel.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
     if g_k is None:
         raise ValueError("epoch state is missing the anchor gradient")
-    lam, eta, T = state.lam, state.eta, state.inner_iters
+    T = state.inner_iters
+    # numpy multiplies an array by a 0-d array faster than by a Python
+    # float, with the same result.
+    lam, eta = np.array(state.lam), np.array(state.eta)
     delta = state.delta
     R = instance.domain_radius
     domain = EpochDomain(anchor, R, delta)
     n = instance.n
     X = instance.dataset.features
     y = instance.dataset.labels
-    least_squares = instance.loss_kind == "least_squares"
+    kind = instance.loss_kind
 
     # Per-example gradients at the anchor are fixed for the whole epoch;
     # cache them once (pure caching, no extra oracle access).
-    margins = X @ anchor
-    if least_squares:
-        anchor_rows = (-2.0 * (y - margins))[:, None] * X
-    else:
-        z = y * margins
-        s = np.where(z >= 0, np.exp(-np.minimum(z, 700)) / (1.0 + np.exp(-np.minimum(z, 700))),
-                     1.0 / (1.0 + np.exp(np.maximum(z, -700))))
-        anchor_rows = (-y * s)[:, None] * X
+    anchor_rows = _loss_derivatives(y, X @ anchor, kind)[:, None] * X
+    labels = _label_lookup(y, T)
 
     w = np.zeros(instance.d)
+    w_anchor = w + anchor
     mean = w.copy()            # running mean over iterates seen so far
-    count = 1
+    count = 1.0                # a float: dividing by it is cheaper, same bits
     max_step_sq = 0.0
+    branches = [0, 0, 0]       # projection-branch tally, by INNER/OUTER/BOTH
     indices = sample_losses(sampler, counters, n, T)
     for t, i in enumerate(indices, 1):
         x = X[i]
-        margin = float((w + anchor) @ x)
-        if least_squares:
-            grad_at = (-2.0 * (y[i] - margin)) * x
-        else:
-            z = y[i] * margin
-            if z >= 0:
-                ez = np.exp(-z)
-                s_i = ez / (1.0 + ez)
-            else:
-                s_i = 1.0 / (1.0 + np.exp(z))
-            grad_at = (-y[i] * s_i) * x
-        correction = grad_at - anchor_rows[i]
-        step_vec = correction + lam * w
-        step_sq = float(step_vec @ step_vec)
+        coef = _loss_derivative(labels[i], float(w_anchor.dot(x)), kind)
+        step_vec = (coef * x - anchor_rows[i]) + lam * w
+        step_sq = step_vec.dot(step_vec)
         if step_sq > max_step_sq:
             max_step_sq = step_sq
         v = w - eta * (g_k + step_vec)
-        v_sq = v @ v
+        v_sq = v.dot(v)
+        v_norm = math.sqrt(v_sq)
         u = v + anchor
+        u_norm = math.sqrt(u.dot(u))
         # Projection fast path: inside both balls means no work.
-        # math.sqrt(v @ v) is bit-identical to np.linalg.norm(v).
-        if math.sqrt(v_sq) <= delta and math.sqrt(u @ u) <= R:
+        if v_norm <= delta and u_norm <= R:
             w = v
+            w_anchor = u
         else:
             # A NaN or infinite entry makes v_sq non-finite, so such a v
             # never takes the fast path, and a finite v_sq proves v finite.
             if not math.isfinite(v_sq) and not np.isfinite(v).all():
                 raise DivergenceError(
-                    f"non-finite iterate at epoch {state.epoch_index}, step {t}")
-            w = project_epoch_domain(v, domain)
-        count += 1
+                    f"non-finite iterate at epoch {state.epoch_index}, "
+                    f"step {t}", counters, trace)
+            w, branch = _project_two_balls(v, v_norm, u, u_norm, domain)
+            branches[branch] += 1
+            w_anchor = w + anchor
+        count += 1.0
         mean += (w - mean) / count
         if trace is not None and t % checkpoint_stride == 0:
-            obj = full_objective(instance, w + anchor)
+            obj = full_objective(instance, w_anchor)
             err = obj - reference_value if reference_value is not None else math.nan
             trace.append(TraceRecord(state.epoch_index, t,
                                      counters.stochastic_calls,
                                      counters.full_calls, obj, err))
-    return mean, max_step_sq
+    if projections is not None:
+        projections.inner += branches[INNER]
+        projections.outer += branches[OUTER]
+        projections.both += branches[BOTH]
+    return mean, float(max_step_sq)
 
 
-def shrink_schedule(state: EpochState, gamma: float,
-                    w_tilde: np.ndarray) -> EpochState:
-    """Advance to the next epoch: shift the anchor by the epoch average,
-    divide delta/lam/eta by gamma, multiply the step budget by gamma^2."""
+def shrink_schedule(state: EpochState, gamma: float, w_tilde: np.ndarray,
+                    t1: float | None = None) -> EpochState:
+    """Advance to the next epoch: shift the anchor by the epoch average and
+    divide delta/lam/eta by gamma.
+
+    The step budget of epoch k + 1 is T_{k+1} = round(T1 * gamma^{2k}),
+    rounded half to even (Python's round), from T1 directly, so rounding
+    does not compound from epoch to epoch. t1 defaults to the first-epoch
+    budget the state implies, inner_iters / gamma^{2(k-1)}; run passes
+    config.t1.
+    """
+    k = state.epoch_index
+    if t1 is None:
+        t1 = state.inner_iters / gamma ** (2 * (k - 1))
     return EpochState(
-        epoch_index=state.epoch_index + 1,
+        epoch_index=k + 1,
         anchor=state.anchor + w_tilde,
         delta=state.delta / gamma,
         lam=state.lam / gamma,
         eta=state.eta / gamma,
-        inner_iters=int(round(gamma * gamma * state.inner_iters)),
+        inner_iters=int(round(t1 * gamma ** (2 * k))),
         anchor_grad=None,
     )
 
@@ -308,17 +371,19 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
     )
     for _ in range(config.epochs):
         state.anchor_grad = anchor_gradient(instance, state.anchor, state.lam, counters)
+        projections = ProjectionCounts()
         w_tilde, max_step_sq = run_epoch(
             instance, state, sampler, counters, trace,
-            config.checkpoint_stride, reference_value)
-        next_state = shrink_schedule(state, config.gamma, w_tilde)
+            config.checkpoint_stride, reference_value, projections)
+        next_state = shrink_schedule(state, config.gamma, w_tilde, config.t1)
         # The new anchor is a convex combination of feasible points, so it
         # lies in the R-ball up to roundoff; clamp the tiny excess.
         nrm = float(np.linalg.norm(next_state.anchor))
         if nrm > R:
             if nrm > R + 1e-9:
                 raise DivergenceError(
-                    f"anchor left the feasible ball after epoch {state.epoch_index}")
+                    f"anchor left the feasible ball after epoch "
+                    f"{state.epoch_index}", counters, trace)
             next_state.anchor = project_ball(next_state.anchor, R)
         obj = full_objective(instance, next_state.anchor)
         err = obj - reference_value if reference_value is not None else math.nan
@@ -331,7 +396,7 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
             anchor_after=next_state.anchor.copy(), objective_after=obj,
             stoch_calls=counters.stochastic_calls,
             full_calls=counters.full_calls,
-            max_step_norm_sq=max_step_sq))
+            max_step_norm_sq=max_step_sq, projections=projections))
         state = next_state
 
     return MixedGradResult(state.anchor, trace, counters, summaries)

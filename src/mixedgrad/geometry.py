@@ -6,10 +6,14 @@ Projection onto a single ball is closed form; the intersection is handled
 by Dykstra's alternating projections, with a shortcut when one ball's
 closed-form projection already satisfies the other constraint.
 
-The public projections validate their input once, at entry; the
-shortcuts inside project_epoch_domain then work on the validated point
-without checking it again. Norms are taken as math.sqrt(v @ v), which is
-bit-identical to np.linalg.norm(v) for a 1-D float vector and cheaper.
+The public projections validate their input once, at entry. The
+two-ball projection has one code path, the private kernel
+_project_two_balls, which takes the point v together with ||v||, v + anchor
+and ||v + anchor||. project_epoch_domain checks its input and computes
+those; the solver's step loop already holds them from its fast-path test
+and calls the kernel directly. Norms are taken as math.sqrt(v.dot(v)),
+which is bit-identical to np.linalg.norm(v) for a 1-D float vector and
+cheaper.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import numpy as np
 
 DYKSTRA_MAX_SWEEPS = 500
 DYKSTRA_TOL = 1e-12
+
+# Branches of the two-ball projection, as indices into a per-branch tally.
+INNER, OUTER, BOTH = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -48,21 +55,6 @@ class EpochDomain:
                 and np.linalg.norm(w) <= self.inner_radius + tol)
 
 
-def _project_ball(w: np.ndarray, radius: float,
-                  center: np.ndarray | None = None) -> np.ndarray:
-    # project_ball for a finite float vector and a positive radius.
-    if center is None:
-        nrm = math.sqrt(w @ w)
-        if nrm <= radius:
-            return w
-        return w * (radius / nrm)
-    v = w - center
-    nrm = math.sqrt(v @ v)
-    if nrm <= radius:
-        return w
-    return center + v * (radius / nrm)
-
-
 def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal projection onto the ball of given radius (default center 0)."""
     w = np.asarray(w, dtype=float)
@@ -70,7 +62,16 @@ def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None)
         raise ValueError("cannot project a non-finite point")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    return _project_ball(w, radius, center)
+    if center is None:
+        nrm = math.sqrt(w.dot(w))
+        if nrm <= radius:
+            return w
+        return w * (radius / nrm)
+    v = w - center
+    nrm = math.sqrt(v.dot(v))
+    if nrm <= radius:
+        return w
+    return center + v * (radius / nrm)
 
 
 def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
@@ -78,25 +79,49 @@ def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("cannot project a non-finite point")
+    u = w + domain.anchor
+    p, _ = _project_two_balls(w, math.sqrt(w.dot(w)), u, math.sqrt(u.dot(u)),
+                              domain)
+    return p
+
+
+def _project_two_balls(v: np.ndarray, v_norm: float, u: np.ndarray,
+                       u_norm: float, domain: EpochDomain
+                       ) -> tuple[np.ndarray, int]:
+    """Projection of a finite v onto the domain, given ||v||, u = v + anchor
+    and ||u||; returns the point and the branch that produced it.
+
+    If the closed-form projection onto one ball already satisfies the other
+    constraint, it is the projection onto the intersection: INNER scales v
+    into the Delta-ball, OUTER scales u into the R-ball and shifts it back
+    (u * (R/||u||) - anchor, which equals (-anchor) + u * (R/||u||) in IEEE
+    arithmetic). Otherwise both constraints are active and Dykstra's
+    alternating projections run (BOTH).
+    """
     a = domain.anchor
     R = domain.outer_radius
     delta = domain.inner_radius
-
-    # Exactness shortcuts: if the closed-form projection onto one ball is
-    # already feasible for the other, it is the projection onto the
-    # intersection. The radii are positive by EpochDomain's construction.
-    p = _project_ball(w, delta)
-    q = p + a
-    if math.sqrt(q @ q) <= R:
-        return p
-    p = _project_ball(w, R, center=-a)
-    if math.sqrt(p @ p) <= delta:
-        return p
+    # The radii are positive by EpochDomain's construction.
+    if v_norm <= delta:
+        p, q_norm = v, u_norm
+    else:
+        p = v * (delta / v_norm)
+        q = p + a
+        q_norm = math.sqrt(q.dot(q))
+    if q_norm <= R:
+        return p, INNER
+    if u_norm <= R:
+        p, p_norm = v, v_norm
+    else:
+        p = u * (R / u_norm) - a
+        p_norm = math.sqrt(p.dot(p))
+    if p_norm <= delta:
+        return p, OUTER
 
     # Dykstra's alternating projections between the two balls.
-    x = w.copy()
-    p_inc = np.zeros_like(w)
-    q_inc = np.zeros_like(w)
+    x = v.copy()
+    p_inc = np.zeros_like(v)
+    q_inc = np.zeros_like(v)
     for _ in range(DYKSTRA_MAX_SWEEPS):
         y = project_ball(x + p_inc, delta)
         p_inc = x + p_inc - y
@@ -108,4 +133,4 @@ def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
         x = x_new
     # Both constraint residuals should be negligible at convergence; snap
     # the tiny remaining violation of the inner ball.
-    return project_ball(x, delta)
+    return project_ball(x, delta), BOTH

@@ -127,23 +127,43 @@ def loss_value(instance: ProblemInstance, i: int, w: np.ndarray) -> float:
     return float(_log1pexp(-y * margin))
 
 
+def _loss_derivative(y: float, margin: float, kind: str) -> float:
+    # Derivative of g_i with respect to its margin <w, x_i>, so that
+    # grad g_i(w) = _loss_derivative(y_i, <w, x_i>, kind) * x_i. For the
+    # logistic loss, d/dm ln(1+exp(-y m)) = -y / (1 + exp(y m)), evaluated
+    # through a stable sigmoid.
+    if kind == LEAST_SQUARES:
+        return -2.0 * (y - margin)
+    z = y * margin
+    if z >= 0:
+        ez = np.exp(-z)
+        return -y * (ez / (1.0 + ez))
+    return -y * (1.0 / (1.0 + np.exp(z)))
+
+
+def _loss_derivatives(y: np.ndarray, margins: np.ndarray,
+                      kind: str) -> np.ndarray:
+    # _loss_derivative elementwise over arrays of labels and margins.
+    if kind == LEAST_SQUARES:
+        return -2.0 * (y - margins)
+    z = y * margins
+    s = np.empty_like(z)
+    pos = z >= 0
+    ez = np.exp(-z[pos])
+    s[pos] = ez / (1.0 + ez)
+    ez = np.exp(z[~pos])
+    s[~pos] = 1.0 / (1.0 + ez)
+    return -y * s
+
+
 def loss_grad(instance: ProblemInstance, i: int, w: np.ndarray) -> np.ndarray:
     """Gradient of g_i at w."""
     _check_index(instance, i)
     w = _check_dim(instance, w)
     x = instance.dataset.features[i]
-    y = instance.dataset.labels[i]
     margin = float(w @ x)
-    if instance.loss_kind == LEAST_SQUARES:
-        return (-2.0 * (y - margin)) * x
-    # d/dw ln(1+exp(-y z)) = -y x / (1 + exp(y z)); evaluate the factor
-    # through a stable sigmoid.
-    z = y * margin
-    if z >= 0:
-        s = np.exp(-z) / (1.0 + np.exp(-z))
-    else:
-        s = 1.0 / (1.0 + np.exp(z))
-    return (-y * s) * x
+    return _loss_derivative(instance.dataset.labels[i], margin,
+                            instance.loss_kind) * x
 
 
 def full_objective(instance: ProblemInstance, w: np.ndarray) -> float:
@@ -169,18 +189,7 @@ def mean_gradient(instance: ProblemInstance, w: np.ndarray) -> np.ndarray:
     w = _check_dim(instance, w)
     X = instance.dataset.features
     y = instance.dataset.labels
-    margins = X @ w
-    if instance.loss_kind == LEAST_SQUARES:
-        coef = -2.0 * (y - margins)
-    else:
-        z = y * margins
-        s = np.empty_like(z)
-        pos = z >= 0
-        ez = np.exp(-z[pos])
-        s[pos] = ez / (1.0 + ez)
-        ez = np.exp(z[~pos])
-        s[~pos] = 1.0 / (1.0 + ez)
-        coef = -y * s
+    coef = _loss_derivatives(y, X @ w, instance.loss_kind)
     return (coef @ X) / instance.n
 
 

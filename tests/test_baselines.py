@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from mixedgrad.baselines import (BaselineConfig, run_gd, run_nag, run_sgd)
+from mixedgrad.bench import gen_synthetic
+from mixedgrad.core import DivergenceError
 from mixedgrad.geometry import project_ball
-from mixedgrad.losses import (LEAST_SQUARES, Dataset, ProblemInstance,
-                              full_objective, loss_grad)
-from mixedgrad.oracle import OracleCounters, SeededSampler
+from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
+                              ProblemInstance, full_objective, loss_grad)
+from mixedgrad.oracle import OracleCounters, SeededSampler, sample_loss
 
 
 def make_instance(X, y, radius=1.0):
@@ -61,6 +65,60 @@ class TestSgd:
         _, trace = run_sgd(inst, cfg, 3, OracleCounters())
         point, _ = run_sgd(inst, cfg, 3, OracleCounters())
         assert np.linalg.norm(point) <= 0.5 + 1e-9
+
+
+def reference_sgd(inst, config, seed, counters):
+    """Projected SGD written plainly: per step one sample_loss call, one
+    loss_grad call and a project_ball call. Returns (point, number of
+    steps that projected)."""
+    sampler = SeededSampler(seed)
+    c = config.step_scale
+    w = np.zeros(inst.d)
+    mean = w.copy()
+    projected = 0
+    for t in range(1, config.iterations + 1):
+        i = sample_loss(sampler, counters, inst.n)
+        eta = c if config.step_rule == "constant" else c / math.sqrt(t)
+        v = w - eta * loss_grad(inst, i, w)
+        if not np.isfinite(v).all():
+            raise DivergenceError(f"non-finite iterate at step {t}")
+        w = project_ball(v, inst.domain_radius)
+        projected += w is not v
+        mean += (w - mean) / (t + 1)
+    return (mean if config.averaging else w), projected
+
+
+class TestSgdMatchesReference:
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("step_rule, averaging",
+                             [("constant", False), ("inv_sqrt_t", True)])
+    def test_bit_identical(self, kind, step_rule, averaging):
+        # With R = 0.2 both the R-ball projection and the fast path run
+        # hundreds of times on each loss and step rule.
+        inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
+        cfg = BaselineConfig("sgd", 600, step_rule=step_rule, step_scale=0.5,
+                             averaging=averaging, checkpoint_stride=50)
+        c_run, c_ref = OracleCounters(), OracleCounters()
+        point, _ = run_sgd(inst, cfg, 9, c_run)
+        ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
+        assert 0 < projected < cfg.iterations
+        np.testing.assert_array_equal(point, ref_point)
+        assert c_run == c_ref
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_divergence_at_first_step(self, kind):
+        inst = gen_synthetic(2, 40, 5, 0.3, kind, 1.0)
+        cfg = BaselineConfig("sgd", 10, step_scale=math.inf)
+        c_run, c_ref = OracleCounters(), OracleCounters()
+        with pytest.raises(DivergenceError) as run_exc:
+            run_sgd(inst, cfg, 0, c_run)
+        with pytest.raises(DivergenceError) as ref_exc:
+            reference_sgd(inst, cfg, 0, c_ref)
+        assert str(run_exc.value) == str(ref_exc.value) \
+            == "non-finite iterate at step 1"
+        assert c_run == c_ref == OracleCounters(1, 0)
+        assert run_exc.value.counters is c_run
+        assert len(run_exc.value.trace) == 0
 
 
 class TestGd:

@@ -8,7 +8,10 @@ from mixedgrad.bench import (ExperimentSpec, ReferenceSolveError, SolverSpec,
                              compute_reference_optimum, fit_slope,
                              gen_synthetic, read_trace_csv, run_experiment,
                              write_trace_csv)
-from mixedgrad.core import MixedGradConfig, RunTrace, TraceRecord
+import mixedgrad.bench
+from mixedgrad.core import (DivergenceError, MixedGradConfig, RunTrace,
+                            TraceRecord)
+from mixedgrad.oracle import OracleCounters
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               ProblemInstance, full_objective)
 
@@ -182,3 +185,56 @@ class TestRunExperiment:
         with open(manifest["summary"]) as f:
             row = list(csv.DictReader(f))[0]
         assert math.isnan(float(row["final_error"]))
+
+    @staticmethod
+    def summary_row(manifest):
+        import csv
+        with open(manifest["summary"]) as f:
+            return list(csv.DictReader(f))[0]
+
+    def test_diverged_sgd_keeps_its_counters(self, instance, tmp_path):
+        cfg = BaselineConfig("sgd", 10, step_scale=math.inf)
+        spec = ExperimentSpec(instance, [SolverSpec("sgd", cfg)],
+                              seeds=[0], out_dir=tmp_path / "out")
+        manifest = run_experiment(spec)
+        row = self.summary_row(manifest)
+        assert (int(row["stoch_calls"]), int(row["full_calls"])) == (1, 0)
+        last = read_trace_csv(manifest["traces"][0])[-1]
+        assert (last["stoch_calls"], last["full_calls"]) == (1, 0)
+
+    def test_diverged_mixedgrad_reports_true_counts(self, instance, tmp_path):
+        # An infinite first step size diverges at epoch 1, step 1, after
+        # the epoch's full-gradient call and one stochastic call.
+        cfg = MixedGradConfig(eta1=math.inf, delta1=1.0, t1=8, epochs=3,
+                              lambda1=0.1)
+        spec = ExperimentSpec(instance, [SolverSpec("mixedgrad", cfg)],
+                              seeds=[0], out_dir=tmp_path / "out")
+        manifest = run_experiment(spec)
+        row = self.summary_row(manifest)
+        assert (int(row["stoch_calls"]), int(row["full_calls"])) == (1, 1)
+        assert math.isnan(float(row["final_error"]))
+        rows = read_trace_csv(manifest["traces"][0])
+        assert [(r["status"], r["stoch_calls"], r["full_calls"])
+                for r in rows] == [("diverged", 1, 1)]
+
+    def test_diverged_run_keeps_reached_trace(self, instance, tmp_path,
+                                              monkeypatch):
+        def diverges_after_a_checkpoint(inst, config, seed, reference_value):
+            counters = OracleCounters(100, 1)
+            trace = RunTrace()
+            trace.append(TraceRecord(1, 100, 100, 1, 0.5, 0.25))
+            counters.stochastic_calls += 7
+            raise DivergenceError("non-finite iterate", counters, trace)
+
+        monkeypatch.setattr(mixedgrad.bench, "run_mixedgrad",
+                            diverges_after_a_checkpoint)
+        cfg = MixedGradConfig(eta1=0.1, delta1=1.0, t1=8, epochs=3,
+                              lambda1=0.1)
+        spec = ExperimentSpec(instance, [SolverSpec("mixedgrad", cfg)],
+                              seeds=[0], out_dir=tmp_path / "out")
+        manifest = run_experiment(spec)
+        rows = read_trace_csv(manifest["traces"][0])
+        assert [(r["status"], r["step"], r["stoch_calls"]) for r in rows] \
+            == [("ok", 100, 100), ("diverged", 0, 107)]
+        row = self.summary_row(manifest)
+        assert (int(row["stoch_calls"]), int(row["full_calls"])) == (107, 1)

@@ -79,3 +79,26 @@ def test_malformed_solver_spec_is_an_argparse_error(spec, tmp_path, capsys):
               "--out", str(tmp_path / "results")])
     assert exc.value.code == 2
     assert f"--solver {spec!r}" in capsys.readouterr().err
+
+
+def test_theory_mode_rejects_options_it_would_ignore(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", "mixedgrad:t1=8,epochs=1,eta1=5",
+              "--theory-mode", "--delta", "0.01", "--n", "10", "--d", "2",
+              "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "would ignore: t1, eta1" in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
+    out = tmp_path / "results"
+    rc = main(["run", "--solver", "mixedgrad:epochs=1", "--theory-mode",
+               "--delta", "0.01", "--epochs", "3", "--n", "10", "--d", "2",
+               "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.DictReader(open(out / "summary.csv")))
+    # T1 = ceil(300 ln(1/0.01)) = 1382, one epoch
+    assert (int(rows[0]["stoch_calls"]), int(rows[0]["full_calls"])) \
+        == (1382, 1)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import (DivergenceError, EpochState, MixedGradConfig,
-                            anchor_gradient, epoch_objective,
-                            epoch_subproblem_optimum, inner_step, run,
-                            run_epoch, shrink_schedule, theory_params,
-                            vr_gradient)
-from mixedgrad.geometry import EpochDomain, project_epoch_domain
+                            ProjectionCounts, anchor_gradient,
+                            epoch_objective, epoch_subproblem_optimum,
+                            inner_step, run, run_epoch, shrink_schedule,
+                            theory_params, vr_gradient)
+from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
+                                project_ball, project_epoch_domain)
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               ProblemInstance, full_objective, loss_grad,
                               mean_gradient)
@@ -153,23 +155,43 @@ class TestRunEpoch:
         assert c.stochastic_calls == 1
 
 
+def projection_branch(v, domain):
+    """None when v lies in both balls, else the branch of the two-ball
+    projection: INNER when the Delta-ball projection also lies in the
+    R-ball, OUTER when the R-ball projection lies in the Delta-ball, BOTH
+    otherwise."""
+    a, R, delta = domain.anchor, domain.outer_radius, domain.inner_radius
+    if np.linalg.norm(v) <= delta and np.linalg.norm(v + a) <= R:
+        return None
+    if np.linalg.norm(project_ball(v, delta) + a) <= R:
+        return INNER
+    if np.linalg.norm(project_ball(v, R, center=-a)) <= delta:
+        return OUTER
+    return BOTH
+
+
 def reference_epoch(inst, state, sampler, counters):
     """The epoch written plainly: per step one sample_loss call, two
     loss_grad calls and a project_epoch_domain call. Returns what
-    run_epoch returns."""
+    run_epoch returns, plus the projection-branch tally."""
     anchor, lam, eta = state.anchor, state.lam, state.eta
     domain = EpochDomain(anchor, inst.domain_radius, state.delta)
     w = np.zeros(inst.d)
     mean = w.copy()
     max_step_sq = 0.0
+    tally = [0, 0, 0]
     for t in range(1, state.inner_iters + 1):
         i = sample_loss(sampler, counters, inst.n)
         step = (loss_grad(inst, i, w + anchor)
                 - loss_grad(inst, i, anchor)) + lam * w
         max_step_sq = max(max_step_sq, float(step @ step))
-        w = project_epoch_domain(w - eta * (state.anchor_grad + step), domain)
+        v = w - eta * (state.anchor_grad + step)
+        branch = projection_branch(v, domain)
+        if branch is not None:
+            tally[branch] += 1
+        w = project_epoch_domain(v, domain)
         mean += (w - mean) / (t + 1)
-    return mean, max_step_sq
+    return mean, max_step_sq, ProjectionCounts(*tally)
 
 
 class TestRunEpochMatchesReference:
@@ -196,12 +218,21 @@ class TestRunEpochMatchesReference:
                            INDEX_BLOCK + 40, g_k)
         s_run, s_ref = SeededSampler(3), SeededSampler(3)
         c_run, c_ref = OracleCounters(), OracleCounters()
-        mean, max_sq = run_epoch(inst, state, s_run, c_run)
-        ref_mean, ref_max_sq = reference_epoch(inst, state, s_ref, c_ref)
+        projections = ProjectionCounts()
+        mean, max_sq = run_epoch(inst, state, s_run, c_run,
+                                 projections=projections)
+        ref_mean, ref_max_sq, ref_projections = reference_epoch(
+            inst, state, s_ref, c_ref)
         np.testing.assert_array_equal(mean, ref_mean)
         assert max_sq == ref_max_sq
         assert c_run == c_ref
         assert s_run.draw(inst.n) == s_ref.draw(inst.n)
+        assert projections == ref_projections
+        if radius < 1.0:
+            assert min(projections.inner, projections.outer,
+                       projections.both) > 0
+        else:
+            assert projections.total == 0
 
 
 class TestShrinkSchedule:
@@ -214,6 +245,33 @@ class TestShrinkSchedule:
         assert (s2.lam, s3.lam) == (4.0, 2.0)
         assert (s2.eta, s3.eta) == (0.2, 0.1)
         assert s3.epoch_index == 3
+
+    def test_budget_does_not_compound_rounding(self):
+        # gamma = 1.5, T1 = 10: T_k = round(10 * 2.25^(k-1)), half to even,
+        # is 10, 22, 51, 114, 256, 577. Rounding each epoch's count from
+        # the last rounded one gave 10, 22, 50, 112, 252, 567 (1,013).
+        state = EpochState(1, np.zeros(2), 1.0, 1.0, 0.1, 10, np.zeros(2))
+        counts = [state.inner_iters]
+        for _ in range(5):
+            state = shrink_schedule(state, 1.5, np.zeros(2), t1=10)
+            counts.append(state.inner_iters)
+        assert counts == [10, 22, 51, 114, 256, 577]
+        inst = random_instance(n=8, d=3, seed=2)
+        cfg = MixedGradConfig(eta1=0.05, delta1=1.0, t1=10, epochs=6,
+                              lambda1=1.0, gamma=1.5)
+        res = run(inst, cfg, seed=0)
+        assert [s.inner_iters for s in res.epoch_summaries] == counts
+        assert res.counters.stochastic_calls == 1030
+
+    @pytest.mark.parametrize("t1, epochs, budget", [
+        (32, 7, 174_752), (32, 4, 2_720), (32, 6, 43_680)])
+    def test_gamma_two_budgets_exact(self, t1, epochs, budget):
+        state = EpochState(1, np.zeros(1), 1.0, 1.0, 0.1, t1, np.zeros(1))
+        total = state.inner_iters
+        for _ in range(epochs - 1):
+            state = shrink_schedule(state, 2.0, np.zeros(1), t1=t1)
+            total += state.inner_iters
+        assert total == budget == t1 * (4 ** epochs - 1) // 3
 
     def test_anchor_shift(self):
         state = EpochState(1, np.array([0.1, 0.2]), 1.0, 1.0, 0.1, 10,
@@ -297,6 +355,41 @@ class TestRun:
         full = [r.full_calls for r in res.trace]
         assert stoch == sorted(stoch)
         assert full == sorted(full)
+
+    def test_projection_counts_interior_least_squares(self):
+        inst = gen_synthetic(0, 200, 20, 0.0, LEAST_SQUARES, 1.0)
+        beta = inst.smoothness
+        cfg = MixedGradConfig(eta1=0.5 / beta, delta1=1.0, t1=32, epochs=4,
+                              lambda1=0.05 * beta)
+        res = run(inst, cfg, seed=0)
+        for s in res.epoch_summaries:
+            assert s.projections == ProjectionCounts()
+            assert s.fast_steps == s.inner_iters
+
+    def test_projection_counts_boundary_logistic(self):
+        # Separable data: the optimum lies on the R-sphere, so after the
+        # first epoch nearly every step projects onto the outer ball.
+        inst = gen_synthetic(0, 200, 20, 0.0, LOGISTIC, 1.0)
+        beta = inst.smoothness
+        cfg = MixedGradConfig(eta1=0.5 / beta, delta1=1.0, t1=32, epochs=4,
+                              lambda1=0.05 * beta)
+        res = run(inst, cfg, seed=0)
+        for s in res.epoch_summaries:
+            p = s.projections
+            assert s.fast_steps + p.inner + p.outer + p.both == s.inner_iters
+            assert s.fast_steps >= 0
+        total = sum(s.inner_iters for s in res.epoch_summaries)
+        outer = sum(s.projections.outer for s in res.epoch_summaries)
+        assert outer > 0.9 * total
+
+    def test_divergence_carries_counters_and_trace(self):
+        inst = random_instance(n=8, d=3, seed=2)
+        cfg = MixedGradConfig(eta1=math.inf, delta1=1.0, t1=10, epochs=3,
+                              lambda1=1.0)
+        with pytest.raises(DivergenceError, match="epoch 1, step 1$") as exc:
+            run(inst, cfg, seed=0)
+        assert exc.value.counters == OracleCounters(1, 1)
+        assert len(exc.value.trace) == 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

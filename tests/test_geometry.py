@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from mixedgrad.geometry import (EpochDomain, project_ball,
-                                project_epoch_domain)
+from mixedgrad.geometry import (BOTH, DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL, INNER,
+                                OUTER, EpochDomain, _project_two_balls,
+                                project_ball, project_epoch_domain)
 
 
 def grid_search_projection(w, domain, resolution=1e-3):
@@ -104,3 +107,84 @@ class TestProjectEpochDomain:
         dom = EpochDomain(np.zeros(2), 1.0, 0.5)
         with pytest.raises(ValueError):
             project_epoch_domain(np.array([np.inf, 0.0]), dom)
+
+
+def two_shortcut_body(w, domain):
+    """project_epoch_domain's two shortcuts as written before the kernel
+    took its norms from the caller: (point, branch), point None for the
+    two-ball branch."""
+    a, R, delta = domain.anchor, domain.outer_radius, domain.inner_radius
+    nrm = math.sqrt(w @ w)
+    p = w if nrm <= delta else w * (delta / nrm)
+    q = p + a
+    if math.sqrt(q @ q) <= R:
+        return p, INNER
+    v = w - (-a)
+    nrm = math.sqrt(v @ v)
+    p = w if nrm <= R else (-a) + v * (R / nrm)
+    if math.sqrt(p @ p) <= delta:
+        return p, OUTER
+    return None, BOTH
+
+
+def dykstra(w, domain):
+    """The two-ball loop of project_epoch_domain, written out."""
+    a, R, delta = domain.anchor, domain.outer_radius, domain.inner_radius
+    x = w.copy()
+    p_inc = np.zeros_like(w)
+    q_inc = np.zeros_like(w)
+    for _ in range(DYKSTRA_MAX_SWEEPS):
+        y = project_ball(x + p_inc, delta)
+        p_inc = x + p_inc - y
+        x_new = project_ball(y + q_inc, R, center=-a)
+        q_inc = y + q_inc - x_new
+        if np.linalg.norm(x_new - x) < DYKSTRA_TOL:
+            x = x_new
+            break
+        x = x_new
+    return project_ball(x, delta)
+
+
+def kernel(w, domain):
+    u = w + domain.anchor
+    return _project_two_balls(w, math.sqrt(w.dot(w)), u, math.sqrt(u.dot(u)),
+                              domain)
+
+
+class TestProjectionKernel:
+    def test_matches_two_shortcut_body_bit_for_bit(self):
+        rng = np.random.default_rng(1234)
+        seen = {INNER: 0, OUTER: 0, BOTH: 0}
+        for _ in range(12_000):
+            d = int(rng.integers(1, 9))
+            R = rng.uniform(0.5, 2.0)
+            anchor = rng.standard_normal(d)
+            anchor *= rng.uniform(0.0, R) / np.linalg.norm(anchor)
+            dom = EpochDomain(anchor, R, rng.uniform(0.05, 2.0 * R))
+            w = rng.standard_normal(d) * rng.uniform(0.0, 3.0 * R)
+            expected, branch = two_shortcut_body(w, dom)
+            # The Dykstra fallback is slow; check a sample of it.
+            if branch == BOTH and seen[BOTH] >= 100:
+                continue
+            seen[branch] += 1
+            p, got = kernel(w, dom)
+            assert got == branch
+            if branch == BOTH:
+                expected = dykstra(w, dom)
+            assert np.array_equal(p, expected)
+            np.testing.assert_array_equal(project_epoch_domain(w, dom), p)
+        assert sum(seen.values()) >= 10_000
+        assert min(seen.values()) >= 100
+
+    def test_finite_point_whose_square_overflows(self):
+        # ||w||^2 overflows to inf although w is finite; the kernel takes
+        # the same inner-ball branch the two-shortcut body takes.
+        dom = EpochDomain(np.array([0.5, 0.0]), 1.0, 0.25)
+        w = np.array([1e200, -1e200])
+        with np.errstate(over="ignore"):
+            expected, branch = two_shortcut_body(w, dom)
+            p, got = kernel(w, dom)
+            public = project_epoch_domain(w, dom)
+        assert got == branch == INNER
+        assert np.array_equal(p, expected)
+        np.testing.assert_array_equal(public, p)

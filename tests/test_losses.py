@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
-                              ProblemInstance, full_objective,
+                              ProblemInstance, _loss_derivative,
+                              _loss_derivatives, full_objective,
                               load_dataset_csv, loss_grad, loss_value,
                               mean_gradient, save_dataset_csv,
                               smoothness_constant)
@@ -60,6 +61,21 @@ class TestLossGrad:
         inst = make_instance([[2.0, 1.0]], [3.0], LEAST_SQUARES, radius=5.0)
         np.testing.assert_allclose(loss_grad(inst, 0, np.array([1.0, 1.0])),
                                    np.zeros(2), atol=0)
+
+
+class TestLossDerivative:
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_array_form_matches_scalar_bit_for_bit(self, kind):
+        # Margins up to +-800 cover both sigmoid branches and exp
+        # underflow; the array form must give the scalar's bits.
+        rng = np.random.default_rng(6)
+        margins = rng.uniform(-800.0, 800.0, 2000) * rng.uniform(0, 1, 2000)
+        y = (np.where(rng.integers(0, 2, 2000) == 1, 1.0, -1.0)
+             if kind == LOGISTIC else rng.standard_normal(2000))
+        array = _loss_derivatives(y, margins, kind)
+        scalar = [_loss_derivative(float(yi), float(m), kind)
+                  for yi, m in zip(y, margins)]
+        np.testing.assert_array_equal(array, scalar)
 
 
 class TestFullObjective:
