@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, RunTrace, TraceRecord, _label_lookup
+from .core import DivergenceError, RunTrace, TraceRecord
 from .geometry import project_ball
 from .losses import ProblemInstance, _loss_derivative, full_objective
 # loss_grad stays importable from here: perfbench/tracer.py wraps
@@ -89,7 +89,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     sampler = SeededSampler(seed)
     trace = RunTrace()
     X = instance.dataset.features
-    labels = _label_lookup(instance.dataset.labels, config.iterations)
+    labels = instance.dataset.labels
     kind = instance.loss_kind
     constant = config.step_rule == CONSTANT
     w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()

@@ -194,28 +194,19 @@ def inner_step(w: np.ndarray, g_hat: np.ndarray, lam: float, eta: float,
     return project_epoch_domain(w - eta * (lam * w + g_hat), domain)
 
 
-def _label_lookup(labels: np.ndarray, draws: int):
-    # Labels as a list of Python floats, which index and compute faster
-    # than numpy scalars with the same results, when at least n labels
-    # will be looked up; otherwise the array, so that a loop of few steps
-    # over many examples does not hold a list of them.
-    return labels.tolist() if draws >= len(labels) else labels
-
-
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
               trace: RunTrace | None = None, checkpoint_stride: int = 100,
-              reference_value: float | None = None,
-              projections: ProjectionCounts | None = None
-              ) -> tuple[np.ndarray, float]:
+              reference_value: float | None = None
+              ) -> tuple[np.ndarray, float, ProjectionCounts]:
     """One epoch of inner stochastic steps starting from 0.
 
-    Returns the uniform average over the inner_iters + 1 iterates and the
+    Returns the uniform average over the inner_iters + 1 iterates, the
     largest squared norm of (gradient correction + lam * w) seen, a
-    diagnostic for the bounded-step property. Checkpoints are appended to
+    diagnostic for the bounded-step property, and the steps that left the
+    projection fast path, counted by branch. Checkpoints are appended to
     the trace every checkpoint_stride steps; their objective evaluations
-    do not touch the oracle counters. Steps that leave the projection fast
-    path are added to projections by branch.
+    do not touch the oracle counters.
 
     Each step is vr_gradient and inner_step written out so that it reuses
     its own arithmetic: w + anchor is carried from step to step (it is the
@@ -241,7 +232,6 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     # Per-example gradients at the anchor are fixed for the whole epoch;
     # cache them once (pure caching, no extra oracle access).
     anchor_rows = _loss_derivatives(y, X @ anchor, kind)[:, None] * X
-    labels = _label_lookup(y, T)
 
     w = np.zeros(instance.d)
     w_anchor = w + anchor
@@ -252,7 +242,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     indices = sample_losses(sampler, counters, n, T)
     for t, i in enumerate(indices, 1):
         x = X[i]
-        coef = _loss_derivative(labels[i], float(w_anchor.dot(x)), kind)
+        coef = _loss_derivative(y[i], float(w_anchor.dot(x)), kind)
         step_vec = (coef * x - anchor_rows[i]) + lam * w
         step_sq = step_vec.dot(step_vec)
         if step_sq > max_step_sq:
@@ -284,27 +274,21 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
             trace.append(TraceRecord(state.epoch_index, t,
                                      counters.stochastic_calls,
                                      counters.full_calls, obj, err))
-    if projections is not None:
-        projections.inner += branches[INNER]
-        projections.outer += branches[OUTER]
-        projections.both += branches[BOTH]
-    return mean, float(max_step_sq)
+    projections = ProjectionCounts(
+        branches[INNER], branches[OUTER], branches[BOTH])
+    return mean, float(max_step_sq), projections
 
 
 def shrink_schedule(state: EpochState, gamma: float, w_tilde: np.ndarray,
-                    t1: float | None = None) -> EpochState:
+                    t1: int) -> EpochState:
     """Advance to the next epoch: shift the anchor by the epoch average and
     divide delta/lam/eta by gamma.
 
-    The step budget of epoch k + 1 is T_{k+1} = round(T1 * gamma^{2k}),
-    rounded half to even (Python's round), from T1 directly, so rounding
-    does not compound from epoch to epoch. t1 defaults to the first-epoch
-    budget the state implies, inner_iters / gamma^{2(k-1)}; run passes
-    config.t1.
+    The step budget of epoch k + 1 is T_{k+1} = round(t1 * gamma^{2k}),
+    rounded half to even (Python's round), from the first-epoch budget t1
+    directly, so rounding does not compound from epoch to epoch.
     """
     k = state.epoch_index
-    if t1 is None:
-        t1 = state.inner_iters / gamma ** (2 * (k - 1))
     return EpochState(
         epoch_index=k + 1,
         anchor=state.anchor + w_tilde,
@@ -371,10 +355,9 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
     )
     for _ in range(config.epochs):
         state.anchor_grad = anchor_gradient(instance, state.anchor, state.lam, counters)
-        projections = ProjectionCounts()
-        w_tilde, max_step_sq = run_epoch(
+        w_tilde, max_step_sq, projections = run_epoch(
             instance, state, sampler, counters, trace,
-            config.checkpoint_stride, reference_value, projections)
+            config.checkpoint_stride, reference_value)
         next_state = shrink_schedule(state, config.gamma, w_tilde, config.t1)
         # The new anchor is a convex combination of feasible points, so it
         # lies in the R-ball up to roundoff; clamp the tiny excess.

@@ -119,7 +119,7 @@ class TestRunEpoch:
         state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 0,
                            anchor_gradient(inst, np.zeros(4), 1.0,
                                            OracleCounters()))
-        w_tilde, _ = run_epoch(inst, state, SeededSampler(0), OracleCounters())
+        w_tilde, _, _ = run_epoch(inst, state, SeededSampler(0), OracleCounters())
         np.testing.assert_array_equal(w_tilde, np.zeros(4))
 
     def test_huge_lambda_pins_average_near_zero(self):
@@ -128,7 +128,7 @@ class TestRunEpoch:
         lam = 1e6
         state = EpochState(1, np.zeros(4), 1.0, lam, 1e-7, 200,
                            np.zeros(4))
-        w_tilde, _ = run_epoch(inst, state, SeededSampler(1), c)
+        w_tilde, _, _ = run_epoch(inst, state, SeededSampler(1), c)
         assert np.linalg.norm(w_tilde) <= 1e-3
 
     def test_deterministic_quadratic_reaches_subproblem_optimum(self):
@@ -140,7 +140,7 @@ class TestRunEpoch:
         c = OracleCounters()
         g_k = anchor_gradient(inst, np.zeros(1), lam, c)
         state = EpochState(1, np.zeros(1), delta, lam, eta, T, g_k)
-        w_tilde, _ = run_epoch(inst, state, SeededSampler(0), c)
+        w_tilde, _, _ = run_epoch(inst, state, SeededSampler(0), c)
         w_opt = min(2 * a / (lam + 2), delta)  # closed form, clamped
         assert abs(w_tilde[0] - w_opt) <= 10 * eta
         assert np.linalg.norm(w_tilde) <= delta + 1e-12
@@ -218,9 +218,7 @@ class TestRunEpochMatchesReference:
                            INDEX_BLOCK + 40, g_k)
         s_run, s_ref = SeededSampler(3), SeededSampler(3)
         c_run, c_ref = OracleCounters(), OracleCounters()
-        projections = ProjectionCounts()
-        mean, max_sq = run_epoch(inst, state, s_run, c_run,
-                                 projections=projections)
+        mean, max_sq, projections = run_epoch(inst, state, s_run, c_run)
         ref_mean, ref_max_sq, ref_projections = reference_epoch(
             inst, state, s_ref, c_ref)
         np.testing.assert_array_equal(mean, ref_mean)
@@ -238,8 +236,8 @@ class TestRunEpochMatchesReference:
 class TestShrinkSchedule:
     def test_geometric_sequences(self):
         state = EpochState(1, np.zeros(2), 1.0, 8.0, 0.4, 10, np.zeros(2))
-        s2 = shrink_schedule(state, 2.0, np.zeros(2))
-        s3 = shrink_schedule(s2, 2.0, np.zeros(2))
+        s2 = shrink_schedule(state, 2.0, np.zeros(2), 10)
+        s3 = shrink_schedule(s2, 2.0, np.zeros(2), 10)
         assert (s2.delta, s3.delta) == (0.5, 0.25)
         assert (s2.inner_iters, s3.inner_iters) == (40, 160)
         assert (s2.lam, s3.lam) == (4.0, 2.0)
@@ -253,7 +251,7 @@ class TestShrinkSchedule:
         state = EpochState(1, np.zeros(2), 1.0, 1.0, 0.1, 10, np.zeros(2))
         counts = [state.inner_iters]
         for _ in range(5):
-            state = shrink_schedule(state, 1.5, np.zeros(2), t1=10)
+            state = shrink_schedule(state, 1.5, np.zeros(2), 10)
             counts.append(state.inner_iters)
         assert counts == [10, 22, 51, 114, 256, 577]
         inst = random_instance(n=8, d=3, seed=2)
@@ -269,16 +267,16 @@ class TestShrinkSchedule:
         state = EpochState(1, np.zeros(1), 1.0, 1.0, 0.1, t1, np.zeros(1))
         total = state.inner_iters
         for _ in range(epochs - 1):
-            state = shrink_schedule(state, 2.0, np.zeros(1), t1=t1)
+            state = shrink_schedule(state, 2.0, np.zeros(1), t1)
             total += state.inner_iters
         assert total == budget == t1 * (4 ** epochs - 1) // 3
 
     def test_anchor_shift(self):
         state = EpochState(1, np.array([0.1, 0.2]), 1.0, 1.0, 0.1, 10,
                            np.zeros(2))
-        s2 = shrink_schedule(state, 2.0, np.array([0.0, 0.0]))
+        s2 = shrink_schedule(state, 2.0, np.array([0.0, 0.0]), 10)
         np.testing.assert_array_equal(s2.anchor, state.anchor)
-        s2 = shrink_schedule(state, 2.0, np.array([0.05, -0.1]))
+        s2 = shrink_schedule(state, 2.0, np.array([0.05, -0.1]), 10)
         np.testing.assert_allclose(s2.anchor, [0.15, 0.1], atol=1e-15)
 
 
