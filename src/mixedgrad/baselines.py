@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DivergenceError, RunTrace, TraceRecord
-from .geometry import project_ball
+from .geometry import _norm, project_ball
 from .losses import ProblemInstance, _loss_derivative, full_objective
 # loss_grad stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.loss_grad by name.
@@ -99,7 +99,8 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     for t, i in enumerate(indices, 1):
         # loss_grad and project_ball written out: ||v||^2 is taken once
         # and serves the R-ball test, the projection and the finiteness
-        # check, which only a point outside the ball needs.
+        # check, which only a point outside the ball needs; a finite v whose
+        # square overflows gets a rescaled norm.
         eta = c if constant else c / math.sqrt(t)
         x = X[i]
         v = w - eta * (_loss_derivative(labels[i], float(w.dot(x)), kind) * x)
@@ -110,6 +111,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         else:
             if not math.isfinite(v_sq):
                 _check_finite(v, t, counters, trace)
+                v_norm = _norm(v)
             w = v * (R / v_norm)
         count += 1.0
         mean += (w - mean) / count

@@ -125,8 +125,12 @@ def main(argv=None) -> int:
     p_run.add_argument("--solver", action="append", default=None, metavar
                        ="NAME[:key=val,...]", help="solver spec; repeatable")
     p_run.add_argument("--epochs", type=int, default=7)
-    p_run.add_argument("--t1", type=int, default=32)
-    p_run.add_argument("--gamma", type=float, default=2.0)
+    p_run.add_argument("--t1", type=int, default=None,
+                       help="first-epoch steps (default 32); not with "
+                       "--theory-mode")
+    p_run.add_argument("--gamma", type=float, default=None,
+                       help="shrink factor (default 2.0); not with "
+                       "--theory-mode")
     p_run.add_argument("--theory-mode", action="store_true")
     p_run.add_argument("--delta", type=float, default=0.01,
                        help="failure probability for theory mode")
@@ -148,6 +152,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
+        given = [f"--{key}" for key in ("t1", "gamma")
+                 if getattr(args, key) is not None]
+        if args.theory_mode and given:
+            p_run.error(f"--theory-mode derives T1 and gamma; it would "
+                        f"ignore: {', '.join(given)}")
+        args.t1 = 32 if args.t1 is None else args.t1
+        args.gamma = 2.0 if args.gamma is None else args.gamma
         seeds = args.seed or [0]
         args.seed = seeds
         instance = _instance_from_args(args)

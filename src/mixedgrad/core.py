@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (BOTH, INNER, OUTER, EpochDomain, _project_two_balls,
-                       project_ball, project_epoch_domain)
+from .geometry import (BOTH, INNER, OUTER, EpochDomain, _norm,
+                       _project_two_balls, project_ball, project_epoch_domain)
 from .losses import (ProblemInstance, _loss_derivative, _loss_derivatives,
                      full_objective, loss_grad)
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
@@ -131,7 +131,7 @@ class ProjectionCounts:
 
     inner: int = 0             # scaled into the inner (Delta) ball
     outer: int = 0             # scaled into the outer (R) ball
-    both: int = 0              # both constraints active: Dykstra
+    both: int = 0              # both active: on the spheres' circle
 
     @property
     def total(self) -> int:
@@ -259,10 +259,13 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
         else:
             # A NaN or infinite entry makes v_sq non-finite, so such a v
             # never takes the fast path, and a finite v_sq proves v finite.
-            if not math.isfinite(v_sq) and not np.isfinite(v).all():
-                raise DivergenceError(
-                    f"non-finite iterate at epoch {state.epoch_index}, "
-                    f"step {t}", counters, trace)
+            # A finite v whose square overflows gets rescaled norms.
+            if not math.isfinite(v_sq):
+                if not np.isfinite(v).all():
+                    raise DivergenceError(
+                        f"non-finite iterate at epoch {state.epoch_index}, "
+                        f"step {t}", counters, trace)
+                v_norm, u_norm = _norm(v), _norm(u)
             w, branch = _project_two_balls(v, v_norm, u, u_norm, domain)
             branches[branch] += 1
             w_anchor = w + anchor
@@ -315,7 +318,8 @@ def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,
     """Deterministic high-precision minimizer of the recentered epoch
     objective over the two-ball domain, by projected gradient descent.
 
-    Gradients here are diagnostic and never touch oracle counters.
+    Gradients here are diagnostic and never touch oracle counters. Raises
+    RuntimeError if no step is shorter than tol within max_iterations.
     """
     from .losses import mean_gradient
 
@@ -328,7 +332,8 @@ def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,
         if np.linalg.norm(w_next - w) < tol:
             return w_next
         w = w_next
-    return w
+    raise RuntimeError(f"epoch subproblem did not converge to tolerance {tol} "
+                       f"within {max_iterations} iterations")
 
 
 def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,

@@ -2,18 +2,17 @@
 
 The per-epoch feasible set is the intersection of two balls in the
 recentered variable: {v : ||v + anchor|| <= R} and {v : ||v|| <= Delta}.
-Projection onto a single ball is closed form; the intersection is handled
-by Dykstra's alternating projections, with a shortcut when one ball's
-closed-form projection already satisfies the other constraint.
+Both projections are closed form. If neither ball's projection satisfies
+the other constraint, both are active, and the projection onto the
+intersection is the point nearest v on the circle where the spheres meet.
 
-The public projections validate their input once, at entry. The
-two-ball projection has one code path, the private kernel
-_project_two_balls, which takes the point v together with ||v||, v + anchor
-and ||v + anchor||. project_epoch_domain checks its input and computes
-those; the solver's step loop already holds them from its fast-path test
-and calls the kernel directly. Norms are taken as math.sqrt(v.dot(v)),
-which is bit-identical to np.linalg.norm(v) for a 1-D float vector and
-cheaper.
+The public projections validate their input once, at entry. The two-ball
+projection has one code path, the private kernel _project_two_balls, fed
+v, ||v||, u = v + anchor and ||u||: project_epoch_domain computes them, and
+the solver's step loop passes those of its fast-path test. Norms are
+math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a 1-D float
+vector and cheaper; _norm rescales by max|v_i| only if the square
+overflows.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-DYKSTRA_MAX_SWEEPS = 500
-DYKSTRA_TOL = 1e-12
 
 # Branches of the two-ball projection, as indices into a per-branch tally.
 INNER, OUTER, BOTH = 0, 1, 2
@@ -55,6 +51,16 @@ class EpochDomain:
                 and np.linalg.norm(w) <= self.inner_radius + tol)
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a finite v, rescaled by max|v_i| if v.dot(v) overflows."""
+    sq = v.dot(v)
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    m = float(np.abs(v).max())
+    v = v / m
+    return m * math.sqrt(v.dot(v))
+
+
 def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal projection onto the ball of given radius (default center 0)."""
     w = np.asarray(w, dtype=float)
@@ -62,16 +68,12 @@ def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None)
         raise ValueError("cannot project a non-finite point")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if center is None:
-        nrm = math.sqrt(w.dot(w))
-        if nrm <= radius:
-            return w
-        return w * (radius / nrm)
-    v = w - center
-    nrm = math.sqrt(v.dot(v))
+    v = w if center is None else w - center
+    nrm = _norm(v)
     if nrm <= radius:
         return w
-    return center + v * (radius / nrm)
+    p = v * (radius / nrm)
+    return p if center is None else center + p
 
 
 def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
@@ -80,8 +82,7 @@ def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
     if not np.isfinite(w).all():
         raise ValueError("cannot project a non-finite point")
     u = w + domain.anchor
-    p, _ = _project_two_balls(w, math.sqrt(w.dot(w)), u, math.sqrt(u.dot(u)),
-                              domain)
+    p, _ = _project_two_balls(w, _norm(w), u, _norm(u), domain)
     return p
 
 
@@ -95,8 +96,7 @@ def _project_two_balls(v: np.ndarray, v_norm: float, u: np.ndarray,
     constraint, it is the projection onto the intersection: INNER scales v
     into the Delta-ball, OUTER scales u into the R-ball and shifts it back
     (u * (R/||u||) - anchor, which equals (-anchor) + u * (R/||u||) in IEEE
-    arithmetic). Otherwise both constraints are active and Dykstra's
-    alternating projections run (BOTH).
+    arithmetic). Otherwise both constraints are active (BOTH).
     """
     a = domain.anchor
     R = domain.outer_radius
@@ -118,19 +118,18 @@ def _project_two_balls(v: np.ndarray, v_norm: float, u: np.ndarray,
     if p_norm <= delta:
         return p, OUTER
 
-    # Dykstra's alternating projections between the two balls.
-    x = v.copy()
-    p_inc = np.zeros_like(v)
-    q_inc = np.zeros_like(v)
-    for _ in range(DYKSTRA_MAX_SWEEPS):
-        y = project_ball(x + p_inc, delta)
-        p_inc = x + p_inc - y
-        x_new = project_ball(y + q_inc, R, center=-a)
-        q_inc = y + q_inc - x_new
-        if np.linalg.norm(x_new - x) < DYKSTRA_TOL:
-            x = x_new
-            break
-        x = x_new
-    # Both constraint residuals should be negligible at convergence; snap
-    # the tiny remaining violation of the inner ball.
-    return project_ball(x, delta), BOTH
+    # p = s * a_hat + rho * e, the point nearest v on the circle where the
+    # spheres meet (e: direction of v's part orthogonal to a). s is clamped
+    # to [-Delta, Delta] and squares are factored against rounding.
+    a_norm = math.sqrt(a.dot(a))
+    if a_norm == 0.0:  # concentric balls
+        return v * (min(R, delta) / v_norm), BOTH
+    a_hat = a / a_norm
+    s = ((R - delta) * (R + delta) - a_norm * a_norm) / (2.0 * a_norm)
+    s = min(max(s, -delta), delta)
+    v_perp = v - v.dot(a_hat) * a_hat
+    perp_norm = _norm(v_perp)
+    if perp_norm == 0.0:  # v on the anchor's axis, as always when d = 1
+        return s * a_hat, BOTH
+    rho = math.sqrt((delta - s) * (delta + s))
+    return s * a_hat + v_perp * (rho / perp_norm), BOTH

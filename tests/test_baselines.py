@@ -121,6 +121,22 @@ class TestSgdMatchesReference:
         assert len(run_exc.value.trace) == 0
 
 
+    def test_step_whose_square_overflows_lands_on_sphere(self):
+        # With a step scale of 1e200 each v is finite but ||v||^2
+        # overflows; every step still projects onto the R-sphere, as
+        # project_ball does, instead of to the origin.
+        inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
+        cfg = BaselineConfig("sgd", 20, step_rule="constant",
+                             step_scale=1e200, averaging=False)
+        c_run, c_ref = OracleCounters(), OracleCounters()
+        with np.errstate(over="ignore"):
+            point, _ = run_sgd(inst, cfg, 9, c_run)
+            ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
+        assert projected == cfg.iterations
+        np.testing.assert_array_equal(point, ref_point)
+        assert np.linalg.norm(point) == pytest.approx(1.0, rel=1e-15)
+
+
 class TestGd:
     def test_one_step_exact_on_matched_curvature(self):
         # g(w) = w^2 has beta = 2; eta = 1/2 solves it in one step from 1

@@ -92,6 +92,32 @@ def test_theory_mode_rejects_options_it_would_ignore(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("flags", [["--t1", "8"], ["--gamma", "3"],
+                                   ["--t1", "8", "--gamma", "3"]])
+def test_theory_mode_rejects_t1_and_gamma_flags(flags, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", "mixedgrad", "--theory-mode", *flags,
+              "--epochs", "1", "--delta", "0.01", "--n", "10", "--d", "2",
+              "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "it would ignore: " + ", ".join(flags[::2]) in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("flags, calls", [([], 32 + 128),
+                                          (["--t1", "8", "--gamma", "3"],
+                                           8 + 72)])
+def test_t1_and_gamma_flags_without_theory_mode(flags, calls, tmp_path):
+    # Defaults T1 = 32 and gamma = 2; two epochs spend T1 (1 + gamma^2).
+    out = tmp_path / "results"
+    rc = main(["run", "--solver", "mixedgrad", *flags, "--epochs", "2",
+               "--n", "10", "--d", "2", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.DictReader(open(out / "summary.csv")))
+    assert int(rows[0]["stoch_calls"]) == calls
+
+
 def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
     out = tmp_path / "results"
     rc = main(["run", "--solver", "mixedgrad:epochs=1", "--theory-mode",

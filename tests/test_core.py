@@ -155,6 +155,23 @@ class TestRunEpoch:
         assert c.stochastic_calls == 1
 
 
+    def test_step_whose_square_overflows_is_projected(self):
+        # eta = 1e200 keeps each v finite but overflows ||v||^2; every
+        # step still lands on the Delta-sphere, as project_epoch_domain
+        # puts it, instead of at the origin.
+        inst = random_instance()
+        g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
+        state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30, g_k)
+        with np.errstate(over="ignore"):
+            mean, _, projections = run_epoch(inst, state, SeededSampler(0),
+                                             OracleCounters())
+            ref_mean, _, ref_projections = reference_epoch(
+                inst, state, SeededSampler(0), OracleCounters())
+        assert projections == ref_projections == ProjectionCounts(30, 0, 0)
+        np.testing.assert_array_equal(mean, ref_mean)
+        assert np.linalg.norm(mean) > 0.1
+
+
 def projection_branch(v, domain):
     """None when v lies in both balls, else the branch of the two-ball
     projection: INNER when the Delta-ball projection also lies in the
@@ -405,6 +422,13 @@ class TestEpochSubproblem:
         lam = 0.8
         w = epoch_subproblem_optimum(inst, np.zeros(1), lam, 0.25)
         assert w[0] == pytest.approx(min(2 * a / (lam + 2), 0.25), abs=1e-9)
+
+    def test_raises_at_iteration_cap(self):
+        inst = random_instance(seed=3)
+        args = (inst, np.zeros(inst.d), 0.1, 0.5)
+        assert epoch_subproblem_optimum(*args).shape == (inst.d,)
+        with pytest.raises(RuntimeError, match="within 3 iterations"):
+            epoch_subproblem_optimum(*args, max_iterations=3)
 
     def test_objective_helper(self):
         inst = make_instance([[1.0]], [0.6], radius=5.0)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mixedgrad.geometry import (BOTH, DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL, INNER,
-                                OUTER, EpochDomain, _project_two_balls,
-                                project_ball, project_epoch_domain)
+from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain, _norm,
+                                _project_two_balls, project_ball,
+                                project_epoch_domain)
 
 
 def grid_search_projection(w, domain, resolution=1e-3):
@@ -37,6 +37,18 @@ class TestProjectBall:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             project_ball(np.array([np.nan, 0.0]), 1.0)
+
+    def test_finite_point_whose_square_overflows(self):
+        # ||w||^2 overflows to inf although w is finite; the point still
+        # lands on the sphere, not at the center.
+        w = np.array([1e200, -1e200])
+        with np.errstate(over="ignore"):
+            p = project_ball(w, 1.0)
+            shifted = project_ball(w, 1.0, center=np.array([0.5, 0.0]))
+        np.testing.assert_allclose(p, [math.sqrt(0.5), -math.sqrt(0.5)],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(shifted, [0.5 + math.sqrt(0.5),
+                                             -math.sqrt(0.5)], rtol=1e-15)
 
 
 class TestEpochDomain:
@@ -127,64 +139,139 @@ def two_shortcut_body(w, domain):
     return None, BOTH
 
 
-def dykstra(w, domain):
-    """The two-ball loop of project_epoch_domain, written out."""
+def circle_point(w, domain):
+    """The point nearest w on the circle where the two spheres meet, as
+    the textbook formula s*a_hat + rho*w_perp/||w_perp|| (a != 0)."""
     a, R, delta = domain.anchor, domain.outer_radius, domain.inner_radius
-    x = w.copy()
-    p_inc = np.zeros_like(w)
-    q_inc = np.zeros_like(w)
-    for _ in range(DYKSTRA_MAX_SWEEPS):
-        y = project_ball(x + p_inc, delta)
-        p_inc = x + p_inc - y
-        x_new = project_ball(y + q_inc, R, center=-a)
-        q_inc = y + q_inc - x_new
-        if np.linalg.norm(x_new - x) < DYKSTRA_TOL:
-            x = x_new
-            break
-        x = x_new
-    return project_ball(x, delta)
+    a_norm = np.linalg.norm(a)
+    a_hat = a / a_norm
+    s = (R ** 2 - delta ** 2 - a_norm ** 2) / (2 * a_norm)
+    rho = math.sqrt(max(delta ** 2 - s ** 2, 0.0))
+    w_perp = w - (w @ a_hat) * a_hat
+    perp_norm = np.linalg.norm(w_perp)
+    if perp_norm == 0:
+        return s * a_hat
+    return s * a_hat + rho * w_perp / perp_norm
+
+
+def random_case(rng, d_low=1, d_high=9):
+    d = int(rng.integers(d_low, d_high))
+    R = rng.uniform(0.5, 2.0)
+    anchor = rng.standard_normal(d)
+    anchor *= rng.uniform(0.0, R) / np.linalg.norm(anchor)
+    dom = EpochDomain(anchor, R, rng.uniform(0.05, 2.0 * R))
+    return rng.standard_normal(d) * rng.uniform(0.0, 3.0 * R), dom
 
 
 def kernel(w, domain):
     u = w + domain.anchor
-    return _project_two_balls(w, math.sqrt(w.dot(w)), u, math.sqrt(u.dot(u)),
-                              domain)
+    return _project_two_balls(w, _norm(w), u, _norm(u), domain)
 
 
 class TestProjectionKernel:
     def test_matches_two_shortcut_body_bit_for_bit(self):
+        # The shortcut branches are bit-identical to the two-shortcut body;
+        # every two-ball case lies on the spheres' circle.
         rng = np.random.default_rng(1234)
         seen = {INNER: 0, OUTER: 0, BOTH: 0}
         for _ in range(12_000):
-            d = int(rng.integers(1, 9))
-            R = rng.uniform(0.5, 2.0)
-            anchor = rng.standard_normal(d)
-            anchor *= rng.uniform(0.0, R) / np.linalg.norm(anchor)
-            dom = EpochDomain(anchor, R, rng.uniform(0.05, 2.0 * R))
-            w = rng.standard_normal(d) * rng.uniform(0.0, 3.0 * R)
+            w, dom = random_case(rng)
             expected, branch = two_shortcut_body(w, dom)
-            # The Dykstra fallback is slow; check a sample of it.
-            if branch == BOTH and seen[BOTH] >= 100:
-                continue
             seen[branch] += 1
             p, got = kernel(w, dom)
             assert got == branch
             if branch == BOTH:
-                expected = dykstra(w, dom)
-            assert np.array_equal(p, expected)
+                np.testing.assert_allclose(p, circle_point(w, dom), rtol=0,
+                                           atol=1e-12)
+            else:
+                assert np.array_equal(p, expected)
             np.testing.assert_array_equal(project_epoch_domain(w, dom), p)
-        assert sum(seen.values()) >= 10_000
         assert min(seen.values()) >= 100
 
+    def test_two_ball_cases_satisfy_kkt(self):
+        # KKT conditions of min ||w - p||^2 s.t. ||p|| <= Delta,
+        # ||p + a|| <= R: feasibility, w - p = mu1 p + mu2 (p + a) with
+        # mu >= 0, and complementary slackness.
+        rng = np.random.default_rng(99)
+        cases = 0
+        while cases < 1_000:
+            w, dom = random_case(rng, d_low=2)
+            p, branch = kernel(w, dom)
+            if branch != BOTH:
+                continue
+            cases += 1
+            a, R, delta = dom.anchor, dom.outer_radius, dom.inner_radius
+            slack = np.array([delta - np.linalg.norm(p),
+                              R - np.linalg.norm(p + a)])
+            assert slack.min() >= -1e-12
+            normals = np.stack([p, p + a], axis=1)
+            mu = np.linalg.lstsq(normals, w - p, rcond=None)[0]
+            np.testing.assert_allclose(normals @ mu, w - p, rtol=0,
+                                       atol=1e-9)
+            assert mu.min() >= -1e-9
+            assert np.max(mu * np.abs(slack)) <= 1e-9
+
+    def test_zero_anchor_scales_into_smaller_ball(self):
+        # With anchor 0 and Delta = R both shortcuts can miss by an ulp
+        # (the first epoch of a boundary run); the kernel then scales v.
+        dom = EpochDomain(np.zeros(3), 1.0, 1.0)
+        rng = np.random.default_rng(5)
+        hits = 0
+        for _ in range(2_000):
+            w = rng.standard_normal(3)
+            w *= rng.uniform(1.5, 3.0) / np.linalg.norm(w)
+            p, branch = kernel(w, dom)
+            if branch == BOTH:
+                hits += 1
+                assert np.array_equal(p, w * (1.0 / math.sqrt(w @ w)))
+            assert abs(np.linalg.norm(p) - 1.0) <= 1e-15
+        assert hits > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_point_on_anchor_axis(self, d):
+        # Spheres that touch at one point on the anchor's axis: a v on
+        # that axis reaches the two-ball branch only by rounding, and its
+        # projection is the touching point s * a_hat.
+        rng = np.random.default_rng(6)
+        hits = 0
+        for _ in range(2_000):
+            alpha = rng.uniform(0.05, 0.95)
+            R = rng.uniform(1.0, 2.0)
+            sign = rng.choice([-1.0, 1.0])
+            delta = R - alpha if sign > 0 else R + alpha
+            axis = np.eye(d)[0]
+            dom = EpochDomain(alpha * axis, R, delta)
+            w = sign * rng.uniform(delta, 3.0 * R) * axis
+            p, branch = kernel(w, dom)
+            if branch == BOTH:
+                hits += 1
+            assert np.all(p[1:] == 0.0)
+            assert abs(p[0] - sign * delta) <= 1e-15 * R
+        assert hits > 0
+
+    def test_one_dimension_matches_interval_clip(self):
+        # In 1-D the domain is an interval; its two-ball cases arise only
+        # by rounding (test_point_on_anchor_axis).
+        rng = np.random.default_rng(7)
+        seen = {INNER: 0, OUTER: 0, BOTH: 0}
+        for _ in range(5_000):
+            w, dom = random_case(rng, d_low=1, d_high=2)
+            a, R, delta = dom.anchor[0], dom.outer_radius, dom.inner_radius
+            lo, hi = max(-delta, -R - a), min(delta, R - a)
+            p, branch = kernel(w, dom)
+            seen[branch] += 1
+            assert abs(p[0] - np.clip(w[0], lo, hi)) <= 1e-15 * R
+        assert seen[INNER] > 0 and seen[OUTER] > 0
+
     def test_finite_point_whose_square_overflows(self):
-        # ||w||^2 overflows to inf although w is finite; the kernel takes
-        # the same inner-ball branch the two-shortcut body takes.
+        # ||w||^2 overflows to inf although w is finite; the kernel still
+        # scales w onto the inner sphere.
         dom = EpochDomain(np.array([0.5, 0.0]), 1.0, 0.25)
         w = np.array([1e200, -1e200])
         with np.errstate(over="ignore"):
-            expected, branch = two_shortcut_body(w, dom)
             p, got = kernel(w, dom)
             public = project_epoch_domain(w, dom)
-        assert got == branch == INNER
-        assert np.array_equal(p, expected)
+        assert got == INNER
+        np.testing.assert_allclose(p, [0.25 * math.sqrt(0.5),
+                                       -0.25 * math.sqrt(0.5)], rtol=1e-15)
         np.testing.assert_array_equal(public, p)
