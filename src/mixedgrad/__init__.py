@@ -2,31 +2,25 @@
 minimization, with projected-gradient baselines and a benchmark harness."""
 
 from .baselines import BaselineConfig, run_gd, run_nag, run_sgd
-from .bench import (ExperimentSpec, SlopeFit, SolverSpec,
-                    compute_reference_optimum, fit_slope, gen_synthetic,
-                    run_experiment)
-from .core import (DivergenceError, EpochState, MixedGradConfig,
-                   MixedGradResult, RunTrace, TraceRecord, anchor_gradient,
-                   inner_step, run, run_epoch, shrink_schedule, theory_params,
-                   vr_gradient)
+from .bench import compute_reference_optimum, fit_slope, gen_synthetic
+from .core import (DivergenceError, MixedGradConfig, anchor_gradient, run,
+                   theory_params, vr_gradient)
 from .geometry import EpochDomain, project_ball, project_epoch_domain
 from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
-                     full_objective, load_dataset_csv, loss_grad, loss_value,
-                     mean_gradient, save_dataset_csv, smoothness_constant)
-from .oracle import OracleCounters, SeededSampler, full_grad, sample_loss
+                     full_objective, loss_grad, loss_value, mean_gradient,
+                     save_dataset_csv)
+from .oracle import OracleCounters
 
 __all__ = [
     "BaselineConfig", "run_gd", "run_nag", "run_sgd",
-    "ExperimentSpec", "SlopeFit", "SolverSpec", "compute_reference_optimum",
-    "fit_slope", "gen_synthetic", "run_experiment",
-    "DivergenceError", "EpochState", "MixedGradConfig", "MixedGradResult",
-    "RunTrace", "TraceRecord", "anchor_gradient", "inner_step", "run",
-    "run_epoch", "shrink_schedule", "theory_params", "vr_gradient",
+    "compute_reference_optimum", "fit_slope", "gen_synthetic",
+    "DivergenceError", "MixedGradConfig", "anchor_gradient", "run",
+    "theory_params", "vr_gradient",
     "EpochDomain", "project_ball", "project_epoch_domain",
     "LEAST_SQUARES", "LOGISTIC", "Dataset", "ProblemInstance",
-    "full_objective", "load_dataset_csv", "loss_grad", "loss_value",
-    "mean_gradient", "save_dataset_csv", "smoothness_constant",
-    "OracleCounters", "SeededSampler", "full_grad", "sample_loss",
+    "full_objective", "loss_grad", "loss_value", "mean_gradient",
+    "save_dataset_csv",
+    "OracleCounters",
 ]
 
 __version__ = "0.1.0"

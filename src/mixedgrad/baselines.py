@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .core import DivergenceError, RunTrace, TraceRecord
+from .core import (DivergenceError, RunTrace, TraceRecord,
+                   _projected_gradient)
 from .geometry import _norm, project_ball
 from .losses import ProblemInstance, _loss_derivative, full_objective
 # loss_grad stays importable from here: perfbench/tracer.py wraps
@@ -65,19 +67,10 @@ def _checkpoint(trace: RunTrace, instance: ProblemInstance, w: np.ndarray,
                              counters.full_calls, obj, err))
 
 
-def _check_finite(w: np.ndarray, t: int, counters: OracleCounters,
-                  trace: RunTrace):
-    # Runs on the point before projection, which would reject a non-finite
-    # point with a ValueError of its own.
-    if not np.isfinite(w).all():
-        raise DivergenceError(f"non-finite iterate at step {t}", counters,
-                              trace)
-
-
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             counters: OracleCounters,
-            reference_value: float | None = None,
-            start: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
+            reference_value: float | None = None
+            ) -> tuple[np.ndarray, RunTrace]:
     """Projected SGD with step c/sqrt(t) (or constant c); returns the
     uniform iterate average when averaging is on, else the last iterate."""
     if config.method != SGD:
@@ -92,7 +85,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     labels = instance.dataset.labels
     kind = instance.loss_kind
     constant = config.step_rule == CONSTANT
-    w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
+    w = np.zeros(instance.d)
     mean = w.copy()
     count = 1.0                # a float: dividing by it is cheaper, same bits
     indices = sample_losses(sampler, counters, instance.n, config.iterations)
@@ -110,7 +103,9 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             w = v
         else:
             if not math.isfinite(v_sq):
-                _check_finite(v, t, counters, trace)
+                if not np.isfinite(v).all():
+                    raise DivergenceError(f"non-finite iterate at step {t}",
+                                          counters, trace)
                 v_norm = _norm(v)
             w = v * (R / v_norm)
         count += 1.0
@@ -121,53 +116,47 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     return (mean if config.averaging else w), trace
 
 
+def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
+                       counters: OracleCounters,
+                       reference_value: float | None,
+                       start: np.ndarray | None, method: str
+                       ) -> tuple[np.ndarray, RunTrace]:
+    """The body of run_gd and run_nag (accelerated) over the R-ball."""
+    if config.method != method:
+        raise ValueError(f"config.method must be {method!r}")
+    R = instance.domain_radius
+    eta = (config.step_scale or 1.0) / instance.smoothness
+    trace = RunTrace()
+    w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
+    iterates = _projected_gradient(lambda y: full_grad(instance, y, counters),
+                                   lambda v: project_ball(v, R), w, eta,
+                                   accelerated=method == NAG)
+    try:
+        for t, w in enumerate(islice(iterates, config.iterations), 1):
+            if t % config.checkpoint_stride == 0 or t == config.iterations:
+                _checkpoint(trace, instance, w, t, counters, reference_value)
+    except DivergenceError as exc:
+        exc.counters, exc.trace = counters, trace
+        raise
+    return w, trace
+
+
 def run_gd(instance: ProblemInstance, config: BaselineConfig,
            counters: OracleCounters,
            reference_value: float | None = None,
            start: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
     """Projected gradient descent with step 1/beta (scaled by c if
     a step scale is given)."""
-    if config.method != GD:
-        raise ValueError("config.method must be 'gd'")
-    R = instance.domain_radius
-    eta = (config.step_scale or 1.0) / instance.smoothness
-    trace = RunTrace()
-    w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
-    for t in range(1, config.iterations + 1):
-        v = w - eta * full_grad(instance, w, counters)
-        _check_finite(v, t, counters, trace)
-        w = project_ball(v, R)
-        if t % config.checkpoint_stride == 0 or t == config.iterations:
-            _checkpoint(trace, instance, w, t, counters, reference_value)
-    return w, trace
+    return _run_full_gradient(instance, config, counters, reference_value,
+                              start, GD)
 
 
 def run_nag(instance: ProblemInstance, config: BaselineConfig,
             counters: OracleCounters,
             reference_value: float | None = None,
             start: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
-    """Constant-step Nesterov accelerated gradient.
-
-    Momentum follows theta_{t+1} = (1 + sqrt(1 + 4 theta_t^2)) / 2 with
-    theta_1 = 1 (so the first step reduces to plain GD); the projection is
-    applied after the gradient step at the extrapolated point.
-    """
-    if config.method != NAG:
-        raise ValueError("config.method must be 'nag'")
-    R = instance.domain_radius
-    eta = (config.step_scale or 1.0) / instance.smoothness
-    trace = RunTrace()
-    w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
-    w_prev = w.copy()
-    theta_prev = 1.0
-    for t in range(1, config.iterations + 1):
-        theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
-        y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
-        v = y - eta * full_grad(instance, y, counters)
-        _check_finite(v, t, counters, trace)
-        w_next = project_ball(v, R)
-        w_prev, w = w, w_next
-        theta_prev = theta
-        if t % config.checkpoint_stride == 0 or t == config.iterations:
-            _checkpoint(trace, instance, w, t, counters, reference_value)
-    return w, trace
+    """Constant-step Nesterov accelerated gradient, momentum as in
+    core._projected_gradient (the first step is plain GD); the projection
+    follows the gradient step at the extrapolated point."""
+    return _run_full_gradient(instance, config, counters, reference_value,
+                              start, NAG)

@@ -18,6 +18,7 @@ left the fast path, by projection branch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ import numpy as np
 from .geometry import (BOTH, INNER, OUTER, EpochDomain, _norm,
                        _project_two_balls, project_ball, project_epoch_domain)
 from .losses import (ProblemInstance, _loss_derivative, _loss_derivatives,
-                     full_objective, loss_grad)
+                     full_objective, loss_grad, mean_gradient)
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 # The single-call sampler stays importable from here: perfbench/tracer.py
 # wraps mixedgrad.core.sample_loss by name.
@@ -208,10 +209,12 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     the trace every checkpoint_stride steps; their objective evaluations
     do not touch the oracle counters.
 
-    Each step is vr_gradient and inner_step written out so that it reuses
-    its own arithmetic: w + anchor is carried from step to step (it is the
-    margin operand and the checkpoint point), and the norms taken for the
-    fast-path test feed the projection kernel.
+    Each step is inner_step on a variance-reduced gradient, written out to
+    reuse its own arithmetic: w + anchor is carried from step to step (the
+    margin operand and the checkpoint point), and the fast-path norms feed
+    the projection kernel. Unlike vr_gradient's, the correction takes the
+    anchor margins from X @ anchor and the step's from a row dot, so at
+    w = 0 it can be a few ulp off zero.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
@@ -303,12 +306,30 @@ def shrink_schedule(state: EpochState, gamma: float, w_tilde: np.ndarray,
     )
 
 
-def epoch_objective(instance: ProblemInstance, anchor: np.ndarray, lam: float,
-                    w: np.ndarray) -> float:
-    """Recentered epoch objective
-    (lam/2)||w||^2 + lam <w, anchor> + G(w + anchor)."""
-    return (0.5 * lam * float(w @ w) + lam * float(w @ anchor)
-            + full_objective(instance, w + anchor))
+def _projected_gradient(grad, project, w: np.ndarray, eta: float,
+                        accelerated: bool = False):
+    """Projected gradient iterates w_t = project(y_t - eta * grad(y_t)),
+    t = 1, 2, ..., without end: each caller bounds and stops them.
+
+    y_t = w_{t-1}, or when accelerated Nesterov's extrapolated point
+    w_{t-1} + ((theta_t - 1) / theta_{t+1}) (w_{t-1} - w_{t-2}) with
+    theta_1 = 1, theta_{t+1} = (1 + sqrt(1 + 4 theta_t^2)) / 2 and
+    w_{-1} = w_0 (so the first step is a plain one). A non-finite point
+    raises DivergenceError, without counters or trace, before projection.
+    """
+    w_prev = w
+    theta_prev = 1.0
+    for t in itertools.count(1):
+        y = w
+        if accelerated:
+            theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
+            y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
+            theta_prev = theta
+        v = y - eta * grad(y)
+        if not np.isfinite(v).all():
+            raise DivergenceError(f"non-finite iterate at step {t}")
+        w_prev, w = w, project(v)
+        yield w
 
 
 def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,
@@ -316,19 +337,21 @@ def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,
                              tol: float = 1e-12,
                              max_iterations: int = 200_000) -> np.ndarray:
     """Deterministic high-precision minimizer of the recentered epoch
-    objective over the two-ball domain, by projected gradient descent.
+    objective (lam/2)||w||^2 + lam <w, anchor> + G(w + anchor) over the
+    two-ball domain, by projected gradient descent.
 
     Gradients here are diagnostic and never touch oracle counters. Raises
     RuntimeError if no step is shorter than tol within max_iterations.
     """
-    from .losses import mean_gradient
-
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     domain = EpochDomain(anchor, instance.domain_radius, inner_radius)
     eta = 1.0 / (instance.smoothness + lam)
     w = np.zeros(instance.d)
-    for _ in range(max_iterations):
-        grad = lam * (w + anchor) + mean_gradient(instance, w + anchor)
-        w_next = project_epoch_domain(w - eta * grad, domain)
+    iterates = _projected_gradient(
+        lambda y: lam * (y + anchor) + mean_gradient(instance, y + anchor),
+        lambda v: project_epoch_domain(v, domain), w, eta)
+    for w_next in itertools.islice(iterates, max_iterations):
         if np.linalg.norm(w_next - w) < tol:
             return w_next
         w = w_next

@@ -9,7 +9,8 @@ from mixedgrad.core import DivergenceError
 from mixedgrad.geometry import project_ball
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               ProblemInstance, full_objective, loss_grad)
-from mixedgrad.oracle import OracleCounters, SeededSampler, sample_loss
+from mixedgrad.oracle import (OracleCounters, SeededSampler, full_grad,
+                              sample_loss)
 
 
 def make_instance(X, y, radius=1.0):
@@ -195,6 +196,71 @@ class TestNag:
         c = OracleCounters()
         run_nag(inst, BaselineConfig("nag", 30), c)
         assert c.full_calls == 30 and c.stochastic_calls == 0
+
+
+def reference_full_gradient(inst, config, counters, start, accelerated):
+    """Projected GD or Nesterov's method written plainly, one full_grad
+    and one project_ball call per step. Returns (point, checkpoint
+    objectives, number of steps that projected)."""
+    R = inst.domain_radius
+    eta = (config.step_scale or 1.0) / inst.smoothness
+    w = np.zeros(inst.d) if start is None else np.array(start, dtype=float)
+    w_prev = w.copy()
+    theta_prev = 1.0
+    objectives = []
+    projected = 0
+    for t in range(1, config.iterations + 1):
+        y = w
+        if accelerated:
+            theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
+            y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
+            theta_prev = theta
+        v = y - eta * full_grad(inst, y, counters)
+        if not np.isfinite(v).all():
+            raise DivergenceError(f"non-finite iterate at step {t}")
+        w_prev, w = w, project_ball(v, R)
+        projected += w is not v
+        if t % config.checkpoint_stride == 0 or t == config.iterations:
+            objectives.append(full_objective(inst, w))
+    return w, objectives, projected
+
+
+FULL_GRADIENT = [(run_gd, "gd", False), (run_nag, "nag", True)]
+
+
+class TestFullGradientMatchesReference:
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("solver, method, accelerated", FULL_GRADIENT)
+    @pytest.mark.parametrize("start", [None, [0.1, -0.05, 0.0, 0.08, -0.1]])
+    def test_bit_identical(self, kind, solver, method, accelerated, start):
+        # With R = 0.2 the R-ball projection clips every logistic step and
+        # some least-squares steps.
+        inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
+        cfg = BaselineConfig(method, 300, step_scale=1.5, checkpoint_stride=7)
+        c_run, c_ref = OracleCounters(), OracleCounters()
+        point, trace = solver(inst, cfg, c_run, start=start)
+        ref_point, ref_objectives, projected = reference_full_gradient(
+            inst, cfg, c_ref, start, accelerated)
+        assert projected > 0
+        np.testing.assert_array_equal(point, ref_point)
+        assert [r.objective for r in trace] == ref_objectives
+        assert c_run == c_ref == OracleCounters(0, cfg.iterations)
+
+    @pytest.mark.parametrize("solver, method, accelerated", FULL_GRADIENT)
+    def test_divergence_at_first_step(self, solver, method, accelerated):
+        inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
+        cfg = BaselineConfig(method, 10, step_scale=math.inf)
+        c_run, c_ref = OracleCounters(), OracleCounters()
+        with pytest.raises(DivergenceError) as run_exc:
+            solver(inst, cfg, c_run)
+        with pytest.raises(DivergenceError) as ref_exc:
+            reference_full_gradient(inst, cfg, c_ref, None, accelerated)
+        assert str(run_exc.value) == str(ref_exc.value) \
+            == "non-finite iterate at step 1"
+        assert c_run == c_ref == OracleCounters(0, 1)
+        assert run_exc.value.counters is c_run
+        assert run_exc.value.trace is not None
+        assert len(run_exc.value.trace) == 0
 
 
 class TestConfig:

@@ -11,9 +11,10 @@ from mixedgrad.bench import (ExperimentSpec, ReferenceSolveError, SolverSpec,
 import mixedgrad.bench
 from mixedgrad.core import (DivergenceError, MixedGradConfig, RunTrace,
                             TraceRecord)
+from mixedgrad.geometry import project_ball
 from mixedgrad.oracle import OracleCounters
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
-                              ProblemInstance, full_objective)
+                              ProblemInstance, full_objective, mean_gradient)
 
 
 class TestGenSynthetic:
@@ -67,6 +68,47 @@ class TestReferenceOptimum:
         inst = gen_synthetic(0, 10, 3, 0.0, LEAST_SQUARES, 1.0)
         with pytest.raises(ReferenceSolveError):
             compute_reference_optimum(inst, 1e-12, max_iterations=3)
+
+    def test_rejects_nonpositive_iteration_cap(self):
+        inst = gen_synthetic(0, 10, 3, 0.0, LEAST_SQUARES, 1.0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            compute_reference_optimum(inst, 1e-10, max_iterations=0)
+
+
+def reference_solve(inst, tolerance):
+    """The reference solve written plainly: Nesterov's accelerated
+    projected gradient until the projected-gradient residual is below
+    tolerance. Returns (point, value, iterations)."""
+    R = inst.domain_radius
+    eta = 1.0 / inst.smoothness
+    w = np.zeros(inst.d)
+    w_prev = w.copy()
+    theta_prev = 1.0
+    for k in range(1, 10 ** 6 + 1):
+        theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
+        y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
+        w_prev, w = w, project_ball(y - eta * mean_gradient(inst, y), R)
+        theta_prev = theta
+        residual = float(np.linalg.norm(
+            w - project_ball(w - eta * mean_gradient(inst, w), R)))
+        if residual < tolerance:
+            return w, full_objective(inst, w), k
+    raise AssertionError("reference solve did not converge")
+
+
+class TestReferenceOptimumMatchesReference:
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("radius", [0.2, 1.0])
+    def test_bit_identical(self, kind, radius):
+        # With R = 0.2 the optimum lies on the sphere on both losses.
+        inst = gen_synthetic(2, 40, 5, 0.3, kind, radius)
+        w_star, g_star = compute_reference_optimum(inst, 1e-10)
+        ref_point, ref_value, iterations = reference_solve(inst, 1e-10)
+        assert iterations > 5
+        np.testing.assert_array_equal(w_star, ref_point)
+        assert g_star == ref_value
+        if radius == 0.2:
+            assert np.linalg.norm(w_star) == pytest.approx(0.2, rel=1e-12)
 
 
 def power_law_records(coef, power, xs):

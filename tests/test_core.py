@@ -6,7 +6,7 @@ import pytest
 from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import (DivergenceError, EpochState, MixedGradConfig,
                             ProjectionCounts, anchor_gradient,
-                            epoch_objective, epoch_subproblem_optimum,
+                            epoch_subproblem_optimum,
                             inner_step, run, run_epoch, shrink_schedule,
                             theory_params, vr_gradient)
 from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
@@ -430,11 +430,42 @@ class TestEpochSubproblem:
         with pytest.raises(RuntimeError, match="within 3 iterations"):
             epoch_subproblem_optimum(*args, max_iterations=3)
 
-    def test_objective_helper(self):
-        inst = make_instance([[1.0]], [0.6], radius=5.0)
-        w = np.array([0.2])
-        anchor = np.array([0.1])
-        lam = 0.5
-        expected = (0.5 * lam * 0.04 + lam * 0.02
-                    + full_objective(inst, w + anchor))
-        assert epoch_objective(inst, anchor, lam, w) == pytest.approx(expected)
+    def test_rejects_nonpositive_iteration_cap(self):
+        inst = random_instance(seed=3)
+        with pytest.raises(ValueError, match="max_iterations"):
+            epoch_subproblem_optimum(inst, np.zeros(inst.d), 0.1, 0.5,
+                                     max_iterations=0)
+
+
+def reference_subproblem(inst, anchor, lam, inner_radius, tol=1e-12,
+                         max_iterations=200_000):
+    """The epoch-subproblem solve written plainly: projected gradient
+    descent on the recentered objective until a step is shorter than tol.
+    Returns (point, iterations)."""
+    domain = EpochDomain(anchor, inst.domain_radius, inner_radius)
+    eta = 1.0 / (inst.smoothness + lam)
+    w = np.zeros(inst.d)
+    for k in range(1, max_iterations + 1):
+        grad = lam * (w + anchor) + mean_gradient(inst, w + anchor)
+        w_next = project_epoch_domain(w - eta * grad, domain)
+        if np.linalg.norm(w_next - w) < tol:
+            return w_next, k
+        w = w_next
+    raise AssertionError("reference subproblem solve did not converge")
+
+
+class TestEpochSubproblemMatchesReference:
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("inner_radius", [0.05, 1.0])
+    def test_bit_identical(self, kind, inner_radius):
+        # Inner radius 0.05 makes the Delta-ball bind at the optimum; 1.0
+        # leaves the anchor's R-ball as the only active constraint, if any.
+        inst = gen_synthetic(3, 40, 5, 0.3, kind, 1.0)
+        anchor = np.random.default_rng(5).standard_normal(inst.d)
+        anchor *= 0.6 / np.linalg.norm(anchor)
+        w = epoch_subproblem_optimum(inst, anchor, 0.1, inner_radius)
+        ref, iterations = reference_subproblem(inst, anchor, 0.1, inner_radius)
+        assert iterations > 5
+        np.testing.assert_array_equal(w, ref)
+        if inner_radius == 0.05:
+            assert np.linalg.norm(w) == pytest.approx(0.05, rel=1e-12)
