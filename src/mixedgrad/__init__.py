@@ -4,7 +4,7 @@ minimization, with projected-gradient baselines and a benchmark harness."""
 from .baselines import BaselineConfig, run_gd, run_nag, run_sgd
 from .bench import compute_reference_optimum, fit_slope, gen_synthetic
 from .core import (DivergenceError, MixedGradConfig, anchor_gradient, run,
-                   theory_params, vr_gradient)
+                   theory_params)
 from .geometry import EpochDomain, project_ball, project_epoch_domain
 from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
                      full_objective, loss_grad, loss_value, mean_gradient,
@@ -15,7 +15,7 @@ __all__ = [
     "BaselineConfig", "run_gd", "run_nag", "run_sgd",
     "compute_reference_optimum", "fit_slope", "gen_synthetic",
     "DivergenceError", "MixedGradConfig", "anchor_gradient", "run",
-    "theory_params", "vr_gradient",
+    "theory_params",
     "EpochDomain", "project_ball", "project_epoch_domain",
     "LEAST_SQUARES", "LOGISTIC", "Dataset", "ProblemInstance",
     "full_objective", "loss_grad", "loss_value", "mean_gradient",

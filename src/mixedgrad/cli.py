@@ -88,14 +88,18 @@ def _build_solver(spec_text: str, args, instance) -> SolverSpec:
     return SolverSpec(name, baselines.BaselineConfig(**defaults))
 
 
-def _instance_from_args(args) -> ProblemInstance:
+def _instance_from_args(args, parser) -> ProblemInstance:
+    """Bad instance flags or an unreadable --csv file are a parser error."""
     loss_kind = LOSS_NAMES[args.loss]
-    if getattr(args, "csv", None):
-        dataset = load_dataset_csv(args.csv)
-        return ProblemInstance.create(dataset, loss_kind, args.radius)
-    seed = args.seed[0] if isinstance(args.seed, list) else args.seed
-    return gen_synthetic(seed, args.n, args.d, args.noise, loss_kind,
-                         args.radius)
+    try:
+        if getattr(args, "csv", None):
+            dataset = load_dataset_csv(args.csv)
+            return ProblemInstance.create(dataset, loss_kind, args.radius)
+        seed = args.seed[0] if isinstance(args.seed, list) else args.seed
+        return gen_synthetic(seed, args.n, args.d, args.noise, loss_kind,
+                             args.radius)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
 
 
 def _add_instance_flags(p: argparse.ArgumentParser):
@@ -146,7 +150,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "gen":
-        instance = _instance_from_args(args)
+        instance = _instance_from_args(args, p_gen)
         save_dataset_csv(instance.dataset, args.out)
         print(f"wrote {instance.n} x {instance.d} {args.loss} dataset to {args.out}")
         return 0
@@ -161,15 +165,18 @@ def main(argv=None) -> int:
         args.gamma = 2.0 if args.gamma is None else args.gamma
         seeds = args.seed or [0]
         args.seed = seeds
-        instance = _instance_from_args(args)
+        instance = _instance_from_args(args, p_run)
         solvers = []
         for text in args.solver or ["mixedgrad"]:
             try:
                 solvers.append(_build_solver(text, args, instance))
             except (ArithmeticError, TypeError, ValueError) as exc:
                 p_run.error(f"--solver {text!r}: {exc}")
-        spec = ExperimentSpec(instance, solvers, seeds, args.out,
-                              reference_tolerance=args.ref_tol)
+        try:
+            spec = ExperimentSpec(instance, solvers, seeds, args.out,
+                                  reference_tolerance=args.ref_tol)
+        except ValueError as exc:
+            p_run.error(str(exc))
         manifest = run_experiment(spec)
         print(f"reference objective: {manifest['reference_value']:.6e}")
         for path in manifest["traces"]:
@@ -178,8 +185,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "fit":
-        rows = read_trace_csv(args.trace)
-        fit = fit_slope(rows, args.x_field, args.error_field, args.skip_head)
+        try:
+            rows = read_trace_csv(args.trace)
+            fit = fit_slope(rows, args.x_field, args.error_field,
+                            args.skip_head)
+        except (OSError, ValueError) as exc:
+            p_fit.error(str(exc))
         print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
               f"r2={fit.r_squared:.4f} points={fit.n_points} "
               f"x=[{fit.x_min:g}, {fit.x_max:g}] clipped={fit.n_clipped}")

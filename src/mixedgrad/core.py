@@ -10,10 +10,11 @@ budget after m epochs is their sum, which is T1 * (gamma^{2m} - 1) /
 (gamma^2 - 1) exactly when every T1 * gamma^{2(k-1)} is an integer (as
 for gamma = 2).
 
-run_epoch, the step loop, reuses each step's arithmetic: the norms of its
-projection fast-path test feed geometry's projection kernel, and w + anchor
-is carried to the next step. Each epoch's summary counts the steps that
-left the fast path, by projection branch.
+run_epoch is the one inner-step path, and the tests check the
+variance-reduction invariants on it. It reuses each step's arithmetic: the
+fast-path norms feed geometry's projection kernel, and w + anchor is carried
+to the next step. Each epoch's summary counts the steps that left the fast
+path, by projection branch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .geometry import (BOTH, INNER, OUTER, EpochDomain, _norm,
                        _project_two_balls, project_ball, project_epoch_domain)
 from .losses import (ProblemInstance, _loss_derivative, _loss_derivatives,
-                     full_objective, loss_grad, mean_gradient)
+                     full_objective, mean_gradient)
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 # The single-call sampler stays importable from here: perfbench/tracer.py
 # wraps mixedgrad.core.sample_loss by name.
@@ -175,26 +176,6 @@ def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
     return lam * anchor + full_grad(instance, anchor, counters)
 
 
-def vr_gradient(instance: ProblemInstance, i: int, w: np.ndarray,
-                anchor: np.ndarray, anchor_grad: np.ndarray) -> np.ndarray:
-    """Variance-reduced stochastic gradient
-    anchor_grad + grad g_i(w + anchor) - grad g_i(anchor).
-
-    The correction difference is formed first, so at w = 0 the result is
-    bitwise equal to anchor_grad.
-    """
-    correction = loss_grad(instance, i, w + anchor) - loss_grad(instance, i, anchor)
-    return anchor_grad + correction
-
-
-def inner_step(w: np.ndarray, g_hat: np.ndarray, lam: float, eta: float,
-               domain: EpochDomain) -> np.ndarray:
-    """Projected step w <- P_domain(w - eta * (lam*w + g_hat))."""
-    if not np.all(np.isfinite(g_hat)):
-        raise DivergenceError("non-finite stochastic gradient")
-    return project_epoch_domain(w - eta * (lam * w + g_hat), domain)
-
-
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
               trace: RunTrace | None = None, checkpoint_stride: int = 100,
@@ -209,12 +190,12 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     the trace every checkpoint_stride steps; their objective evaluations
     do not touch the oracle counters.
 
-    Each step is inner_step on a variance-reduced gradient, written out to
-    reuse its own arithmetic: w + anchor is carried from step to step (the
-    margin operand and the checkpoint point), and the fast-path norms feed
-    the projection kernel. Unlike vr_gradient's, the correction takes the
-    anchor margins from X @ anchor and the step's from a row dot, so at
-    w = 0 it can be a few ulp off zero.
+    Each step is w <- P_domain(w - eta * (anchor_grad + ((grad g_i(w +
+    anchor) - grad g_i(anchor)) + lam * w))), written out to reuse its own
+    arithmetic: w + anchor is carried from step to step (the margin operand
+    and the checkpoint point), and the fast-path norms feed the projection
+    kernel. Anchor and step margins are both row dots, so at w = 0 the
+    correction is exactly 0.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
@@ -233,8 +214,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     kind = instance.loss_kind
 
     # Per-example gradients at the anchor are fixed for the whole epoch;
-    # cache them once (pure caching, no extra oracle access).
-    anchor_rows = _loss_derivatives(y, X @ anchor, kind)[:, None] * X
+    # cache them once (pure caching, no extra oracle access). vecdot rounds
+    # each margin as the step's row dot does; X @ anchor may not.
+    anchor_rows = _loss_derivatives(y, np.vecdot(X, anchor), kind)[:, None] * X
 
     w = np.zeros(instance.d)
     w_anchor = w + anchor

@@ -220,13 +220,20 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by save_dataset_csv (header y,x1,...,xd)."""
+    """Read a dataset written by save_dataset_csv (header y,x1,...,xd).
+    An empty file or a row of the wrong length raises ValueError."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"dataset CSV {path} is empty")
         if not header or header[0] != "y":
             raise ValueError("dataset CSV must start with header y,x1,...,xd")
         rows = [row for row in reader if row]
+    for k, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ValueError(f"dataset CSV {path}: data row {k} has "
+                             f"{len(row)} fields, expected {len(header)}")
     labels = np.array([float(r[0]) for r in rows])
     features = np.array([[float(v) for v in r[1:]] for r in rows])
     return Dataset(features, labels)

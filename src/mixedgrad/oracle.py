@@ -30,9 +30,6 @@ class OracleCounters:
     stochastic_calls: int = 0
     full_calls: int = 0
 
-    def copy(self) -> "OracleCounters":
-        return OracleCounters(self.stochastic_calls, self.full_calls)
-
 
 class SeededSampler:
     """Reproducible uniform index source backed by Philox (counter-based)."""

@@ -4,6 +4,9 @@ Nine criteria covering oracle accounting, parameter schedules,
 variance-reduction invariants, projection correctness, gradient
 correctness, rate separation against baselines, per-epoch containment,
 the bounded-step property, and geometric per-epoch error decay.
+Criterion 3 checks the solver's own step: run_epoch at w = 0, and the
+loss_grad difference that tests/test_core.py ties to run_epoch bit for
+bit.
 
 Each test ends with a single printed PASS line carrying the measured
 quantities (run pytest with -s or check captured stdout). A failed
@@ -12,6 +15,7 @@ assertion is the corresponding FAIL.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +25,10 @@ from mixedgrad import (
     MixedGradConfig, OracleCounters, ProblemInstance, anchor_gradient,
     compute_reference_optimum, fit_slope, gen_synthetic, loss_grad,
     loss_value, mean_gradient, project_ball, project_epoch_domain, run,
-    run_gd, run_nag, run_sgd, theory_params, vr_gradient,
+    run_gd, run_nag, run_sgd, theory_params,
 )
 from mixedgrad.baselines import GD, INV_SQRT_T, NAG, SGD
-from mixedgrad.core import epoch_subproblem_optimum
+from mixedgrad.core import EpochState, epoch_subproblem_optimum, run_epoch
 
 
 def _report(criterion: int, detail: str):
@@ -119,17 +123,24 @@ class TestCriterion3VarianceReduction:
         g = anchor_gradient(inst, anchor, lam, counters)
 
         # (a) at w = 0 the variance-reduced gradient is the anchor gradient,
-        # bitwise.
+        # bitwise: a one-step epoch on example i has a zero correction and
+        # steps to -eta * g. The sampler stub draws example i every time.
+        eta = 0.01 / beta
+        state = EpochState(1, anchor, 1.0, lam, eta, 1, g)
         for i in range(inst.n):
-            assert np.array_equal(
-                vr_gradient(inst, i, np.zeros(10), anchor, g), g)
+            sampler = SimpleNamespace(draw_block=lambda n, k, i=i: [i] * k)
+            mean, max_step_sq, _ = run_epoch(inst, state, sampler,
+                                             OracleCounters())
+            assert max_step_sq == 0.0
+            assert np.array_equal(2 * mean, -(eta * g))
 
         # (b) averaging over all i recovers the exact shifted gradient.
         max_resid = 0.0
         for _ in range(20):
             w = project_ball(rng.standard_normal(10), 0.1)
             mean_vr = np.mean(
-                [vr_gradient(inst, i, w, anchor, g) for i in range(inst.n)],
+                [g + (loss_grad(inst, i, w + anchor)
+                      - loss_grad(inst, i, anchor)) for i in range(inst.n)],
                 axis=0)
             exact = g + mean_gradient(inst, w + anchor) - mean_gradient(inst, anchor)
             max_resid = max(max_resid,

@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+from mixedgrad.bench import write_trace_csv
 from mixedgrad.cli import main
+from mixedgrad.core import RunTrace, TraceRecord
 from mixedgrad.losses import load_dataset_csv
 
 
@@ -128,3 +130,60 @@ def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
     # T1 = ceil(300 ln(1/0.01)) = 1382, one epoch
     assert (int(rows[0]["stoch_calls"]), int(rows[0]["full_calls"])) \
         == (1382, 1)
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("gen", ["--n", "0"], "n and d must be >= 1"),
+    ("gen", ["--radius", "-1"], "domain_radius must be positive"),
+    ("run", ["--n", "0"], "n and d must be >= 1"),
+    ("run", ["--radius", "-1"], "domain_radius must be positive"),
+    ("run", ["--ref-tol", "1"], "reference tolerance must lie in"),
+])
+def test_bad_instance_flags_are_an_argparse_error(command, flags, message,
+                                                  tmp_path, capsys):
+    out = tmp_path / ("data.csv" if command == "gen" else "results")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "10", "--d", "2", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"bench {command}: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    ("", "is empty"),
+    ("y,x1,x2\n1.0,0.5,0.25\n2.0,0.5\n", "data row 2 has 2 fields, expected 3"),
+    ("y,x1\n1.0,0.5,0.25\n", "data row 1 has 3 fields, expected 2"),
+])
+def test_bad_csv_is_an_argparse_error(content, message, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    if content is not None:
+        data.write_text(content)
+        with pytest.raises(ValueError, match=message):
+            load_dataset_csv(data)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--csv", str(data), "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("points", [0, 3])
+def test_fit_on_too_short_a_trace_is_an_argparse_error(points, tmp_path,
+                                                        capsys):
+    path = tmp_path / "trace.csv"
+    trace = RunTrace([TraceRecord(1, t, 10 * t, 1, 1.0, 1.0 / t)
+                      for t in range(1, points + 1)])
+    write_trace_csv(path, "gd", 0, trace)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--trace", str(path)])
+    assert exc.value.code == 2
+    assert (f"bench fit: error: need >= 4 usable points, got {points}"
+            in capsys.readouterr().err)
+
+
+def test_fit_on_a_missing_trace_is_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--trace", str(tmp_path / "missing.csv")])
+    assert exc.value.code == 2
+    assert "No such file" in capsys.readouterr().err

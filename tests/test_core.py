@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ import pytest
 from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import (DivergenceError, EpochState, MixedGradConfig,
                             ProjectionCounts, anchor_gradient,
-                            epoch_subproblem_optimum,
-                            inner_step, run, run_epoch, shrink_schedule,
-                            theory_params, vr_gradient)
+                            epoch_subproblem_optimum, run, run_epoch,
+                            shrink_schedule, theory_params)
 from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
                                 project_ball, project_epoch_domain)
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
@@ -53,24 +53,39 @@ class TestAnchorGradient:
         np.testing.assert_allclose(g, [3.0], atol=1e-15)
 
 
-class TestVrGradient:
-    def test_bitwise_anchor_determinism(self):
-        inst = random_instance(seed=5)
-        anchor = np.array([0.2, -0.1, 0.05, 0.3])
-        g_k = anchor_gradient(inst, anchor, 0.7, OracleCounters())
-        for i in range(inst.n):
-            g = vr_gradient(inst, i, np.zeros(4), anchor, g_k)
-            assert np.array_equal(g, g_k)
+def correction(inst, i, w, anchor):
+    """grad g_i(w + anchor) - grad g_i(anchor): the variance-reduction
+    correction of reference_epoch's step."""
+    return loss_grad(inst, i, w + anchor) - loss_grad(inst, i, anchor)
 
-    def test_single_example_collapse(self):
-        inst = make_instance([[1.0, 2.0]], [0.5], radius=2.0)
-        anchor = np.array([0.1, 0.2])
-        lam = 0.3
-        g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
-        w = np.array([0.05, -0.1])
-        expected = lam * anchor + loss_grad(inst, 0, w + anchor)
-        np.testing.assert_allclose(vr_gradient(inst, 0, w, anchor, g_k),
-                                   expected, atol=1e-12)
+
+class TestVrGradient:
+    """The variance-reduced gradient of run_epoch's inner step."""
+
+    def test_bitwise_anchor_determinism(self):
+        # At w = 0 the correction is exactly 0, so a one-step epoch on
+        # example i steps to -eta * anchor_grad bit for bit, whatever i,
+        # the loss, the dimension and the anchor are.
+        rng = np.random.default_rng(5)
+        for kind in (LEAST_SQUARES, LOGISTIC):
+            for d in (3, 10, 20, 50):
+                X = rng.standard_normal((30, d))
+                y = (rng.standard_normal(30) if kind == LEAST_SQUARES
+                     else np.where(rng.standard_normal(30) >= 0, 1.0, -1.0))
+                inst = ProblemInstance.create(Dataset(X, y), kind, 100.0)
+                eta = 0.5 / inst.smoothness
+                for scale in (0.1, 1.0, 3.0):
+                    anchor = scale * rng.standard_normal(d)
+                    g_k = anchor_gradient(inst, anchor, 0.7, OracleCounters())
+                    state = EpochState(1, anchor, 100.0, 0.7, eta, 1, g_k)
+                    for i in range(inst.n):
+                        # A sampler stub whose every draw is example i.
+                        sampler = SimpleNamespace(
+                            draw_block=lambda n, k, i=i: [i] * k)
+                        mean, max_sq, _ = run_epoch(inst, state, sampler,
+                                                    OracleCounters())
+                        assert max_sq == 0.0
+                        assert np.array_equal(2 * mean, -(eta * g_k))
 
     def test_unbiasedness(self):
         inst = random_instance(n=20, seed=11)
@@ -80,7 +95,7 @@ class TestVrGradient:
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
         for _ in range(50):
             w = rng.uniform(-0.3, 0.3, 4)
-            mean_vr = sum(vr_gradient(inst, i, w, anchor, g_k) + lam * w
+            mean_vr = sum(g_k + correction(inst, i, w, anchor) + lam * w
                           for i in range(inst.n)) / inst.n
             expected = (lam * w + lam * anchor
                         + mean_gradient(inst, w + anchor))
@@ -88,29 +103,24 @@ class TestVrGradient:
 
 
 class TestInnerStep:
-    def test_zero_combined_gradient(self):
-        dom = EpochDomain(np.zeros(2), 10.0, 10.0)
-        w = np.array([0.1, 0.0])
-        g = -0.5 * w  # lam=0.5 makes lam*w + g = 0
-        np.testing.assert_allclose(inner_step(w, g, 0.5, 0.3, dom), w,
-                                   atol=1e-15)
-
     def test_zero_step_size(self):
-        dom = EpochDomain(np.zeros(2), 10.0, 10.0)
-        w = np.array([0.1, -0.2])
-        np.testing.assert_array_equal(inner_step(w, np.ones(2), 1.0, 0.0, dom), w)
-
-    def test_interior_arithmetic(self):
-        dom = EpochDomain(np.zeros(2), 100.0, 100.0)
-        out = inner_step(np.array([0.1, 0.0]), np.array([0.2, 0.0]),
-                         0.0, 0.5, dom)
-        np.testing.assert_allclose(out, np.zeros(2), atol=1e-15)
+        inst = random_instance()
+        anchor = np.array([0.2, -0.1, 0.05, 0.3])
+        g_k = anchor_gradient(inst, anchor, 1.0, OracleCounters())
+        state = EpochState(1, anchor, 1.0, 1.0, 0.0, 100, g_k)
+        mean, max_sq, _ = run_epoch(inst, state, SeededSampler(0),
+                                    OracleCounters())
+        np.testing.assert_array_equal(mean, np.zeros(4))
+        assert max_sq == 0.0
 
     def test_nonfinite_gradient_raises(self):
-        from mixedgrad.core import DivergenceError
-        dom = EpochDomain(np.zeros(2), 1.0, 1.0)
-        with pytest.raises(DivergenceError):
-            inner_step(np.zeros(2), np.array([np.nan, 0.0]), 1.0, 0.1, dom)
+        inst = random_instance()
+        g_k = np.array([np.nan, 0.0, 0.0, 0.0])
+        state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 50, g_k)
+        c = OracleCounters()
+        with pytest.raises(DivergenceError, match="epoch 1, step 1$"):
+            run_epoch(inst, state, SeededSampler(0), c)
+        assert c.stochastic_calls == 1
 
 
 class TestRunEpoch:
@@ -199,8 +209,7 @@ def reference_epoch(inst, state, sampler, counters):
     tally = [0, 0, 0]
     for t in range(1, state.inner_iters + 1):
         i = sample_loss(sampler, counters, inst.n)
-        step = (loss_grad(inst, i, w + anchor)
-                - loss_grad(inst, i, anchor)) + lam * w
+        step = correction(inst, i, w, anchor) + lam * w
         max_step_sq = max(max_step_sq, float(step @ step))
         v = w - eta * (state.anchor_grad + step)
         branch = projection_branch(v, domain)
@@ -211,10 +220,24 @@ def reference_epoch(inst, state, sampler, counters):
     return mean, max_step_sq, ProjectionCounts(*tally)
 
 
+def assert_matches_reference(inst, state):
+    """run_epoch and reference_epoch agree bit for bit: mean, largest step,
+    counters, sampler position and projection branches. Returns the
+    branch counts."""
+    s_run, s_ref = SeededSampler(3), SeededSampler(3)
+    c_run, c_ref = OracleCounters(), OracleCounters()
+    mean, max_sq, projections = run_epoch(inst, state, s_run, c_run)
+    ref_mean, ref_max_sq, ref_projections = reference_epoch(
+        inst, state, s_ref, c_ref)
+    np.testing.assert_array_equal(mean, ref_mean)
+    assert max_sq == ref_max_sq
+    assert c_run == c_ref
+    assert s_run.draw(inst.n) == s_ref.draw(inst.n)
+    assert projections == ref_projections
+    return projections
+
+
 class TestRunEpochMatchesReference:
-    # Features and anchors are small dyadic rationals, so every margin at
-    # the anchor is exact and the matrix-vector product run_epoch uses for
-    # the anchor gradients agrees bit for bit with loss_grad's row dot.
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     @pytest.mark.parametrize("radius, delta, anchor", [
         (100.0, 50.0, [0.25, -0.125, 0.0, 0.5]),   # interior: fast path
@@ -233,21 +256,57 @@ class TestRunEpochMatchesReference:
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
         state = EpochState(1, anchor, delta, lam, 0.5 / inst.smoothness,
                            INDEX_BLOCK + 40, g_k)
-        s_run, s_ref = SeededSampler(3), SeededSampler(3)
-        c_run, c_ref = OracleCounters(), OracleCounters()
-        mean, max_sq, projections = run_epoch(inst, state, s_run, c_run)
-        ref_mean, ref_max_sq, ref_projections = reference_epoch(
-            inst, state, s_ref, c_ref)
-        np.testing.assert_array_equal(mean, ref_mean)
-        assert max_sq == ref_max_sq
-        assert c_run == c_ref
-        assert s_run.draw(inst.n) == s_ref.draw(inst.n)
-        assert projections == ref_projections
+        projections = assert_matches_reference(inst, state)
         if radius < 1.0:
             assert min(projections.inner, projections.outer,
                        projections.both) > 0
         else:
             assert projections.total == 0
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("radius, delta", [(100.0, 50.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical_gaussian(self, kind, radius, delta, seed):
+        # Gaussian features and anchors: margins round, and the anchor's
+        # and the step's must round alike.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((16, 10))
+        y = (rng.standard_normal(16) if kind == LEAST_SQUARES
+             else np.where(rng.standard_normal(16) >= 0, 1.0, -1.0))
+        inst = ProblemInstance.create(Dataset(X, y), kind, radius)
+        anchor = rng.standard_normal(10)
+        anchor *= 0.8 * min(radius, 1.0) / np.linalg.norm(anchor)
+        lam = 0.1 * inst.smoothness
+        g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
+        state = EpochState(1, anchor, delta, lam, 0.5 / inst.smoothness,
+                           INDEX_BLOCK + 40, g_k)
+        projections = assert_matches_reference(inst, state)
+        if radius < 1.0:
+            assert projections.total > 0
+        else:
+            assert projections.total == 0
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_single_example_collapse(self, kind):
+        # n = 1: the variance-reduced gradient is the exact gradient of
+        # the regularized epoch objective, so the epoch is projected
+        # gradient descent on it.
+        inst = ProblemInstance.create(
+            Dataset(np.array([[1.0, 2.0]]), np.array([1.0])), kind, 2.0)
+        anchor = np.array([0.1, 0.2])
+        lam, eta, delta, T = 0.3, 0.5 / inst.smoothness, 0.5, 50
+        g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
+        state = EpochState(1, anchor, delta, lam, eta, T, g_k)
+        assert_matches_reference(inst, state)
+        domain = EpochDomain(anchor, inst.domain_radius, delta)
+        w, gd_mean = np.zeros(2), np.zeros(2)
+        for t in range(1, T + 1):
+            grad = lam * (w + anchor) + loss_grad(inst, 0, w + anchor)
+            w = project_epoch_domain(w - eta * grad, domain)
+            gd_mean += (w - gd_mean) / (t + 1)
+        mean, _, _ = run_epoch(inst, state, SeededSampler(0),
+                               OracleCounters())
+        np.testing.assert_allclose(mean, gd_mean, atol=1e-12)
 
 
 class TestShrinkSchedule:
