@@ -6,10 +6,8 @@ log-log slope of optimization error versus oracle calls. Steeper
 (more negative) means faster per call.
 """
 
-import numpy as np
-
 from mixedgrad import (
-    BaselineConfig, MixedGradConfig, OracleCounters, LEAST_SQUARES,
+    BaselineConfig, MixedGradConfig, LEAST_SQUARES,
     compute_reference_optimum, fit_slope, gen_synthetic, run, run_gd,
     run_nag, run_sgd,
 )
@@ -39,21 +37,19 @@ def main():
     print(f"  slope vs stochastic calls: {f.slope:.2f} (r^2 {f.r_squared:.3f})")
 
     print("\naveraged projected SGD (20000 steps, step 0.05/sqrt(t)):")
-    counters = OracleCounters()
-    _, tr = run_sgd(inst, BaselineConfig(SGD, 20000, INV_SQRT_T,
-                                         step_scale=0.05,
-                                         checkpoint_stride=500),
-                    seed=0, counters=counters, reference_value=ref_value)
-    fs = fit_slope(tr.records, "stoch_calls", "error", skip_head=2)
+    sgd = run_sgd(inst, BaselineConfig(SGD, 20000, INV_SQRT_T,
+                                       step_scale=0.05,
+                                       checkpoint_stride=500),
+                  seed=0, reference_value=ref_value)
+    fs = fit_slope(sgd.trace, "stoch_calls", "error", skip_head=2)
     print(f"  slope vs stochastic calls: {fs.slope:.2f} "
           f"(r^2 {fs.r_squared:.3f})")
 
     print("\nfull-gradient baselines (150 iterations each):")
     for name, runner in ((GD, run_gd), (NAG, run_nag)):
-        counters = OracleCounters()
-        _, t = runner(inst, BaselineConfig(name, 150, checkpoint_stride=25),
-                      counters, reference_value=ref_value)
-        fb = fit_slope(t.records, "full_calls", "error")
+        full = runner(inst, BaselineConfig(name, 150, checkpoint_stride=25),
+                      reference_value=ref_value)
+        fb = fit_slope(full.trace, "full_calls", "error")
         print(f"  {name}: slope vs full-gradient calls {fb.slope:.2f} "
               f"(r^2 {fb.r_squared:.3f})")
 

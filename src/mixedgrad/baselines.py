@@ -3,8 +3,9 @@ Nesterov's accelerated gradient, all over the R-ball.
 
 Their convergence regimes (error ~ 1/sqrt(T), 1/T, 1/T^2 respectively on
 smooth convex problems) are what the benchmark harness measures slopes
-against. SGD touches only the stochastic counter; GD and NAG only the
-full-gradient counter.
+against. Each starts from 0, counts its own oracle calls and returns a
+core.SolverResult, as core.run does. SGD touches only the stochastic
+counter; GD and NAG only the full-gradient counter.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import (DivergenceError, RunTrace, TraceRecord,
+from .core import (DivergenceError, SolverResult, TraceRecord,
                    _projected_gradient)
 from .geometry import _norm, project_ball
 from .losses import ProblemInstance, _loss_derivative, full_objective
@@ -58,7 +59,7 @@ class BaselineConfig:
             raise ValueError("checkpoint_stride must be >= 1")
 
 
-def _checkpoint(trace: RunTrace, instance: ProblemInstance, w: np.ndarray,
+def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarray,
                 t: int, counters: OracleCounters,
                 reference_value: float | None):
     obj = full_objective(instance, w)
@@ -68,10 +69,8 @@ def _checkpoint(trace: RunTrace, instance: ProblemInstance, w: np.ndarray,
 
 
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
-            counters: OracleCounters,
-            reference_value: float | None = None
-            ) -> tuple[np.ndarray, RunTrace]:
-    """Projected SGD with step c/sqrt(t) (or constant c); returns the
+            reference_value: float | None = None) -> SolverResult:
+    """Projected SGD with step c/sqrt(t) (or constant c); its point is the
     uniform iterate average when averaging is on, else the last iterate."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
@@ -79,8 +78,9 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     c = config.step_scale
     if c is None:
         c = R * math.sqrt(instance.n) / instance.smoothness
+    counters = OracleCounters()
     sampler = SeededSampler(seed)
-    trace = RunTrace()
+    trace: list[TraceRecord] = []
     X = instance.dataset.features
     labels = instance.dataset.labels
     kind = instance.loss_kind
@@ -113,21 +113,20 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         if t % config.checkpoint_stride == 0 or t == config.iterations:
             point = mean if config.averaging else w
             _checkpoint(trace, instance, point, t, counters, reference_value)
-    return (mean if config.averaging else w), trace
+    return SolverResult(mean if config.averaging else w, trace, counters)
 
 
 def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
-                       counters: OracleCounters,
-                       reference_value: float | None,
-                       start: np.ndarray | None, method: str
-                       ) -> tuple[np.ndarray, RunTrace]:
+                       reference_value: float | None, method: str
+                       ) -> SolverResult:
     """The body of run_gd and run_nag (accelerated) over the R-ball."""
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
     R = instance.domain_radius
     eta = (config.step_scale or 1.0) / instance.smoothness
-    trace = RunTrace()
-    w = np.zeros(instance.d) if start is None else np.asarray(start, dtype=float).copy()
+    counters = OracleCounters()
+    trace: list[TraceRecord] = []
+    w = np.zeros(instance.d)
     iterates = _projected_gradient(lambda y: full_grad(instance, y, counters),
                                    lambda v: project_ball(v, R), w, eta,
                                    accelerated=method == NAG)
@@ -138,25 +137,19 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
     except DivergenceError as exc:
         exc.counters, exc.trace = counters, trace
         raise
-    return w, trace
+    return SolverResult(w, trace, counters)
 
 
 def run_gd(instance: ProblemInstance, config: BaselineConfig,
-           counters: OracleCounters,
-           reference_value: float | None = None,
-           start: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
-    """Projected gradient descent with step 1/beta (scaled by c if
+           reference_value: float | None = None) -> SolverResult:
+    """Projected gradient descent from 0 with step 1/beta (scaled by c if
     a step scale is given)."""
-    return _run_full_gradient(instance, config, counters, reference_value,
-                              start, GD)
+    return _run_full_gradient(instance, config, reference_value, GD)
 
 
 def run_nag(instance: ProblemInstance, config: BaselineConfig,
-            counters: OracleCounters,
-            reference_value: float | None = None,
-            start: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
+            reference_value: float | None = None) -> SolverResult:
     """Constant-step Nesterov accelerated gradient, momentum as in
     core._projected_gradient (the first step is plain GD); the projection
     follows the gradient step at the extrapolated point."""
-    return _run_full_gradient(instance, config, counters, reference_value,
-                              start, NAG)
+    return _run_full_gradient(instance, config, reference_value, NAG)

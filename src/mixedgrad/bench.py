@@ -10,19 +10,18 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines
-from .core import (DivergenceError, MixedGradConfig, RunTrace, TraceRecord,
-                   _projected_gradient, run as run_mixedgrad)
+from .core import (DivergenceError, MixedGradConfig, SolverResult,
+                   TraceRecord, _projected_gradient, run as run_mixedgrad)
 from .geometry import project_ball
 from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
                      full_objective, mean_gradient)
-from .oracle import OracleCounters
 
 TRACE_COLUMNS = ["solver", "seed", "epoch", "step", "stoch_calls",
                  "full_calls", "objective", "error", "status"]
@@ -58,7 +57,7 @@ def gen_synthetic(seed: int, n: int, d: int, noise_sd: float,
         y = np.where(raw >= 0, 1.0, -1.0)
     else:
         raise ValueError(f"unknown loss kind: {loss_kind!r}")
-    return ProblemInstance.create(Dataset(X, y), loss_kind, radius)
+    return ProblemInstance(Dataset(X, y), loss_kind, radius)
 
 
 class ReferenceSolveError(RuntimeError):
@@ -110,15 +109,20 @@ def fit_slope(records, x_field: str, error_field: str,
               skip_head: int = 0) -> SlopeFit:
     """Ordinary least squares on (log10 x, log10 error).
 
-    Accepts TraceRecord objects or mappings (e.g. parsed CSV rows). Points
-    at or below the error floor are excluded and counted as clipped.
-    Requires >= 4 usable points with strictly increasing x.
+    Accepts TraceRecord objects or mappings (e.g. parsed CSV rows). The
+    first skip_head records are dropped. Points at or below the error floor
+    are excluded and counted as clipped. Requires >= 4 usable points with
+    strictly increasing x; a missing field raises ValueError.
     """
     def get(rec, name):
-        if isinstance(rec, dict):
-            return float(rec[name])
-        return float(getattr(rec, name))
+        try:
+            return float(rec[name] if isinstance(rec, dict)
+                         else getattr(rec, name))
+        except (AttributeError, KeyError):
+            raise ValueError(f"records have no field {name!r}") from None
 
+    if skip_head < 0:
+        raise ValueError("skip_head must be >= 0")
     pts = [(get(r, x_field), get(r, error_field)) for r in records]
     pts = pts[skip_head:]
     if any(e <= 0 for _, e in pts if not math.isnan(e)):
@@ -141,18 +145,14 @@ def fit_slope(records, x_field: str, error_field: str,
                     float(xs[0]), float(xs[-1]), len(usable), n_clipped)
 
 
-@dataclass
-class SolverSpec:
-    """One solver entry of an experiment: a name plus its config object."""
-
-    name: str                       # mixedgrad | sgd | gd | nag
-    config: object                  # MixedGradConfig or BaselineConfig
+# The config of one solver run; its type names the solver.
+SolverConfig = MixedGradConfig | baselines.BaselineConfig
 
 
 @dataclass
 class ExperimentSpec:
     instance: ProblemInstance
-    solvers: list[SolverSpec]
+    solvers: list[SolverConfig]
     seeds: list[int]
     out_dir: Path
     reference_tolerance: float = 1e-10
@@ -160,14 +160,23 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.solvers:
             raise ValueError("experiment needs at least one solver")
+        for config in self.solvers:
+            if not isinstance(config, SolverConfig):
+                raise TypeError(f"not a solver config: {config!r}")
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
         if not 0 < self.reference_tolerance <= 1e-6:
             raise ValueError("reference tolerance must lie in (0, 1e-6]")
         self.out_dir = Path(self.out_dir)
+        existing = next(p for p in (self.out_dir, *self.out_dir.parents)
+                        if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"output directory {self.out_dir}: {existing} "
+                             f"is an existing file")
 
 
-def write_trace_csv(path, solver: str, seed: int, trace: RunTrace) -> None:
+def write_trace_csv(path, solver: str, seed: int,
+                    trace: list[TraceRecord]) -> None:
     """One row per trace record, each with its own status."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -180,10 +189,15 @@ def write_trace_csv(path, solver: str, seed: int, trace: RunTrace) -> None:
 
 
 def read_trace_csv(path) -> list[dict]:
-    """Parse a trace CSV back into typed row dicts (round-trips emit)."""
+    """Parse a trace CSV back into typed row dicts (round-trips emit).
+    A file without the trace header raises ValueError."""
     rows = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        if reader.fieldnames != TRACE_COLUMNS:
+            raise ValueError(f"{path} is not a trace CSV: its header must "
+                             f"be {','.join(TRACE_COLUMNS)}")
+        for row in reader:
             rows.append({
                 "solver": row["solver"],
                 "seed": int(row["seed"]),
@@ -198,30 +212,22 @@ def read_trace_csv(path) -> list[dict]:
     return rows
 
 
-def _run_one(instance: ProblemInstance, solver: SolverSpec, seed: int,
-             reference_value: float) -> tuple[np.ndarray, RunTrace,
-                                              OracleCounters]:
-    counters = OracleCounters()
-    if solver.name == "mixedgrad":
-        result = run_mixedgrad(instance, solver.config, seed, reference_value)
-        return result.point, result.trace, result.counters
-    if solver.name == "sgd":
-        point, trace = baselines.run_sgd(instance, solver.config, seed,
-                                         counters, reference_value)
-    elif solver.name == "gd":
-        point, trace = baselines.run_gd(instance, solver.config, counters,
-                                        reference_value)
-    elif solver.name == "nag":
-        point, trace = baselines.run_nag(instance, solver.config, counters,
-                                         reference_value)
-    else:
-        raise ValueError(f"unknown solver: {solver.name!r}")
-    return point, trace, counters
+def _run_one(instance: ProblemInstance, config: SolverConfig, seed: int,
+             reference_value: float) -> SolverResult:
+    # The solvers are looked up at call time, so a wrapper installed on
+    # bench.run_mixedgrad or baselines.run_<method> sees every call.
+    if isinstance(config, MixedGradConfig):
+        return run_mixedgrad(instance, config, seed, reference_value)
+    solve = getattr(baselines, f"run_{config.method}")
+    if config.method == baselines.SGD:
+        return solve(instance, config, seed, reference_value)
+    return solve(instance, config, reference_value)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Run every (solver, seed) pair with fresh counters, writing one trace
-    CSV per run plus an aggregate summary CSV.
+    """Run every (solver, seed) pair, writing one trace CSV per run plus an
+    aggregate summary CSV. A run is named "mixedgrad" for a MixedGradConfig
+    and after the baseline's method otherwise.
 
     A diverging run keeps the oracle counters and trace records it had
     reached; its trace ends in a 'diverged' row carrying those counters,
@@ -233,26 +239,26 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                                                spec.reference_tolerance)
     trace_paths = []
     summary_rows = []
-    for solver in spec.solvers:
+    for config in spec.solvers:
+        name = ("mixedgrad" if isinstance(config, MixedGradConfig)
+                else config.method)
         for seed in spec.seeds:
             t0 = time.perf_counter()
             try:
-                point, trace, counters = _run_one(spec.instance, solver, seed,
-                                                  g_star)
+                point, trace, counters, _ = _run_one(spec.instance, config,
+                                                     seed, g_star)
                 final_error = full_objective(spec.instance, point) - g_star
             except DivergenceError as exc:
-                trace = exc.trace if exc.trace is not None else RunTrace()
-                counters = (exc.counters if exc.counters is not None
-                            else OracleCounters())
+                trace, counters = exc.trace, exc.counters
                 trace.append(TraceRecord(0, 0, counters.stochastic_calls,
                                          counters.full_calls, math.nan,
                                          math.nan, "diverged"))
                 final_error = math.nan
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            path = spec.out_dir / f"trace_{solver.name}_seed{seed}.csv"
-            write_trace_csv(path, solver.name, seed, trace)
+            path = spec.out_dir / f"trace_{name}_seed{seed}.csv"
+            write_trace_csv(path, name, seed, trace)
             trace_paths.append(path)
-            summary_rows.append([solver.name, seed, repr(float(final_error)),
+            summary_rows.append([name, seed, repr(float(final_error)),
                                  counters.stochastic_calls,
                                  counters.full_calls, f"{wall_ms:.3f}"])
     summary_path = spec.out_dir / "summary.csv"

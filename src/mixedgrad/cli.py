@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 
 from . import baselines
-from .bench import (ExperimentSpec, SolverSpec, fit_slope, gen_synthetic,
+from .bench import (ExperimentSpec, SolverConfig, fit_slope, gen_synthetic,
                     read_trace_csv, run_experiment)
 from .core import MixedGradConfig, theory_params
-from .losses import LEAST_SQUARES, LOGISTIC, load_dataset_csv, save_dataset_csv, ProblemInstance
+from .losses import (LEAST_SQUARES, LOGISTIC, ProblemInstance,
+                     load_dataset_csv, save_dataset_csv)
 
 LOSS_NAMES = {"ls": LEAST_SQUARES, "logistic": LOGISTIC}
 
@@ -43,7 +44,7 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _build_solver(spec_text: str, args, instance) -> SolverSpec:
+def _build_solver(spec_text: str, args, instance) -> SolverConfig:
     """Raises ArithmeticError, TypeError or ValueError on a bad spec."""
     name, _, kv_text = spec_text.partition(":")
     kv = _parse_kv(kv_text)
@@ -67,25 +68,23 @@ def _build_solver(spec_text: str, args, instance) -> SolverSpec:
                 raise ValueError(
                     f"--theory-mode derives every mixedgrad option but "
                     f"epochs; it would ignore: {', '.join(ignored)}")
-            config = theory_params(instance.smoothness, instance.domain_radius,
-                                   args.delta, kv.get("epochs", args.epochs))
-        else:
-            beta = instance.smoothness
-            t1 = kv.pop("t1", args.t1)
-            defaults = dict(
-                eta1=1.0 / (2.0 * beta * (3.0 * t1) ** 0.5),
-                delta1=instance.domain_radius,
-                t1=t1,
-                epochs=args.epochs,
-                lambda1=beta,
-                gamma=args.gamma,
-            )
-            defaults.update(kv)
-            config = MixedGradConfig(**defaults)
-        return SolverSpec("mixedgrad", config)
+            return theory_params(instance.smoothness, instance.domain_radius,
+                                 args.delta, kv.get("epochs", args.epochs))
+        beta = instance.smoothness
+        t1 = kv.pop("t1", args.t1)
+        defaults = dict(
+            eta1=1.0 / (2.0 * beta * (3.0 * t1) ** 0.5),
+            delta1=instance.domain_radius,
+            t1=t1,
+            epochs=args.epochs,
+            lambda1=beta,
+            gamma=args.gamma,
+        )
+        defaults.update(kv)
+        return MixedGradConfig(**defaults)
     defaults = dict(method=name, iterations=1000)
     defaults.update(kv)
-    return SolverSpec(name, baselines.BaselineConfig(**defaults))
+    return baselines.BaselineConfig(**defaults)
 
 
 def _instance_from_args(args, parser) -> ProblemInstance:
@@ -94,7 +93,7 @@ def _instance_from_args(args, parser) -> ProblemInstance:
     try:
         if getattr(args, "csv", None):
             dataset = load_dataset_csv(args.csv)
-            return ProblemInstance.create(dataset, loss_kind, args.radius)
+            return ProblemInstance(dataset, loss_kind, args.radius)
         seed = args.seed[0] if isinstance(args.seed, list) else args.seed
         return gen_synthetic(seed, args.n, args.d, args.noise, loss_kind,
                              args.radius)

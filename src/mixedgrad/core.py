@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +43,15 @@ MAX_FAILURE_PROBABILITY = math.exp(-4.5)
 class DivergenceError(RuntimeError):
     """Raised when an iterate or gradient stops being finite.
 
-    A solver that raises it attaches the oracle counters and the trace it
-    had reached (counters and trace are None when it has none to give).
+    The solvers (run and baselines.run_sgd, run_gd, run_nag) always attach
+    the oracle counters and the trace they had reached. Only
+    _projected_gradient raises it bare (counters and trace None): run_gd
+    and run_nag attach theirs as it passes, and the uncounted solves built
+    on it (the reference optimum, the epoch subproblem) pass it on bare.
     """
 
     def __init__(self, message: str, counters: OracleCounters | None = None,
-                 trace: RunTrace | None = None):
+                 trace: list[TraceRecord] | None = None):
         super().__init__(message)
         self.counters = counters
         self.trace = trace
@@ -113,20 +117,6 @@ class TraceRecord:
 
 
 @dataclass
-class RunTrace:
-    records: list[TraceRecord] = field(default_factory=list)
-
-    def append(self, rec: TraceRecord):
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-@dataclass
 class ProjectionCounts:
     """Inner steps of an epoch that left the projection fast path, by the
     branch of the two-ball projection that produced the new iterate."""
@@ -162,12 +152,14 @@ class EpochSummary:
         return self.inner_iters - self.projections.total
 
 
-@dataclass
-class MixedGradResult:
+class SolverResult(NamedTuple):
+    """What every solver returns: its point, the checkpoint trace, the
+    oracle counters it spent, and (mixedgrad only) per-epoch diagnostics."""
+
     point: np.ndarray
-    trace: RunTrace
+    trace: list[TraceRecord]
     counters: OracleCounters
-    epoch_summaries: list[EpochSummary]
+    epoch_summaries: tuple[EpochSummary, ...] = ()
 
 
 def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
@@ -178,7 +170,8 @@ def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
 
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
-              trace: RunTrace | None = None, checkpoint_stride: int = 100,
+              trace: list[TraceRecord] | None = None,
+              checkpoint_stride: int = 100,
               reference_value: float | None = None
               ) -> tuple[np.ndarray, float, ProjectionCounts]:
     """One epoch of inner stochastic steps starting from 0.
@@ -342,7 +335,7 @@ def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,
 
 
 def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
-        reference_value: float | None = None) -> MixedGradResult:
+        reference_value: float | None = None) -> SolverResult:
     """Full multi-epoch run; returns the final anchor, trace, counters,
     and per-epoch diagnostics.
 
@@ -351,7 +344,7 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
     """
     counters = OracleCounters()
     sampler = SeededSampler(seed)
-    trace = RunTrace()
+    trace: list[TraceRecord] = []
     summaries: list[EpochSummary] = []
     R = instance.domain_radius
 
@@ -392,4 +385,4 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
             max_step_norm_sq=max_step_sq, projections=projections))
         state = next_state
 
-    return MixedGradResult(state.anchor, trace, counters, summaries)
+    return SolverResult(state.anchor, trace, counters, tuple(summaries))

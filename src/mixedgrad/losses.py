@@ -57,13 +57,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A dataset plus loss kind, feasible-ball radius R, and the uniform
-    per-example smoothness constant beta."""
+    """A dataset plus loss kind and feasible-ball radius R; the uniform
+    per-example smoothness constant beta is derived from the dataset."""
 
     dataset: Dataset
     loss_kind: str
     domain_radius: float
-    smoothness: float
+    smoothness: float = field(init=False)
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -74,18 +74,8 @@ class ProblemInstance:
             y = self.dataset.labels
             if not np.all(np.abs(y) == 1.0):
                 raise ValueError("logistic labels must be exactly -1 or +1")
-        expected = smoothness_constant(self.dataset, self.loss_kind)
-        if not np.isclose(self.smoothness, expected, rtol=1e-12, atol=0):
-            raise ValueError(
-                f"smoothness {self.smoothness} does not match the dataset "
-                f"(expected {expected})"
-            )
-
-    @classmethod
-    def create(cls, dataset: Dataset, loss_kind: str, domain_radius: float) -> "ProblemInstance":
-        """Build an instance, deriving beta from the dataset."""
-        return cls(dataset, loss_kind, domain_radius,
-                   smoothness_constant(dataset, loss_kind))
+        object.__setattr__(self, "smoothness",
+                           smoothness_constant(self.dataset, self.loss_kind))
 
     @property
     def n(self) -> int:

@@ -44,7 +44,7 @@ def _random_instance(seed: int, n: int, d: int, loss_kind: str,
         y = rng.standard_normal(n)
     else:
         y = np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
-    return ProblemInstance.create(Dataset(X, y), loss_kind, radius)
+    return ProblemInstance(Dataset(X, y), loss_kind, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +254,25 @@ class TestCriterion6RateSeparation:
                 f"mixedgrad seed {seed}: {f.slope:.3f}, r2 {f.r_squared:.3f}"
             mg_slopes[seed] = f.slope
 
-            counters = OracleCounters()
-            _, tr = run_sgd(
+            tr = run_sgd(
                 inst,
                 BaselineConfig(SGD, 20000, INV_SQRT_T, step_scale=0.05,
                                averaging=True, checkpoint_stride=500),
-                seed, counters, reference_value=ref_value)
-            fs = fit_slope(tr.records, "stoch_calls", "error", skip_head=2)
+                seed, reference_value=ref_value).trace
+            fs = fit_slope(tr, "stoch_calls", "error", skip_head=2)
             assert -0.75 <= fs.slope <= -0.30 and fs.r_squared >= 0.9, \
                 f"sgd seed {seed}: {fs.slope:.3f}, r2 {fs.r_squared:.3f}"
             sgd_slopes[seed] = fs.slope
             assert mg_slopes[seed] < sgd_slopes[seed]
 
-        counters = OracleCounters()
-        _, tg = run_gd(inst, BaselineConfig(GD, 150, checkpoint_stride=25),
-                       counters, reference_value=ref_value)
-        fg = fit_slope(tg.records, "full_calls", "error")
+        tg = run_gd(inst, BaselineConfig(GD, 150, checkpoint_stride=25),
+                    reference_value=ref_value).trace
+        fg = fit_slope(tg, "full_calls", "error")
         assert fg.slope <= -0.9 and fg.r_squared >= 0.9
 
-        counters = OracleCounters()
-        _, tn = run_nag(inst, BaselineConfig(NAG, 150, checkpoint_stride=25),
-                        counters, reference_value=ref_value)
-        fn = fit_slope(tn.records, "full_calls", "error")
+        tn = run_nag(inst, BaselineConfig(NAG, 150, checkpoint_stride=25),
+                     reference_value=ref_value).trace
+        fn = fit_slope(tn, "full_calls", "error")
         assert fn.slope <= -1.6 and fn.r_squared >= 0.9
 
         elapsed = (time.perf_counter() - t0) + rate_setup["build_seconds"]

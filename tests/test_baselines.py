@@ -14,9 +14,9 @@ from mixedgrad.oracle import (OracleCounters, SeededSampler, full_grad,
 
 
 def make_instance(X, y, radius=1.0):
-    return ProblemInstance.create(Dataset(np.asarray(X, float),
-                                          np.asarray(y, float)),
-                                  LEAST_SQUARES, radius)
+    return ProblemInstance(Dataset(np.asarray(X, float),
+                                   np.asarray(y, float)),
+                           LEAST_SQUARES, radius)
 
 
 def random_instance(n=15, d=4, seed=0, radius=1.0):
@@ -35,14 +35,14 @@ class TestSgd:
                                 inst.domain_radius)
         cfg = BaselineConfig("sgd", 1, step_rule="inv_sqrt_t", step_scale=1.0,
                              averaging=False, checkpoint_stride=1)
-        point, _ = run_sgd(inst, cfg, seed, OracleCounters())
+        point = run_sgd(inst, cfg, seed).point
         np.testing.assert_allclose(point, expected, atol=1e-15)
 
     def test_deterministic_quadratic_monotone(self):
         inst = make_instance([[1.0]], [0.5])
         cfg = BaselineConfig("sgd", 60, step_rule="constant", step_scale=0.05,
                              averaging=False, checkpoint_stride=1)
-        _, trace = run_sgd(inst, cfg, 0, OracleCounters())
+        trace = run_sgd(inst, cfg, 0).trace
         objs = [r.objective for r in trace]
         assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
 
@@ -50,21 +50,19 @@ class TestSgd:
         rng = np.random.default_rng(1)
         inst = make_instance(rng.standard_normal((5, 3)), np.zeros(5))
         cfg = BaselineConfig("sgd", 50, averaging=False)
-        point, _ = run_sgd(inst, cfg, 0, OracleCounters())
+        point = run_sgd(inst, cfg, 0).point
         np.testing.assert_array_equal(point, np.zeros(3))
 
     def test_counter_discipline(self):
         inst = random_instance()
-        c = OracleCounters()
-        run_sgd(inst, BaselineConfig("sgd", 25), 0, c)
+        c = run_sgd(inst, BaselineConfig("sgd", 25), 0).counters
         assert c.stochastic_calls == 25 and c.full_calls == 0
 
     def test_iterates_stay_in_ball(self):
         inst = random_instance(radius=0.5)
         cfg = BaselineConfig("sgd", 100, step_scale=5.0, averaging=False,
                              checkpoint_stride=1)
-        _, trace = run_sgd(inst, cfg, 3, OracleCounters())
-        point, _ = run_sgd(inst, cfg, 3, OracleCounters())
+        point = run_sgd(inst, cfg, 3).point
         assert np.linalg.norm(point) <= 0.5 + 1e-9
 
 
@@ -99,8 +97,8 @@ class TestSgdMatchesReference:
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
         cfg = BaselineConfig("sgd", 600, step_rule=step_rule, step_scale=0.5,
                              averaging=averaging, checkpoint_stride=50)
-        c_run, c_ref = OracleCounters(), OracleCounters()
-        point, _ = run_sgd(inst, cfg, 9, c_run)
+        c_ref = OracleCounters()
+        point, _, c_run, _ = run_sgd(inst, cfg, 9)
         ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
         assert 0 < projected < cfg.iterations
         np.testing.assert_array_equal(point, ref_point)
@@ -110,17 +108,15 @@ class TestSgdMatchesReference:
     def test_divergence_at_first_step(self, kind):
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 1.0)
         cfg = BaselineConfig("sgd", 10, step_scale=math.inf)
-        c_run, c_ref = OracleCounters(), OracleCounters()
+        c_ref = OracleCounters()
         with pytest.raises(DivergenceError) as run_exc:
-            run_sgd(inst, cfg, 0, c_run)
+            run_sgd(inst, cfg, 0)
         with pytest.raises(DivergenceError) as ref_exc:
             reference_sgd(inst, cfg, 0, c_ref)
         assert str(run_exc.value) == str(ref_exc.value) \
             == "non-finite iterate at step 1"
-        assert c_run == c_ref == OracleCounters(1, 0)
-        assert run_exc.value.counters is c_run
-        assert len(run_exc.value.trace) == 0
-
+        assert run_exc.value.counters == c_ref == OracleCounters(1, 0)
+        assert run_exc.value.trace == []
 
     def test_step_whose_square_overflows_lands_on_sphere(self):
         # With a step scale of 1e200 each v is finite but ||v||^2
@@ -129,9 +125,9 @@ class TestSgdMatchesReference:
         inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
         cfg = BaselineConfig("sgd", 20, step_rule="constant",
                              step_scale=1e200, averaging=False)
-        c_run, c_ref = OracleCounters(), OracleCounters()
+        c_ref = OracleCounters()
         with np.errstate(over="ignore"):
-            point, _ = run_sgd(inst, cfg, 9, c_run)
+            point = run_sgd(inst, cfg, 9).point
             ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
         assert projected == cfg.iterations
         np.testing.assert_array_equal(point, ref_point)
@@ -140,71 +136,68 @@ class TestSgdMatchesReference:
 
 class TestGd:
     def test_one_step_exact_on_matched_curvature(self):
-        # g(w) = w^2 has beta = 2; eta = 1/2 solves it in one step from 1
-        inst = make_instance([[1.0]], [0.0], radius=2.0)
+        # g(w) = (0.5 - w)^2 has beta = 2; eta = 1/2 solves it in one step
+        # from 0
+        inst = make_instance([[1.0]], [0.5], radius=2.0)
         cfg = BaselineConfig("gd", 1, checkpoint_stride=1)
-        point, _ = run_gd(inst, cfg, OracleCounters(), start=np.array([1.0]))
-        np.testing.assert_allclose(point, [0.0], atol=1e-15)
+        point = run_gd(inst, cfg).point
+        np.testing.assert_allclose(point, [0.5], atol=1e-15)
 
     def test_fixed_point_at_optimum(self):
         rng = np.random.default_rng(2)
         inst = make_instance(rng.standard_normal((5, 3)), np.zeros(5))
-        point, _ = run_gd(inst, BaselineConfig("gd", 20), OracleCounters())
+        point = run_gd(inst, BaselineConfig("gd", 20)).point
         np.testing.assert_array_equal(point, np.zeros(3))
 
     def test_objective_nonincreasing_and_more_steps_help(self):
         inst = random_instance(seed=6)
         cfg = BaselineConfig("gd", 50, checkpoint_stride=1)
-        _, trace = run_gd(inst, cfg, OracleCounters())
+        trace = run_gd(inst, cfg).trace
         objs = [r.objective for r in trace]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
         assert objs[49] <= objs[24]
 
     def test_counter_discipline(self):
         inst = random_instance()
-        c = OracleCounters()
-        run_gd(inst, BaselineConfig("gd", 30), c)
+        c = run_gd(inst, BaselineConfig("gd", 30)).counters
         assert c.full_calls == 30 and c.stochastic_calls == 0
 
 
 class TestNag:
     def test_first_step_equals_gd(self):
         inst = random_instance(seed=8)
-        start = np.array([0.2, -0.1, 0.0, 0.1])
-        p_gd, _ = run_gd(inst, BaselineConfig("gd", 1), OracleCounters(),
-                         start=start)
-        p_nag, _ = run_nag(inst, BaselineConfig("nag", 1), OracleCounters(),
-                           start=start)
+        p_gd = run_gd(inst, BaselineConfig("gd", 1)).point
+        p_nag = run_nag(inst, BaselineConfig("nag", 1)).point
+        assert np.linalg.norm(p_gd) > 0
         np.testing.assert_allclose(p_nag, p_gd, atol=1e-15)
 
     def test_fixed_point_at_optimum(self):
         rng = np.random.default_rng(3)
         inst = make_instance(rng.standard_normal((5, 3)), np.zeros(5))
-        point, _ = run_nag(inst, BaselineConfig("nag", 20), OracleCounters())
+        point = run_nag(inst, BaselineConfig("nag", 20)).point
         np.testing.assert_array_equal(point, np.zeros(3))
 
     def test_beats_gd_on_quadratic(self):
         inst = make_instance([[1.0, 0.0], [0.0, 0.2]], [0.5, 0.1], radius=2.0)
-        p_gd, _ = run_gd(inst, BaselineConfig("gd", 100), OracleCounters())
-        p_nag, _ = run_nag(inst, BaselineConfig("nag", 100), OracleCounters())
+        p_gd = run_gd(inst, BaselineConfig("gd", 100)).point
+        p_nag = run_nag(inst, BaselineConfig("nag", 100)).point
         err_gd = full_objective(inst, p_gd)
         err_nag = full_objective(inst, p_nag)
         assert err_nag <= err_gd + 1e-18
 
     def test_counter_discipline(self):
         inst = random_instance()
-        c = OracleCounters()
-        run_nag(inst, BaselineConfig("nag", 30), c)
+        c = run_nag(inst, BaselineConfig("nag", 30)).counters
         assert c.full_calls == 30 and c.stochastic_calls == 0
 
 
-def reference_full_gradient(inst, config, counters, start, accelerated):
-    """Projected GD or Nesterov's method written plainly, one full_grad
-    and one project_ball call per step. Returns (point, checkpoint
-    objectives, number of steps that projected)."""
+def reference_full_gradient(inst, config, counters, accelerated):
+    """Projected GD or Nesterov's method from 0 written plainly, one
+    full_grad and one project_ball call per step. Returns (point,
+    checkpoint objectives, number of steps that projected)."""
     R = inst.domain_radius
     eta = (config.step_scale or 1.0) / inst.smoothness
-    w = np.zeros(inst.d) if start is None else np.array(start, dtype=float)
+    w = np.zeros(inst.d)
     w_prev = w.copy()
     theta_prev = 1.0
     objectives = []
@@ -231,16 +224,19 @@ FULL_GRADIENT = [(run_gd, "gd", False), (run_nag, "nag", True)]
 class TestFullGradientMatchesReference:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     @pytest.mark.parametrize("solver, method, accelerated", FULL_GRADIENT)
-    @pytest.mark.parametrize("start", [None, [0.1, -0.05, 0.0, 0.08, -0.1]])
-    def test_bit_identical(self, kind, solver, method, accelerated, start):
+    @pytest.mark.parametrize("step_scale", [None, 1.5])
+    def test_bit_identical(self, kind, solver, method, accelerated,
+                           step_scale):
         # With R = 0.2 the R-ball projection clips every logistic step and
-        # some least-squares steps.
+        # all but a few least-squares steps, at the default step 1/beta and
+        # at a longer one.
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
-        cfg = BaselineConfig(method, 300, step_scale=1.5, checkpoint_stride=7)
-        c_run, c_ref = OracleCounters(), OracleCounters()
-        point, trace = solver(inst, cfg, c_run, start=start)
+        cfg = BaselineConfig(method, 300, step_scale=step_scale,
+                             checkpoint_stride=7)
+        c_ref = OracleCounters()
+        point, trace, c_run, _ = solver(inst, cfg)
         ref_point, ref_objectives, projected = reference_full_gradient(
-            inst, cfg, c_ref, start, accelerated)
+            inst, cfg, c_ref, accelerated)
         assert projected > 0
         np.testing.assert_array_equal(point, ref_point)
         assert [r.objective for r in trace] == ref_objectives
@@ -250,17 +246,15 @@ class TestFullGradientMatchesReference:
     def test_divergence_at_first_step(self, solver, method, accelerated):
         inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
         cfg = BaselineConfig(method, 10, step_scale=math.inf)
-        c_run, c_ref = OracleCounters(), OracleCounters()
+        c_ref = OracleCounters()
         with pytest.raises(DivergenceError) as run_exc:
-            solver(inst, cfg, c_run)
+            solver(inst, cfg)
         with pytest.raises(DivergenceError) as ref_exc:
-            reference_full_gradient(inst, cfg, c_ref, None, accelerated)
+            reference_full_gradient(inst, cfg, c_ref, accelerated)
         assert str(run_exc.value) == str(ref_exc.value) \
             == "non-finite iterate at step 1"
-        assert c_run == c_ref == OracleCounters(0, 1)
-        assert run_exc.value.counters is c_run
-        assert run_exc.value.trace is not None
-        assert len(run_exc.value.trace) == 0
+        assert run_exc.value.counters == c_ref == OracleCounters(0, 1)
+        assert run_exc.value.trace == []
 
 
 class TestConfig:
@@ -275,4 +269,4 @@ class TestConfig:
     def test_method_mismatch_rejected(self):
         inst = random_instance()
         with pytest.raises(ValueError):
-            run_gd(inst, BaselineConfig("sgd", 10), OracleCounters())
+            run_gd(inst, BaselineConfig("sgd", 10))

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from mixedgrad.baselines import BaselineConfig
-from mixedgrad.bench import (ExperimentSpec, ReferenceSolveError, SolverSpec,
+from mixedgrad.bench import (ExperimentSpec, ReferenceSolveError,
                              compute_reference_optimum, fit_slope,
                              gen_synthetic, read_trace_csv, run_experiment,
                              write_trace_csv)
 import mixedgrad.bench
-from mixedgrad.core import (DivergenceError, MixedGradConfig, RunTrace,
-                            TraceRecord)
+from mixedgrad.core import DivergenceError, MixedGradConfig, TraceRecord
 from mixedgrad.geometry import project_ball
 from mixedgrad.oracle import OracleCounters
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
@@ -46,7 +45,7 @@ class TestReferenceOptimum:
     def test_interior_quadratic(self):
         # (w - a)^2 with |a| < R: optimum at a
         ds = Dataset(np.array([[1.0]]), np.array([0.4]))
-        inst = ProblemInstance.create(ds, LEAST_SQUARES, 1.0)
+        inst = ProblemInstance(ds, LEAST_SQUARES, 1.0)
         w_star, g_star = compute_reference_optimum(inst, 1e-10)
         assert w_star[0] == pytest.approx(0.4, abs=1e-8)
         assert g_star <= 1e-15
@@ -54,7 +53,7 @@ class TestReferenceOptimum:
     def test_boundary_solution(self):
         # a = 2 outside the unit ball: constrained optimum at +1
         ds = Dataset(np.array([[1.0]]), np.array([2.0]))
-        inst = ProblemInstance.create(ds, LEAST_SQUARES, 1.0)
+        inst = ProblemInstance(ds, LEAST_SQUARES, 1.0)
         w_star, g_star = compute_reference_optimum(inst, 1e-10)
         assert w_star[0] == pytest.approx(1.0, abs=1e-8)
         assert g_star == pytest.approx(1.0, abs=1e-7)
@@ -145,6 +144,14 @@ class TestFitSlope:
         with pytest.raises(ValueError):
             fit_slope(recs, "x", "error")
 
+    def test_rejects_missing_field(self):
+        recs = power_law_records(100.0, -1.0, [10, 20, 40, 80])
+        with pytest.raises(ValueError, match="no field 'y'"):
+            fit_slope(recs, "y", "error")
+        with pytest.raises(ValueError, match="no field 'gap'"):
+            fit_slope([TraceRecord(1, t, t, 1, 1.0, 1.0) for t in range(4)],
+                      "step", "gap")
+
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             fit_slope(power_law_records(1.0, -1.0, [1, 2, 4]), "x", "error")
@@ -159,9 +166,8 @@ class TestFitSlope:
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
-        trace = RunTrace()
-        trace.append(TraceRecord(1, 10, 10, 1, 0.5, 0.25))
-        trace.append(TraceRecord(2, 40, 50, 2, 0.125, 0.0625))
+        trace = [TraceRecord(1, 10, 10, 1, 0.5, 0.25),
+                 TraceRecord(2, 40, 50, 2, 0.125, 0.0625)]
         path = tmp_path / "t.csv"
         write_trace_csv(path, "mixedgrad", 3, trace)
         rows = read_trace_csv(path)
@@ -182,9 +188,7 @@ class TestRunExperiment:
                                  t1=8, epochs=3, lambda1=0.1,
                                  checkpoint_stride=1000)
         gd_cfg = BaselineConfig("gd", 20, checkpoint_stride=5)
-        spec = ExperimentSpec(instance,
-                              [SolverSpec("mixedgrad", mg_cfg),
-                               SolverSpec("gd", gd_cfg)],
+        spec = ExperimentSpec(instance, [mg_cfg, gd_cfg],
                               seeds=[0, 1, 2], out_dir=tmp_path / "out")
         manifest = run_experiment(spec)
         assert len(manifest["traces"]) == 6
@@ -195,7 +199,7 @@ class TestRunExperiment:
     def test_mixedgrad_counters_in_summary(self, instance, tmp_path):
         mg_cfg = MixedGradConfig(eta1=0.1, delta1=1.0, t1=8, epochs=3,
                                  lambda1=0.1, checkpoint_stride=1000)
-        spec = ExperimentSpec(instance, [SolverSpec("mixedgrad", mg_cfg)],
+        spec = ExperimentSpec(instance, [mg_cfg],
                               seeds=[0], out_dir=tmp_path / "out")
         run_experiment(spec)
         import csv
@@ -210,15 +214,19 @@ class TestRunExperiment:
 
     def test_rejects_empty_seeds(self, instance, tmp_path):
         with pytest.raises(ValueError):
-            ExperimentSpec(instance, [SolverSpec("gd", BaselineConfig("gd", 5))],
+            ExperimentSpec(instance, [BaselineConfig("gd", 5)],
                            seeds=[], out_dir=tmp_path)
+
+    def test_rejects_a_solver_that_is_not_a_config(self, instance, tmp_path):
+        with pytest.raises(TypeError, match="not a solver config"):
+            ExperimentSpec(instance, ["gd"], seeds=[0], out_dir=tmp_path)
 
     @pytest.mark.parametrize("method", ["sgd", "gd", "nag"])
     def test_diverged_baseline_is_recorded(self, method, instance, tmp_path):
         # An infinite step makes the first iterate non-finite; the run must
         # end as a 'diverged' trace row, not as an exception.
         cfg = BaselineConfig(method, 10, step_scale=math.inf)
-        spec = ExperimentSpec(instance, [SolverSpec(method, cfg)],
+        spec = ExperimentSpec(instance, [cfg],
                               seeds=[0], out_dir=tmp_path / "out")
         manifest = run_experiment(spec)
         rows = read_trace_csv(manifest["traces"][0])
@@ -236,7 +244,7 @@ class TestRunExperiment:
 
     def test_diverged_sgd_keeps_its_counters(self, instance, tmp_path):
         cfg = BaselineConfig("sgd", 10, step_scale=math.inf)
-        spec = ExperimentSpec(instance, [SolverSpec("sgd", cfg)],
+        spec = ExperimentSpec(instance, [cfg],
                               seeds=[0], out_dir=tmp_path / "out")
         manifest = run_experiment(spec)
         row = self.summary_row(manifest)
@@ -249,7 +257,7 @@ class TestRunExperiment:
         # the epoch's full-gradient call and one stochastic call.
         cfg = MixedGradConfig(eta1=math.inf, delta1=1.0, t1=8, epochs=3,
                               lambda1=0.1)
-        spec = ExperimentSpec(instance, [SolverSpec("mixedgrad", cfg)],
+        spec = ExperimentSpec(instance, [cfg],
                               seeds=[0], out_dir=tmp_path / "out")
         manifest = run_experiment(spec)
         row = self.summary_row(manifest)
@@ -263,8 +271,7 @@ class TestRunExperiment:
                                               monkeypatch):
         def diverges_after_a_checkpoint(inst, config, seed, reference_value):
             counters = OracleCounters(100, 1)
-            trace = RunTrace()
-            trace.append(TraceRecord(1, 100, 100, 1, 0.5, 0.25))
+            trace = [TraceRecord(1, 100, 100, 1, 0.5, 0.25)]
             counters.stochastic_calls += 7
             raise DivergenceError("non-finite iterate", counters, trace)
 
@@ -272,7 +279,7 @@ class TestRunExperiment:
                             diverges_after_a_checkpoint)
         cfg = MixedGradConfig(eta1=0.1, delta1=1.0, t1=8, epochs=3,
                               lambda1=0.1)
-        spec = ExperimentSpec(instance, [SolverSpec("mixedgrad", cfg)],
+        spec = ExperimentSpec(instance, [cfg],
                               seeds=[0], out_dir=tmp_path / "out")
         manifest = run_experiment(spec)
         rows = read_trace_csv(manifest["traces"][0])

@@ -5,7 +5,7 @@ import pytest
 
 from mixedgrad.bench import write_trace_csv
 from mixedgrad.cli import main
-from mixedgrad.core import RunTrace, TraceRecord
+from mixedgrad.core import TraceRecord
 from mixedgrad.losses import load_dataset_csv
 
 
@@ -172,8 +172,8 @@ def test_bad_csv_is_an_argparse_error(content, message, tmp_path, capsys):
 def test_fit_on_too_short_a_trace_is_an_argparse_error(points, tmp_path,
                                                         capsys):
     path = tmp_path / "trace.csv"
-    trace = RunTrace([TraceRecord(1, t, 10 * t, 1, 1.0, 1.0 / t)
-                      for t in range(1, points + 1)])
+    trace = [TraceRecord(1, t, 10 * t, 1, 1.0, 1.0 / t)
+             for t in range(1, points + 1)]
     write_trace_csv(path, "gd", 0, trace)
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--trace", str(path)])
@@ -187,3 +187,43 @@ def test_fit_on_a_missing_trace_is_an_argparse_error(tmp_path, capsys):
         main(["fit", "--trace", str(tmp_path / "missing.csv")])
     assert exc.value.code == 2
     assert "No such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--x-field", "nosuch"], "records have no field 'nosuch'"),
+    (["--error-field", "nosuch"], "records have no field 'nosuch'"),
+    (["--skip-head", "-6"], "skip_head must be >= 0"),
+])
+def test_bad_fit_flags_are_an_argparse_error(flags, message, tmp_path,
+                                             capsys):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, "gd", 0, [TraceRecord(1, t, 10 * t, 1, 1.0, 1.0 / t)
+                                    for t in range(1, 9)])
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--trace", str(path), *flags])
+    assert exc.value.code == 2
+    assert f"bench fit: error: {message}" in capsys.readouterr().err
+
+
+def test_fit_on_a_csv_without_the_trace_header_is_an_argparse_error(
+        tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    main(["gen", "--n", "10", "--d", "2", "--out", str(data)])
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--trace", str(data)])
+    assert exc.value.code == 2
+    assert "is not a trace CSV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [(), ("results",)])
+def test_run_out_naming_an_existing_file_is_an_argparse_error(below,
+                                                               tmp_path,
+                                                               capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--n", "10", "--d", "2",
+              "--out", str(afile.joinpath(*below))])
+    assert exc.value.code == 2
+    assert f"{afile} is an existing file" in capsys.readouterr().err
+    assert afile.read_text() == ""

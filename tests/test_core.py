@@ -19,9 +19,9 @@ from mixedgrad.oracle import (INDEX_BLOCK, OracleCounters, SeededSampler,
 
 
 def make_instance(X, y, radius=1.0):
-    return ProblemInstance.create(Dataset(np.asarray(X, float),
-                                          np.asarray(y, float)),
-                                  LEAST_SQUARES, radius)
+    return ProblemInstance(Dataset(np.asarray(X, float),
+                                   np.asarray(y, float)),
+                           LEAST_SQUARES, radius)
 
 
 def random_instance(n=12, d=4, seed=0, radius=1.0):
@@ -72,7 +72,7 @@ class TestVrGradient:
                 X = rng.standard_normal((30, d))
                 y = (rng.standard_normal(30) if kind == LEAST_SQUARES
                      else np.where(rng.standard_normal(30) >= 0, 1.0, -1.0))
-                inst = ProblemInstance.create(Dataset(X, y), kind, 100.0)
+                inst = ProblemInstance(Dataset(X, y), kind, 100.0)
                 eta = 0.5 / inst.smoothness
                 for scale in (0.1, 1.0, 3.0):
                     anchor = scale * rng.standard_normal(d)
@@ -250,7 +250,7 @@ class TestRunEpochMatchesReference:
         X = rng.integers(-4, 5, (16, 4)) / 4.0
         y = (rng.integers(-8, 9, 16) / 4.0 if kind == LEAST_SQUARES
              else np.where(rng.integers(0, 2, 16) == 1, 1.0, -1.0))
-        inst = ProblemInstance.create(Dataset(X, y), kind, radius)
+        inst = ProblemInstance(Dataset(X, y), kind, radius)
         anchor = np.array(anchor)
         lam = 0.1 * inst.smoothness
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
@@ -273,7 +273,7 @@ class TestRunEpochMatchesReference:
         X = rng.standard_normal((16, 10))
         y = (rng.standard_normal(16) if kind == LEAST_SQUARES
              else np.where(rng.standard_normal(16) >= 0, 1.0, -1.0))
-        inst = ProblemInstance.create(Dataset(X, y), kind, radius)
+        inst = ProblemInstance(Dataset(X, y), kind, radius)
         anchor = rng.standard_normal(10)
         anchor *= 0.8 * min(radius, 1.0) / np.linalg.norm(anchor)
         lam = 0.1 * inst.smoothness
@@ -291,7 +291,7 @@ class TestRunEpochMatchesReference:
         # n = 1: the variance-reduced gradient is the exact gradient of
         # the regularized epoch objective, so the epoch is projected
         # gradient descent on it.
-        inst = ProblemInstance.create(
+        inst = ProblemInstance(
             Dataset(np.array([[1.0, 2.0]]), np.array([1.0])), kind, 2.0)
         anchor = np.array([0.1, 0.2])
         lam, eta, delta, T = 0.3, 0.5 / inst.smoothness, 0.5, 50

@@ -12,8 +12,8 @@ from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
 
 
 def make_instance(X, y, kind, radius=1.0):
-    return ProblemInstance.create(Dataset(np.asarray(X, float),
-                                          np.asarray(y, float)), kind, radius)
+    return ProblemInstance(Dataset(np.asarray(X, float),
+                                   np.asarray(y, float)), kind, radius)
 
 
 class TestLossValue:
@@ -157,8 +157,11 @@ class TestValidation:
             Dataset(np.zeros((0, 2)), np.zeros(0))
 
     def test_smoothness_must_match_dataset(self):
+        # beta is derived from the dataset; it cannot be passed in.
         ds = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(ValueError):
+        assert ProblemInstance(ds, LEAST_SQUARES, 1.0).smoothness \
+            == smoothness_constant(ds, LEAST_SQUARES) == 2.0
+        with pytest.raises(TypeError):
             ProblemInstance(ds, LEAST_SQUARES, 1.0, 3.0)
 
 

@@ -9,7 +9,7 @@ from mixedgrad.oracle import (INDEX_BLOCK, OracleCounters, SeededSampler,
 
 def make_instance(n=5, d=3, seed=0):
     rng = np.random.default_rng(seed)
-    return ProblemInstance.create(
+    return ProblemInstance(
         Dataset(rng.standard_normal((n, d)), rng.standard_normal(n)),
         LEAST_SQUARES, 1.0)
 
