@@ -33,6 +33,14 @@ SUMMARY_COLUMNS = ["solver", "seed", "final_error", "stoch_calls",
 ERROR_FLOOR = 1e-14
 
 
+def _check_seeds(seeds) -> None:
+    """Philox takes only nonnegative integer seeds."""
+    bad = [s for s in seeds if not isinstance(s, (int, np.integer)) or s < 0]
+    if bad:
+        raise ValueError(f"seeds must be nonnegative integers, got "
+                         f"{', '.join(map(repr, bad))}")
+
+
 def gen_synthetic(seed: int, n: int, d: int, noise_sd: float,
                   loss_kind: str, radius: float) -> ProblemInstance:
     """Synthetic instance with unit-norm feature rows and a planted
@@ -41,6 +49,7 @@ def gen_synthetic(seed: int, n: int, d: int, noise_sd: float,
     Least-squares labels are <w0, x_i> + noise; logistic labels are the
     sign of the same quantity. Deterministic per seed.
     """
+    _check_seeds([seed])
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     if noise_sd < 0:
@@ -60,6 +69,12 @@ def gen_synthetic(seed: int, n: int, d: int, noise_sd: float,
     return ProblemInstance(Dataset(X, y), loss_kind, radius)
 
 
+# The reference solve's certificate costs a full gradient, as much as a
+# step, so it is checked only on every RESIDUAL_INTERVAL-th iterate (and
+# on the last one before the iteration cap).
+RESIDUAL_INTERVAL = 10
+
+
 class ReferenceSolveError(RuntimeError):
     """The reference solve hit its iteration cap."""
 
@@ -68,12 +83,13 @@ def compute_reference_optimum(instance: ProblemInstance, tolerance: float,
                               max_iterations: int = 10 ** 6
                               ) -> tuple[np.ndarray, float]:
     """High-precision constrained optimum via accelerated projected
-    gradient with uncounted gradients.
+    gradient with gradient restart and uncounted gradients.
 
-    Returns the first iterate whose projected-gradient residual (the
-    fixed-point gap of a step-1/beta projected gradient step) is below the
-    tolerance; that residual is the first-order certificate. Raises
-    ReferenceSolveError if no iterate within max_iterations reaches it.
+    The certificate is the projected-gradient residual (the fixed-point gap
+    of a step-1/beta projected gradient step), checked on every
+    RESIDUAL_INTERVAL-th iterate and on iterate max_iterations. Returns the
+    first checked iterate whose residual is below the tolerance. Raises
+    ReferenceSolveError if no checked iterate reaches it.
     """
     if not 0 < tolerance <= 1e-6:
         raise ValueError("tolerance must lie in (0, 1e-6]")
@@ -83,14 +99,18 @@ def compute_reference_optimum(instance: ProblemInstance, tolerance: float,
     eta = 1.0 / instance.smoothness
     iterates = _projected_gradient(lambda y: mean_gradient(instance, y),
                                    lambda v: project_ball(v, R),
-                                   np.zeros(instance.d), eta, accelerated=True)
-    for w in islice(iterates, max_iterations):
+                                   np.zeros(instance.d), eta,
+                                   accelerated=True, restart=True)
+    for t, w in enumerate(islice(iterates, max_iterations), 1):
+        if t % RESIDUAL_INTERVAL and t < max_iterations:
+            continue
         residual = float(np.linalg.norm(
             w - project_ball(w - eta * mean_gradient(instance, w), R)))
         if residual < tolerance:
             return w, full_objective(instance, w)
     raise ReferenceSolveError(
-        f"reference solve did not reach tolerance {tolerance} within "
+        f"reference solve did not reach tolerance {tolerance} on any checked "
+        f"iterate (every {RESIDUAL_INTERVAL}th and the last) within "
         f"{max_iterations} iterations")
 
 
@@ -149,6 +169,21 @@ def fit_slope(records, x_field: str, error_field: str,
 SolverConfig = MixedGradConfig | baselines.BaselineConfig
 
 
+def _run_name(config: SolverConfig) -> str:
+    """A run is named "mixedgrad" for a MixedGradConfig and after the
+    baseline's method otherwise; it names the run's trace file."""
+    return ("mixedgrad" if isinstance(config, MixedGradConfig)
+            else config.method)
+
+
+def _reject_repeats(what: str, values) -> None:
+    """Two runs with the same name and seed would write one trace file."""
+    repeated = sorted({v for v in values if values.count(v) > 1}, key=str)
+    if repeated:
+        raise ValueError(f"repeated {what}: "
+                         f"{', '.join(map(str, repeated))}")
+
+
 @dataclass
 class ExperimentSpec:
     instance: ProblemInstance
@@ -163,8 +198,12 @@ class ExperimentSpec:
         for config in self.solvers:
             if not isinstance(config, SolverConfig):
                 raise TypeError(f"not a solver config: {config!r}")
+        _reject_repeats("solver run name",
+                        [_run_name(config) for config in self.solvers])
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
+        _check_seeds(self.seeds)
+        _reject_repeats("seed", self.seeds)
         if not 0 < self.reference_tolerance <= 1e-6:
             raise ValueError("reference tolerance must lie in (0, 1e-6]")
         self.out_dir = Path(self.out_dir)
@@ -225,9 +264,8 @@ def _run_one(instance: ProblemInstance, config: SolverConfig, seed: int,
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Run every (solver, seed) pair, writing one trace CSV per run plus an
-    aggregate summary CSV. A run is named "mixedgrad" for a MixedGradConfig
-    and after the baseline's method otherwise.
+    """Run every (solver, seed) pair, writing one trace CSV per run (named
+    by _run_name and the seed) plus an aggregate summary CSV.
 
     A diverging run keeps the oracle counters and trace records it had
     reached; its trace ends in a 'diverged' row carrying those counters,
@@ -240,8 +278,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     trace_paths = []
     summary_rows = []
     for config in spec.solvers:
-        name = ("mixedgrad" if isinstance(config, MixedGradConfig)
-                else config.method)
+        name = _run_name(config)
         for seed in spec.seeds:
             t0 = time.perf_counter()
             try:

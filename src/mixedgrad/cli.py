@@ -150,7 +150,10 @@ def main(argv=None) -> int:
 
     if args.command == "gen":
         instance = _instance_from_args(args, p_gen)
-        save_dataset_csv(instance.dataset, args.out)
+        try:
+            save_dataset_csv(instance.dataset, args.out)
+        except OSError as exc:
+            p_gen.error(f"--out {args.out}: {exc.strerror}")
         print(f"wrote {instance.n} x {instance.d} {args.loss} dataset to {args.out}")
         return 0
 

@@ -282,7 +282,7 @@ def shrink_schedule(state: EpochState, gamma: float, w_tilde: np.ndarray,
 
 
 def _projected_gradient(grad, project, w: np.ndarray, eta: float,
-                        accelerated: bool = False):
+                        accelerated: bool = False, restart: bool = False):
     """Projected gradient iterates w_t = project(y_t - eta * grad(y_t)),
     t = 1, 2, ..., without end: each caller bounds and stops them.
 
@@ -291,6 +291,11 @@ def _projected_gradient(grad, project, w: np.ndarray, eta: float,
     theta_1 = 1, theta_{t+1} = (1 + sqrt(1 + 4 theta_t^2)) / 2 and
     w_{-1} = w_0 (so the first step is a plain one). A non-finite point
     raises DivergenceError, without counters or trace, before projection.
+
+    With restart (accelerated only; used by the reference solve alone,
+    never by run_nag) the momentum is reset by the gradient rule of
+    O'Donoghue and Candes: whenever (y_t - w_t) . (w_t - w_{t-1}) > 0,
+    theta is set back to 1, so the next extrapolated point is w_t itself.
     """
     w_prev = w
     theta_prev = 1.0
@@ -304,6 +309,8 @@ def _projected_gradient(grad, project, w: np.ndarray, eta: float,
         if not np.isfinite(v).all():
             raise DivergenceError(f"non-finite iterate at step {t}")
         w_prev, w = w, project(v)
+        if restart and (y - w).dot(w - w_prev) > 0:
+            theta_prev = 1.0
         yield w
 
 

@@ -36,6 +36,10 @@ class TestGenSynthetic:
         inst = gen_synthetic(1, 30, 5, 0.2, LOGISTIC, 1.0)
         assert set(np.unique(inst.dataset.labels)) <= {-1.0, 1.0}
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="nonnegative integers, got -1"):
+            gen_synthetic(-1, 10, 3, 0.0, LEAST_SQUARES, 1.0)
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             gen_synthetic(0, 0, 3, 0.0, LEAST_SQUARES, 1.0)
@@ -63,6 +67,13 @@ class TestReferenceOptimum:
         with pytest.raises(ValueError):
             compute_reference_optimum(inst, 1e-3)
 
+    def test_last_iterate_before_the_cap_is_checked(self):
+        # beta = 2, so the first step lands on the optimum 0.4 exactly.
+        ds = Dataset(np.array([[1.0]]), np.array([0.4]))
+        inst = ProblemInstance(ds, LEAST_SQUARES, 1.0)
+        w_star, _ = compute_reference_optimum(inst, 1e-10, max_iterations=1)
+        assert w_star[0] == 0.4
+
     def test_iteration_cap_reported(self):
         inst = gen_synthetic(0, 10, 3, 0.0, LEAST_SQUARES, 1.0)
         with pytest.raises(ReferenceSolveError):
@@ -74,25 +85,53 @@ class TestReferenceOptimum:
             compute_reference_optimum(inst, 1e-10, max_iterations=0)
 
 
-def reference_solve(inst, tolerance):
+def residual(inst, w):
+    """The reference solve's certificate: the gap of one step-1/beta
+    projected gradient step from w."""
+    R = inst.domain_radius
+    eta = 1.0 / inst.smoothness
+    return float(np.linalg.norm(
+        w - project_ball(w - eta * mean_gradient(inst, w), R)))
+
+
+def reference_solve(inst, tolerance, max_iterations=10 ** 6):
     """The reference solve written plainly: Nesterov's accelerated
-    projected gradient until the projected-gradient residual is below
-    tolerance. Returns (point, value, iterations)."""
+    projected gradient whose momentum restarts (theta back to 1) whenever
+    (y - w) . (w - w_prev) > 0, until the projected-gradient residual,
+    checked on every 10th iterate and the last, is below tolerance.
+    Returns (point, value, iterations)."""
     R = inst.domain_radius
     eta = 1.0 / inst.smoothness
     w = np.zeros(inst.d)
     w_prev = w.copy()
     theta_prev = 1.0
-    for k in range(1, 10 ** 6 + 1):
+    for k in range(1, max_iterations + 1):
+        theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
+        y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
+        w_prev, w = w, project_ball(y - eta * mean_gradient(inst, y), R)
+        theta_prev = 1.0 if (y - w).dot(w - w_prev) > 0 else theta
+        checked = k % 10 == 0 or k == max_iterations
+        if checked and residual(inst, w) < tolerance:
+            return w, full_objective(inst, w), k
+    raise AssertionError("reference solve did not converge")
+
+
+def plain_reference_solve(inst, tolerance):
+    """The earlier reference solve: plain Nesterov momentum, with the
+    residual checked on every iterate. Returns (point, value)."""
+    R = inst.domain_radius
+    eta = 1.0 / inst.smoothness
+    w = np.zeros(inst.d)
+    w_prev = w.copy()
+    theta_prev = 1.0
+    for _ in range(10 ** 6):
         theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
         y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
         w_prev, w = w, project_ball(y - eta * mean_gradient(inst, y), R)
         theta_prev = theta
-        residual = float(np.linalg.norm(
-            w - project_ball(w - eta * mean_gradient(inst, w), R)))
-        if residual < tolerance:
-            return w, full_objective(inst, w), k
-    raise AssertionError("reference solve did not converge")
+        if residual(inst, w) < tolerance:
+            return w, full_objective(inst, w)
+    raise AssertionError("plain reference solve did not converge")
 
 
 class TestReferenceOptimumMatchesReference:
@@ -108,6 +147,29 @@ class TestReferenceOptimumMatchesReference:
         assert g_star == ref_value
         if radius == 0.2:
             assert np.linalg.norm(w_star) == pytest.approx(0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, radius, noise", [
+        (LEAST_SQUARES, 0.2, 0.3), (LOGISTIC, 0.2, 0.3),
+        (LEAST_SQUARES, 1.0, 0.3), (LOGISTIC, 1.0, 0.3),
+        (LEAST_SQUARES, 1.0, 0.0)])
+    def test_agrees_with_plain_momentum(self, kind, radius, noise):
+        # Restart changes the path, not the optimum it certifies: values
+        # agree to 4 ulp, or to 1e-18 where the optimum is 0 (no noise).
+        inst = gen_synthetic(2, 40, 5, noise, kind, radius)
+        w_star, g_star = compute_reference_optimum(inst, 1e-10)
+        _, plain_value = plain_reference_solve(inst, 1e-10)
+        assert abs(g_star - plain_value) <= max(4 * math.ulp(plain_value),
+                                                1e-18)
+        assert residual(inst, w_star) < 1e-10
+
+    def test_gradient_calls_are_bounded(self, monkeypatch):
+        # Plain momentum with a residual on every iterate made 1,450 calls.
+        inst = gen_synthetic(0, 200, 20, 0.0, LEAST_SQUARES, 1.0)
+        calls = []
+        monkeypatch.setattr(mixedgrad.bench, "mean_gradient",
+                            lambda *a: calls.append(1) or mean_gradient(*a))
+        compute_reference_optimum(inst, 1e-10)
+        assert len(calls) <= 160
 
 
 def power_law_records(coef, power, xs):
@@ -211,6 +273,27 @@ class TestRunExperiment:
     def test_rejects_empty_solver_list(self, instance, tmp_path):
         with pytest.raises(ValueError):
             ExperimentSpec(instance, [], seeds=[0], out_dir=tmp_path)
+
+    @pytest.mark.parametrize("seeds, shown", [([0, -1], "-1"),
+                                              ([0, 1.0], "1.0"),
+                                              (["2"], "'2'")])
+    def test_rejects_seeds_that_are_not_nonnegative_integers(
+            self, seeds, shown, instance, tmp_path):
+        with pytest.raises(ValueError, match=f"got {shown}$"):
+            ExperimentSpec(instance, [BaselineConfig("gd", 5)], seeds=seeds,
+                           out_dir=tmp_path)
+
+    def test_rejects_repeated_seeds(self, instance, tmp_path):
+        with pytest.raises(ValueError, match="repeated seed: 3$"):
+            ExperimentSpec(instance, [BaselineConfig("gd", 5)],
+                           seeds=[3, 0, 3], out_dir=tmp_path)
+
+    def test_rejects_two_solvers_with_one_run_name(self, instance, tmp_path):
+        # Both runs would write trace_gd_seed0.csv.
+        configs = [BaselineConfig("gd", 5), BaselineConfig("nag", 5),
+                   BaselineConfig("gd", 9)]
+        with pytest.raises(ValueError, match="repeated solver run name: gd$"):
+            ExperimentSpec(instance, configs, seeds=[0], out_dir=tmp_path)
 
     def test_rejects_empty_seeds(self, instance, tmp_path):
         with pytest.raises(ValueError):

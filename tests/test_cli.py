@@ -227,3 +227,45 @@ def test_run_out_naming_an_existing_file_is_an_argparse_error(below,
     assert exc.value.code == 2
     assert f"{afile} is an existing file" in capsys.readouterr().err
     assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize("below, message", [((), "Is a directory"),
+                                            (("nodir", "x.csv"),
+                                             "No such file or directory")])
+def test_gen_out_naming_no_writable_file_is_an_argparse_error(
+        below, message, tmp_path, capsys):
+    out = tmp_path.joinpath(*below)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "10", "--d", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"bench gen: error: --out {out}: {message}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeds", [["0", "-1"], ["-1"]])
+def test_negative_seed_is_an_argparse_error(seeds, tmp_path, capsys):
+    flags = [flag for seed in seeds for flag in ("--seed", seed)]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--n", "10", "--d", "2", *flags,
+              "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    assert ("bench run: error: seeds must be nonnegative integers, got -1"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "0", "--seed", "0"], "repeated seed: 0"),
+    (["--solver", "gd:iterations=5", "--solver", "gd:iterations=9"],
+     "repeated solver run name: gd"),
+])
+def test_duplicate_runs_are_an_argparse_error(flags, message, tmp_path,
+                                              capsys):
+    # Either pair of runs would write one trace file twice.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--n", "10", "--d", "2", *flags,
+              "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    assert f"bench run: error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
