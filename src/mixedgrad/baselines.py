@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import (DivergenceError, SolverResult, TraceRecord,
+from .core import (DivergenceError, SolverResult, TraceRecord, _check_counts,
                    _projected_gradient)
 from .geometry import _norm, project_ball
 from .losses import ProblemInstance, _loss_derivative, full_objective
@@ -49,14 +49,11 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _check_counts(self, ("iterations", "checkpoint_stride"))
         if self.step_rule not in (CONSTANT, INV_SQRT_T):
             raise ValueError(f"unknown step rule: {self.step_rule!r}")
         if self.step_scale is not None and not self.step_scale > 0:
             raise ValueError("step scale must be positive")
-        if self.checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be >= 1")
 
 
 def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarray,
@@ -70,8 +67,9 @@ def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarr
 
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             reference_value: float | None = None) -> SolverResult:
-    """Projected SGD with step c/sqrt(t) (or constant c); its point is the
-    uniform iterate average when averaging is on, else the last iterate."""
+    """Projected SGD with step c/sqrt(t) (or constant c); its point (and
+    each checkpoint's) is the iterates' running sum over their count when
+    averaging is on, else the last iterate."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
     R = instance.domain_radius
@@ -86,8 +84,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     kind = instance.loss_kind
     constant = config.step_rule == CONSTANT
     w = np.zeros(instance.d)
-    mean = w.copy()
-    count = 1.0                # a float: dividing by it is cheaper, same bits
+    total = w.copy()           # sum of the iterates seen so far
     indices = sample_losses(sampler, counters, instance.n, config.iterations)
     for t, i in enumerate(indices, 1):
         # loss_grad and project_ball written out: ||v||^2 is taken once
@@ -108,12 +105,11 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
                                           counters, trace)
                 v_norm = _norm(v)
             w = v * (R / v_norm)
-        count += 1.0
-        mean += (w - mean) / count
+        total += w
         if t % config.checkpoint_stride == 0 or t == config.iterations:
-            point = mean if config.averaging else w
+            point = total / (t + 1.0) if config.averaging else w
             _checkpoint(trace, instance, point, t, counters, reference_value)
-    return SolverResult(mean if config.averaging else w, trace, counters)
+    return SolverResult(point, trace, counters)  # as checkpointed at step T
 
 
 def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,

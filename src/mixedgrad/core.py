@@ -11,10 +11,10 @@ budget after m epochs is their sum, which is T1 * (gamma^{2m} - 1) /
 for gamma = 2).
 
 run_epoch is the one inner-step path, and the tests check the
-variance-reduction invariants on it. It reuses each step's arithmetic: the
-fast-path norms feed geometry's projection kernel, and w + anchor is carried
-to the next step. Each epoch's summary counts the steps that left the fast
-path, by projection branch.
+variance-reduction invariants on it. Its correction grad g_i(w + anchor) -
+grad g_i(anchor) is one scalar times x_i, from n cached anchor derivatives,
+and its average is the iterates' running sum over their count. Each epoch's
+summary counts the steps that left the fast path, by projection branch.
 """
 
 from __future__ import annotations
@@ -57,6 +57,14 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+def _check_counts(config, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MixedGradConfig:
     eta1: float                # first-epoch step size
@@ -70,8 +78,7 @@ class MixedGradConfig:
     def __post_init__(self):
         if not (self.eta1 > 0 and self.delta1 > 0 and self.lambda1 > 0):
             raise ValueError("eta1, delta1, lambda1 must be positive")
-        if self.t1 < 1 or self.epochs < 1 or self.checkpoint_stride < 1:
-            raise ValueError("t1, epochs, checkpoint_stride must be >= 1")
+        _check_counts(self, ("t1", "epochs", "checkpoint_stride"))
         if not self.gamma > 1:
             raise ValueError("gamma must exceed 1")
 
@@ -176,19 +183,19 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
               ) -> tuple[np.ndarray, float, ProjectionCounts]:
     """One epoch of inner stochastic steps starting from 0.
 
-    Returns the uniform average over the inner_iters + 1 iterates, the
-    largest squared norm of (gradient correction + lam * w) seen, a
+    Returns the sum of the inner_iters + 1 iterates over inner_iters + 1,
+    the largest squared norm of (gradient correction + lam * w) seen, a
     diagnostic for the bounded-step property, and the steps that left the
     projection fast path, counted by branch. Checkpoints are appended to
     the trace every checkpoint_stride steps; their objective evaluations
     do not touch the oracle counters.
 
-    Each step is w <- P_domain(w - eta * (anchor_grad + ((grad g_i(w +
-    anchor) - grad g_i(anchor)) + lam * w))), written out to reuse its own
-    arithmetic: w + anchor is carried from step to step (the margin operand
-    and the checkpoint point), and the fast-path norms feed the projection
-    kernel. Anchor and step margins are both row dots, so at w = 0 the
-    correction is exactly 0.
+    Each step is w <- P_domain(w - eta * (anchor_grad + c * x_i + lam * w)),
+    where c * x_i = grad g_i(w + anchor) - grad g_i(anchor), c the difference
+    of the loss derivatives at the two margins; the n anchor ones are cached
+    (O(n) memory). w + anchor is carried from step to step (margin operand
+    and checkpoint point), and the fast-path norms feed the projection
+    kernel. Both margins are row dots, so at w = 0 the correction is 0.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
@@ -201,27 +208,25 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     delta = state.delta
     R = instance.domain_radius
     domain = EpochDomain(anchor, R, delta)
-    n = instance.n
     X = instance.dataset.features
     y = instance.dataset.labels
     kind = instance.loss_kind
 
-    # Per-example gradients at the anchor are fixed for the whole epoch;
-    # cache them once (pure caching, no extra oracle access). vecdot rounds
-    # each margin as the step's row dot does; X @ anchor may not.
-    anchor_rows = _loss_derivatives(y, np.vecdot(X, anchor), kind)[:, None] * X
+    # The anchor's loss derivatives are fixed for the epoch: cached once (no
+    # oracle access), in a list, which indexes faster. vecdot rounds each
+    # margin as the step's row dot does; X @ anchor may not.
+    d_anchor = _loss_derivatives(y, np.vecdot(X, anchor), kind).tolist()
 
     w = np.zeros(instance.d)
     w_anchor = w + anchor
-    mean = w.copy()            # running mean over iterates seen so far
-    count = 1.0                # a float: dividing by it is cheaper, same bits
+    total = w.copy()           # sum of the iterates seen so far
     max_step_sq = 0.0
     branches = [0, 0, 0]       # projection-branch tally, by INNER/OUTER/BOTH
-    indices = sample_losses(sampler, counters, n, T)
+    indices = sample_losses(sampler, counters, instance.n, T)
     for t, i in enumerate(indices, 1):
         x = X[i]
-        coef = _loss_derivative(y[i], float(w_anchor.dot(x)), kind)
-        step_vec = (coef * x - anchor_rows[i]) + lam * w
+        c = _loss_derivative(y[i], float(w_anchor.dot(x)), kind) - d_anchor[i]
+        step_vec = c * x + lam * w
         step_sq = step_vec.dot(step_vec)
         if step_sq > max_step_sq:
             max_step_sq = step_sq
@@ -247,8 +252,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
             w, branch = _project_two_balls(v, v_norm, u, u_norm, domain)
             branches[branch] += 1
             w_anchor = w + anchor
-        count += 1.0
-        mean += (w - mean) / count
+        total += w
         if trace is not None and t % checkpoint_stride == 0:
             obj = full_objective(instance, w_anchor)
             err = obj - reference_value if reference_value is not None else math.nan
@@ -257,7 +261,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
                                      counters.full_calls, obj, err))
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])
-    return mean, float(max_step_sq), projections
+    return total / (T + 1.0), float(max_step_sq), projections
 
 
 def shrink_schedule(state: EpochState, gamma: float, w_tilde: np.ndarray,

@@ -73,7 +73,7 @@ def reference_sgd(inst, config, seed, counters):
     sampler = SeededSampler(seed)
     c = config.step_scale
     w = np.zeros(inst.d)
-    mean = w.copy()
+    total = w.copy()
     projected = 0
     for t in range(1, config.iterations + 1):
         i = sample_loss(sampler, counters, inst.n)
@@ -83,8 +83,9 @@ def reference_sgd(inst, config, seed, counters):
             raise DivergenceError(f"non-finite iterate at step {t}")
         w = project_ball(v, inst.domain_radius)
         projected += w is not v
-        mean += (w - mean) / (t + 1)
-    return (mean if config.averaging else w), projected
+        total += w
+    T = config.iterations
+    return (total / (T + 1) if config.averaging else w), projected
 
 
 class TestSgdMatchesReference:
@@ -265,6 +266,15 @@ class TestConfig:
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError):
             BaselineConfig("sgd", 0)
+
+    @pytest.mark.parametrize("field", ["iterations", "checkpoint_stride"])
+    @pytest.mark.parametrize("value", [100.0, 1.5, False, "100"])
+    def test_non_integer_count_rejected(self, field, value):
+        counts = dict(iterations=100, checkpoint_stride=10)
+        counts[field] = value
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer >= 1, got "):
+            BaselineConfig("sgd", **counts)
 
     def test_method_mismatch_rejected(self):
         inst = random_instance()

@@ -83,6 +83,26 @@ def test_malformed_solver_spec_is_an_argparse_error(spec, tmp_path, capsys):
     assert f"--solver {spec!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("mixedgrad:t1=8.0,epochs=2", "t1 must be an integer >= 1, got 8.0"),
+    ("mixedgrad:epochs=2.0", "epochs must be an integer >= 1, got 2.0"),
+    ("mixedgrad:checkpoint_stride=true",
+     "checkpoint_stride must be an integer >= 1, got True"),
+    ("sgd:iterations=100.0", "iterations must be an integer >= 1, got 100.0"),
+    ("sgd:iterations=100,checkpoint_stride=1.5",
+     "checkpoint_stride must be an integer >= 1, got 1.5"),
+])
+def test_non_integer_solver_count_is_an_argparse_error(spec, message,
+                                                       tmp_path, capsys):
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", spec, "--n", "20", "--d", "3",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--solver {spec!r}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theory_mode_rejects_options_it_would_ignore(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--solver", "mixedgrad:t1=8,epochs=1,eta1=5",

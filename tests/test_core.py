@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,8 +13,8 @@ from mixedgrad.core import (DivergenceError, EpochState, MixedGradConfig,
 from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
                                 project_ball, project_epoch_domain)
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
-                              ProblemInstance, full_objective, loss_grad,
-                              mean_gradient)
+                              ProblemInstance, _loss_derivative,
+                              full_objective, loss_grad, mean_gradient)
 from mixedgrad.oracle import (INDEX_BLOCK, OracleCounters, SeededSampler,
                               sample_loss)
 
@@ -54,9 +55,13 @@ class TestAnchorGradient:
 
 
 def correction(inst, i, w, anchor):
-    """grad g_i(w + anchor) - grad g_i(anchor): the variance-reduction
-    correction of reference_epoch's step."""
-    return loss_grad(inst, i, w + anchor) - loss_grad(inst, i, anchor)
+    """grad g_i(w + anchor) - grad g_i(anchor), the variance-reduction
+    correction of reference_epoch's step, as one scalar times x_i: the
+    difference of the loss derivatives at the two margins."""
+    x, y = inst.dataset.features[i], inst.dataset.labels[i]
+    kind = inst.loss_kind
+    return (_loss_derivative(y, float((w + anchor) @ x), kind)
+            - _loss_derivative(y, float(anchor @ x), kind)) * x
 
 
 class TestVrGradient:
@@ -86,6 +91,27 @@ class TestVrGradient:
                                                     OracleCounters())
                         assert max_sq == 0.0
                         assert np.array_equal(2 * mean, -(eta * g_k))
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_correction_matches_loss_grad_difference(self, kind):
+        # The scalar form of the correction is the gradient difference up
+        # to rounding: within 4 ulp of the larger of the two gradients'
+        # entries, also when w is small and the difference cancels.
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((30, 10))
+        y = (rng.standard_normal(30) if kind == LEAST_SQUARES
+             else np.where(rng.standard_normal(30) >= 0, 1.0, -1.0))
+        inst = ProblemInstance(Dataset(X, y), kind, 100.0)
+        for scale in (1e-8, 1e-3, 1.0):
+            anchor = rng.standard_normal(10)
+            w = scale * rng.standard_normal(10)
+            for i in range(inst.n):
+                g_wa = loss_grad(inst, i, w + anchor)
+                g_a = loss_grad(inst, i, anchor)
+                larger = np.maximum(np.abs(g_wa), np.abs(g_a))
+                assert np.all(np.abs(correction(inst, i, w, anchor)
+                                     - (g_wa - g_a))
+                              <= 4 * np.spacing(larger))
 
     def test_unbiasedness(self):
         inst = random_instance(n=20, seed=11)
@@ -182,6 +208,24 @@ class TestRunEpoch:
         assert np.linalg.norm(mean) > 0.1
 
 
+    def test_memory_stays_linear_in_n(self):
+        # The anchor cache holds one derivative per example, not one
+        # gradient row: X here is 8 MB, the epoch's peak well under 2 MB.
+        inst = gen_synthetic(0, 20000, 50, 0.5, LEAST_SQUARES, 1.0)
+        anchor = np.full(50, 0.01)
+        lam = 0.05 * inst.smoothness
+        g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
+        state = EpochState(1, anchor, 1.0, lam, 0.5 / inst.smoothness, 500,
+                           g_k)
+        tracemalloc.start()
+        try:
+            run_epoch(inst, state, SeededSampler(0), OracleCounters())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 def projection_branch(v, domain):
     """None when v lies in both balls, else the branch of the two-ball
     projection: INNER when the Delta-ball projection also lies in the
@@ -198,13 +242,14 @@ def projection_branch(v, domain):
 
 
 def reference_epoch(inst, state, sampler, counters):
-    """The epoch written plainly: per step one sample_loss call, two
-    loss_grad calls and a project_epoch_domain call. Returns what
+    """The epoch written plainly: per step one sample_loss call, the
+    correction from two loss derivatives and a project_epoch_domain call;
+    the average is the iterates' sum over their count. Returns what
     run_epoch returns, plus the projection-branch tally."""
     anchor, lam, eta = state.anchor, state.lam, state.eta
     domain = EpochDomain(anchor, inst.domain_radius, state.delta)
     w = np.zeros(inst.d)
-    mean = w.copy()
+    total = w.copy()
     max_step_sq = 0.0
     tally = [0, 0, 0]
     for t in range(1, state.inner_iters + 1):
@@ -216,8 +261,9 @@ def reference_epoch(inst, state, sampler, counters):
         if branch is not None:
             tally[branch] += 1
         w = project_epoch_domain(v, domain)
-        mean += (w - mean) / (t + 1)
-    return mean, max_step_sq, ProjectionCounts(*tally)
+        total += w
+    return (total / (state.inner_iters + 1), max_step_sq,
+            ProjectionCounts(*tally))
 
 
 def assert_matches_reference(inst, state):
@@ -464,6 +510,15 @@ class TestRun:
             run(inst, cfg, seed=0)
         assert exc.value.counters == OracleCounters(1, 1)
         assert len(exc.value.trace) == 0
+
+    @pytest.mark.parametrize("field", ["t1", "epochs", "checkpoint_stride"])
+    @pytest.mark.parametrize("value", [8.0, True, "8", None])
+    def test_non_integer_count_rejected(self, field, value):
+        counts = dict(t1=10, epochs=3, checkpoint_stride=5)
+        counts[field] = value
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer >= 1, got "):
+            MixedGradConfig(eta1=0.1, delta1=1.0, lambda1=1.0, **counts)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
