@@ -18,27 +18,25 @@ def main():
     inst = gen_synthetic(seed=1, n=100, d=8, noise_sd=0.0,
                          loss_kind=LEAST_SQUARES, radius=1.0)
     beta = inst.smoothness
-    t1, gamma, m = 10, 2.0, 6
+    t1, m = 10, 6
     cfg = MixedGradConfig(eta1=1.0 / (2 * beta * math.sqrt(3 * t1)),
-                          delta1=1.0, t1=t1, epochs=m, lambda1=beta,
-                          gamma=gamma)
+                          delta1=1.0, t1=t1, epochs=m, lambda1=beta)
 
-    print(f"schedules for T1={t1}, gamma={gamma:g}, m={m}:\n")
+    print(f"schedules for T1={t1}, gamma={cfg.gamma:g}, m={m}:\n")
     print(f"{'epoch':>5} {'delta_k':>9} {'lambda_k':>9} {'eta_k':>10} "
           f"{'T_k':>8}")
-    delta, lam, eta, t = cfg.delta1, cfg.lambda1, cfg.eta1, cfg.t1
+    delta, lam, eta = cfg.delta1, cfg.lambda1, cfg.eta1
     total = 0
     for k in range(1, m + 1):
+        t = t1 * 4 ** (k - 1)
         print(f"{k:>5} {delta:>9.4f} {lam:>9.4f} {eta:>10.5f} {t:>8}")
         total += t
-        # T_{k+1} = round(T1 gamma^{2k}), from T1 so rounding never compounds
-        delta, lam, eta, t = delta / gamma, lam / gamma, eta / gamma, \
-            round(t1 * gamma ** (2 * k))
+        delta, lam, eta = delta / 2, lam / 2, eta / 2
 
-    closed_form = t1 * (gamma ** (2 * m) - 1) / (gamma ** 2 - 1)
+    closed_form = t1 * (4 ** m - 1) // 3
     print(f"\nstochastic calls, summed:      {total}")
-    print(f"stochastic calls, closed form: {closed_form:.0f}"
-          f"   (T1 (gamma^2m - 1) / (gamma^2 - 1))")
+    print(f"stochastic calls, closed form: {closed_form}"
+          f"   (T1 (4^m - 1) / 3)")
 
     res = run(inst, cfg, seed=0)
     print(f"live counters after a run:     "

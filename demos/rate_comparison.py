@@ -11,7 +11,7 @@ from mixedgrad import (
     compute_reference_optimum, fit_slope, gen_synthetic, run, run_gd,
     run_nag, run_sgd,
 )
-from mixedgrad.baselines import GD, INV_SQRT_T, NAG, SGD
+from mixedgrad.baselines import GD, NAG, SGD
 
 
 def main():
@@ -37,8 +37,7 @@ def main():
     print(f"  slope vs stochastic calls: {f.slope:.2f} (r^2 {f.r_squared:.3f})")
 
     print("\naveraged projected SGD (20000 steps, step 0.05/sqrt(t)):")
-    sgd = run_sgd(inst, BaselineConfig(SGD, 20000, INV_SQRT_T,
-                                       step_scale=0.05,
+    sgd = run_sgd(inst, BaselineConfig(SGD, 20000, step_scale=0.05,
                                        checkpoint_stride=500),
                   seed=0, reference_value=ref_value)
     fs = fit_slope(sgd.trace, "stoch_calls", "error", skip_head=2)

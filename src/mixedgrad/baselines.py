@@ -33,25 +33,18 @@ GD = "gd"
 NAG = "nag"
 METHODS = (SGD, GD, NAG)
 
-CONSTANT = "constant"
-INV_SQRT_T = "inv_sqrt_t"
-
 
 @dataclass(frozen=True)
 class BaselineConfig:
     method: str
     iterations: int
-    step_rule: str = INV_SQRT_T
     step_scale: float | None = None   # c; None picks a per-method default
-    averaging: bool = True
     checkpoint_stride: int = 100
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method!r}")
         _check_counts(self, ("iterations", "checkpoint_stride"))
-        if self.step_rule not in (CONSTANT, INV_SQRT_T):
-            raise ValueError(f"unknown step rule: {self.step_rule!r}")
         if self.step_scale is not None and not self.step_scale > 0:
             raise ValueError("step scale must be positive")
 
@@ -67,9 +60,9 @@ def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarr
 
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             reference_value: float | None = None) -> SolverResult:
-    """Projected SGD with step c/sqrt(t) (or constant c); its point (and
-    each checkpoint's) is the iterates' running sum over their count when
-    averaging is on, else the last iterate."""
+    """Projected SGD with step c/sqrt(t); its point (and each
+    checkpoint's) is the average of the iterates w_0 = 0, ..., w_t, taken
+    as their running sum over their count."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
     R = instance.domain_radius
@@ -82,7 +75,6 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     X = instance.dataset.features
     labels = instance.dataset.labels
     kind = instance.loss_kind
-    constant = config.step_rule == CONSTANT
     w = np.zeros(instance.d)
     total = w.copy()           # sum of the iterates seen so far
     indices = sample_losses(sampler, counters, instance.n, config.iterations)
@@ -91,7 +83,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         # and serves the R-ball test, the projection and the finiteness
         # check, which only a point outside the ball needs; a finite v whose
         # square overflows gets a rescaled norm.
-        eta = c if constant else c / math.sqrt(t)
+        eta = c / math.sqrt(t)
         x = X[i]
         v = w - eta * (_loss_derivative(labels[i], float(w.dot(x)), kind) * x)
         v_sq = v.dot(v)
@@ -107,7 +99,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             w = v * (R / v_norm)
         total += w
         if t % config.checkpoint_stride == 0 or t == config.iterations:
-            point = total / (t + 1.0) if config.averaging else w
+            point = total / (t + 1.0)
             _checkpoint(trace, instance, point, t, counters, reference_value)
     return SolverResult(point, trace, counters)  # as checkpointed at step T
 

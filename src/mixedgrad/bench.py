@@ -34,8 +34,9 @@ ERROR_FLOOR = 1e-14
 
 
 def _check_seeds(seeds) -> None:
-    """Philox takes only nonnegative integer seeds."""
-    bad = [s for s in seeds if not isinstance(s, (int, np.integer)) or s < 0]
+    """Philox takes only nonnegative integer seeds; a bool is not one."""
+    bad = [s for s in seeds if isinstance(s, bool)
+           or not isinstance(s, (int, np.integer)) or s < 0]
     if bad:
         raise ValueError(f"seeds must be nonnegative integers, got "
                          f"{', '.join(map(repr, bad))}")

@@ -31,9 +31,6 @@ def _parse_kv(text: str) -> dict:
         key, _, val = part.partition("=")
         key = key.strip()
         val = val.strip()
-        if val.lower() in ("true", "false"):
-            out[key] = val.lower() == "true"
-            continue
         try:
             out[key] = int(val)
         except ValueError:
@@ -78,7 +75,6 @@ def _build_solver(spec_text: str, args, instance) -> SolverConfig:
             t1=t1,
             epochs=args.epochs,
             lambda1=beta,
-            gamma=args.gamma,
         )
         defaults.update(kv)
         return MixedGradConfig(**defaults)
@@ -131,9 +127,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--t1", type=int, default=None,
                        help="first-epoch steps (default 32); not with "
                        "--theory-mode")
-    p_run.add_argument("--gamma", type=float, default=None,
-                       help="shrink factor (default 2.0); not with "
-                       "--theory-mode")
     p_run.add_argument("--theory-mode", action="store_true")
     p_run.add_argument("--delta", type=float, default=0.01,
                        help="failure probability for theory mode")
@@ -158,13 +151,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
-        given = [f"--{key}" for key in ("t1", "gamma")
-                 if getattr(args, key) is not None]
-        if args.theory_mode and given:
-            p_run.error(f"--theory-mode derives T1 and gamma; it would "
-                        f"ignore: {', '.join(given)}")
+        if args.theory_mode and args.t1 is not None:
+            p_run.error("--theory-mode derives T1; it would ignore: --t1")
         args.t1 = 32 if args.t1 is None else args.t1
-        args.gamma = 2.0 if args.gamma is None else args.gamma
         seeds = args.seed or [0]
         args.seed = seeds
         instance = _instance_from_args(args, p_run)

@@ -1,14 +1,12 @@
 """Epoch-based mixed stochastic/full-gradient solver.
 
 Each epoch recenters the problem at the current anchor, adds an L2 term
-whose weight shrinks by gamma per epoch, computes one exact averaged
-gradient at the anchor, and then runs variance-reduced projected
-stochastic steps inside a domain whose radius also shrinks by gamma.
-The number of inner steps grows by gamma^2 per epoch: epoch k runs
-T_k = round(T1 * gamma^{2(k-1)}) steps (half to even), so the stochastic
-budget after m epochs is their sum, which is T1 * (gamma^{2m} - 1) /
-(gamma^2 - 1) exactly when every T1 * gamma^{2(k-1)} is an integer (as
-for gamma = 2).
+whose weight halves every epoch, computes one exact averaged gradient at
+the anchor, and then runs variance-reduced projected stochastic steps
+inside a domain whose radius also halves (the shrink factor gamma = 2 of
+the paper's Theorem 1). The number of inner steps grows fourfold per
+epoch: epoch k runs T_k = T1 * 4^(k-1) steps, so the stochastic budget
+after m epochs is exactly T1 * (4^m - 1) / 3.
 
 run_epoch is the one inner-step path, and the tests check the
 variance-reduction invariants on it. Its correction grad g_i(w + anchor) -
@@ -22,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -72,21 +70,20 @@ class MixedGradConfig:
     t1: int                    # first-epoch inner iteration count
     epochs: int                # number of epochs m
     lambda1: float             # first-epoch regularization weight
-    gamma: float = 2.0         # per-epoch shrink factor
     checkpoint_stride: int = 100
+    gamma: ClassVar[float] = 2.0   # per-epoch shrink factor, fixed
 
     def __post_init__(self):
         if not (self.eta1 > 0 and self.delta1 > 0 and self.lambda1 > 0):
             raise ValueError("eta1, delta1, lambda1 must be positive")
         _check_counts(self, ("t1", "epochs", "checkpoint_stride"))
-        if not self.gamma > 1:
-            raise ValueError("gamma must exceed 1")
 
 
 def theory_params(beta: float, radius: float, failure_prob: float,
                   epochs: int) -> MixedGradConfig:
-    """Config from the high-probability analysis: gamma=2, lambda1=16*beta,
-    Delta1=R, T1=ceil(300 ln(m/delta)), eta1=1/(2 beta sqrt(3 T1))."""
+    """Config from the high-probability analysis: lambda1=16*beta,
+    Delta1=R, T1=ceil(300 ln(m/delta)), eta1=1/(2 beta sqrt(3 T1)); the
+    shrink factor is the fixed MixedGradConfig.gamma = 2."""
     if not (beta > 0 and radius > 0 and epochs >= 1):
         raise ValueError("beta, radius must be positive and epochs >= 1")
     if not 0 < failure_prob <= MAX_FAILURE_PROBABILITY:
@@ -96,7 +93,7 @@ def theory_params(beta: float, radius: float, failure_prob: float,
     t1 = math.ceil(300.0 * math.log(epochs / failure_prob))
     eta1 = 1.0 / (2.0 * beta * math.sqrt(3.0 * t1))
     return MixedGradConfig(eta1=eta1, delta1=radius, t1=t1, epochs=epochs,
-                           lambda1=16.0 * beta, gamma=2.0)
+                           lambda1=16.0 * beta)
 
 
 @dataclass
@@ -264,23 +261,22 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     return total / (T + 1.0), float(max_step_sq), projections
 
 
-def shrink_schedule(state: EpochState, gamma: float, w_tilde: np.ndarray,
+def shrink_schedule(state: EpochState, w_tilde: np.ndarray,
                     t1: int) -> EpochState:
     """Advance to the next epoch: shift the anchor by the epoch average and
-    divide delta/lam/eta by gamma.
+    halve delta, lam and eta.
 
-    The step budget of epoch k + 1 is T_{k+1} = round(t1 * gamma^{2k}),
-    rounded half to even (Python's round), from the first-epoch budget t1
-    directly, so rounding does not compound from epoch to epoch.
+    The step budget of epoch k + 1 is T_{k+1} = t1 * 4^k, in Python
+    integers (a numpy t1 included), so it is exact and never overflows.
     """
     k = state.epoch_index
     return EpochState(
         epoch_index=k + 1,
         anchor=state.anchor + w_tilde,
-        delta=state.delta / gamma,
-        lam=state.lam / gamma,
-        eta=state.eta / gamma,
-        inner_iters=int(round(t1 * gamma ** (2 * k))),
+        delta=state.delta / 2.0,
+        lam=state.lam / 2.0,
+        eta=state.eta / 2.0,
+        inner_iters=int(t1) * 4 ** k,
         anchor_grad=None,
     )
 
@@ -372,7 +368,7 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
         w_tilde, max_step_sq, projections = run_epoch(
             instance, state, sampler, counters, trace,
             config.checkpoint_stride, reference_value)
-        next_state = shrink_schedule(state, config.gamma, w_tilde, config.t1)
+        next_state = shrink_schedule(state, w_tilde, config.t1)
         # The new anchor is a convex combination of feasible points, so it
         # lies in the R-ball up to roundoff; clamp the tiny excess.
         nrm = float(np.linalg.norm(next_state.anchor))

@@ -28,7 +28,7 @@ from mixedgrad import (
     loss_value, mean_gradient, project_ball, project_epoch_domain, run,
     run_gd, run_nag, run_sgd, theory_params,
 )
-from mixedgrad.baselines import GD, INV_SQRT_T, NAG, SGD
+from mixedgrad.baselines import GD, NAG, SGD
 from mixedgrad.core import EpochState, epoch_subproblem_optimum, run_epoch
 
 
@@ -257,8 +257,8 @@ class TestCriterion6RateSeparation:
 
             tr = run_sgd(
                 inst,
-                BaselineConfig(SGD, 20000, INV_SQRT_T, step_scale=0.05,
-                               averaging=True, checkpoint_stride=500),
+                BaselineConfig(SGD, 20000, step_scale=0.05,
+                               checkpoint_stride=500),
                 seed, reference_value=ref_value).trace
             fs = fit_slope(tr, "stoch_calls", "error", skip_head=2)
             assert -0.75 <= fs.slope <= -0.30 and fs.r_squared >= 0.9, \
@@ -292,8 +292,7 @@ class TestCriterion7PerEpochContainment:
         inst = rate_setup["instance"]
         base = rate_setup["config"]
         cfg = MixedGradConfig(eta1=base.eta1, delta1=base.delta1,
-                              t1=base.t1, epochs=5, lambda1=base.lambda1,
-                              gamma=base.gamma)
+                              t1=base.t1, epochs=5, lambda1=base.lambda1)
         contained_runs = 0
         for seed in range(10):
             res = run(inst, cfg, seed)

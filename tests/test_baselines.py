@@ -33,15 +33,14 @@ class TestSgd:
         i1 = SeededSampler(seed).draw(inst.n)
         expected = project_ball(-loss_grad(inst, i1, np.zeros(4)),
                                 inst.domain_radius)
-        cfg = BaselineConfig("sgd", 1, step_rule="inv_sqrt_t", step_scale=1.0,
-                             averaging=False, checkpoint_stride=1)
+        cfg = BaselineConfig("sgd", 1, step_scale=1.0, checkpoint_stride=1)
+        # The point is the average of w_0 = 0 and w_1.
         point = run_sgd(inst, cfg, seed).point
-        np.testing.assert_allclose(point, expected, atol=1e-15)
+        np.testing.assert_allclose(point, expected / 2, atol=1e-15)
 
     def test_deterministic_quadratic_monotone(self):
         inst = make_instance([[1.0]], [0.5])
-        cfg = BaselineConfig("sgd", 60, step_rule="constant", step_scale=0.05,
-                             averaging=False, checkpoint_stride=1)
+        cfg = BaselineConfig("sgd", 60, step_scale=0.05, checkpoint_stride=1)
         trace = run_sgd(inst, cfg, 0).trace
         objs = [r.objective for r in trace]
         assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
@@ -49,7 +48,7 @@ class TestSgd:
     def test_fixed_point_at_optimum(self):
         rng = np.random.default_rng(1)
         inst = make_instance(rng.standard_normal((5, 3)), np.zeros(5))
-        cfg = BaselineConfig("sgd", 50, averaging=False)
+        cfg = BaselineConfig("sgd", 50)
         point = run_sgd(inst, cfg, 0).point
         np.testing.assert_array_equal(point, np.zeros(3))
 
@@ -60,8 +59,7 @@ class TestSgd:
 
     def test_iterates_stay_in_ball(self):
         inst = random_instance(radius=0.5)
-        cfg = BaselineConfig("sgd", 100, step_scale=5.0, averaging=False,
-                             checkpoint_stride=1)
+        cfg = BaselineConfig("sgd", 100, step_scale=5.0, checkpoint_stride=1)
         point = run_sgd(inst, cfg, 3).point
         assert np.linalg.norm(point) <= 0.5 + 1e-9
 
@@ -77,27 +75,22 @@ def reference_sgd(inst, config, seed, counters):
     projected = 0
     for t in range(1, config.iterations + 1):
         i = sample_loss(sampler, counters, inst.n)
-        eta = c if config.step_rule == "constant" else c / math.sqrt(t)
-        v = w - eta * loss_grad(inst, i, w)
+        v = w - (c / math.sqrt(t)) * loss_grad(inst, i, w)
         if not np.isfinite(v).all():
             raise DivergenceError(f"non-finite iterate at step {t}")
         w = project_ball(v, inst.domain_radius)
         projected += w is not v
         total += w
-    T = config.iterations
-    return (total / (T + 1) if config.averaging else w), projected
+    return total / (config.iterations + 1), projected
 
 
 class TestSgdMatchesReference:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
-    @pytest.mark.parametrize("step_rule, averaging",
-                             [("constant", False), ("inv_sqrt_t", True)])
-    def test_bit_identical(self, kind, step_rule, averaging):
+    def test_bit_identical(self, kind):
         # With R = 0.2 both the R-ball projection and the fast path run
-        # hundreds of times on each loss and step rule.
+        # hundreds of times on each loss.
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
-        cfg = BaselineConfig("sgd", 600, step_rule=step_rule, step_scale=0.5,
-                             averaging=averaging, checkpoint_stride=50)
+        cfg = BaselineConfig("sgd", 600, step_scale=0.5, checkpoint_stride=50)
         c_ref = OracleCounters()
         point, _, c_run, _ = run_sgd(inst, cfg, 9)
         ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
@@ -124,15 +117,18 @@ class TestSgdMatchesReference:
         # overflows; every step still projects onto the R-sphere, as
         # project_ball does, instead of to the origin.
         inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
-        cfg = BaselineConfig("sgd", 20, step_rule="constant",
-                             step_scale=1e200, averaging=False)
+        cfg = BaselineConfig("sgd", 20, step_scale=1e200)
         c_ref = OracleCounters()
         with np.errstate(over="ignore"):
             point = run_sgd(inst, cfg, 9).point
             ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
+            # After one step the point is (0 + w_1) / 2, with w_1 on the
+            # sphere.
+            first = run_sgd(inst, BaselineConfig("sgd", 1, step_scale=1e200),
+                            9).point
         assert projected == cfg.iterations
         np.testing.assert_array_equal(point, ref_point)
-        assert np.linalg.norm(point) == pytest.approx(1.0, rel=1e-15)
+        assert np.linalg.norm(2 * first) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestGd:

@@ -40,6 +40,10 @@ class TestGenSynthetic:
         with pytest.raises(ValueError, match="nonnegative integers, got -1"):
             gen_synthetic(-1, 10, 3, 0.0, LEAST_SQUARES, 1.0)
 
+    def test_rejects_a_bool_seed(self):
+        with pytest.raises(ValueError, match="nonnegative integers, got True"):
+            gen_synthetic(True, 10, 3, 0.0, LEAST_SQUARES, 1.0)
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             gen_synthetic(0, 0, 3, 0.0, LEAST_SQUARES, 1.0)
@@ -276,7 +280,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("seeds, shown", [([0, -1], "-1"),
                                               ([0, 1.0], "1.0"),
-                                              (["2"], "'2'")])
+                                              (["2"], "'2'"),
+                                              ([True], "True")])
     def test_rejects_seeds_that_are_not_nonnegative_integers(
             self, seeds, shown, instance, tmp_path):
         with pytest.raises(ValueError, match=f"got {shown}$"):

@@ -70,7 +70,34 @@ def test_unknown_solver_option_is_an_argparse_error(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "'iters'" in err
-    assert "accepted: iterations, step_rule, step_scale" in err
+    assert "accepted: iterations, step_scale, checkpoint_stride" in err
+
+
+@pytest.mark.parametrize("spec, option, accepted", [
+    ("mixedgrad:gamma=3", "gamma",
+     "eta1, delta1, t1, epochs, lambda1, checkpoint_stride"),
+    ("sgd:step_rule=constant", "step_rule",
+     "iterations, step_scale, checkpoint_stride"),
+    ("sgd:averaging=false", "averaging",
+     "iterations, step_scale, checkpoint_stride")])
+def test_removed_solver_options_are_rejected(spec, option, accepted,
+                                             tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", spec, "--epochs", "1", "--n", "10",
+              "--d", "2", "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"has no option {option!r}; accepted: {accepted}" in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_gamma_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--gamma", "3", "--epochs", "1", "--n", "10",
+              "--d", "2", "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma 3" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("spec", ["mixedgrad:t1=0", "nag:iterations=0",
@@ -87,7 +114,7 @@ def test_malformed_solver_spec_is_an_argparse_error(spec, tmp_path, capsys):
     ("mixedgrad:t1=8.0,epochs=2", "t1 must be an integer >= 1, got 8.0"),
     ("mixedgrad:epochs=2.0", "epochs must be an integer >= 1, got 2.0"),
     ("mixedgrad:checkpoint_stride=true",
-     "checkpoint_stride must be an integer >= 1, got True"),
+     "checkpoint_stride must be an integer >= 1, got 'true'"),
     ("sgd:iterations=100.0", "iterations must be an integer >= 1, got 100.0"),
     ("sgd:iterations=100,checkpoint_stride=1.5",
      "checkpoint_stride must be an integer >= 1, got 1.5"),
@@ -114,8 +141,7 @@ def test_theory_mode_rejects_options_it_would_ignore(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
-@pytest.mark.parametrize("flags", [["--t1", "8"], ["--gamma", "3"],
-                                   ["--t1", "8", "--gamma", "3"]])
+@pytest.mark.parametrize("flags", [["--t1", "8"]])
 def test_theory_mode_rejects_t1_and_gamma_flags(flags, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--solver", "mixedgrad", "--theory-mode", *flags,
@@ -128,10 +154,9 @@ def test_theory_mode_rejects_t1_and_gamma_flags(flags, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, calls", [([], 32 + 128),
-                                          (["--t1", "8", "--gamma", "3"],
-                                           8 + 72)])
+                                          (["--t1", "16"], 16 + 64)])
 def test_t1_and_gamma_flags_without_theory_mode(flags, calls, tmp_path):
-    # Defaults T1 = 32 and gamma = 2; two epochs spend T1 (1 + gamma^2).
+    # Default T1 = 32, and gamma is 2; two epochs spend T1 (1 + 4).
     out = tmp_path / "results"
     rc = main(["run", "--solver", "mixedgrad", *flags, "--epochs", "2",
                "--n", "10", "--d", "2", "--out", str(out)])
