@@ -16,7 +16,7 @@ from pathlib import Path
 from . import baselines
 from .bench import (ExperimentSpec, SolverConfig, fit_slope, gen_synthetic,
                     read_trace_csv, run_experiment)
-from .core import MixedGradConfig, theory_params
+from .core import MixedGradConfig, _check_count, theory_params
 from .losses import (LEAST_SQUARES, LOGISTIC, ProblemInstance,
                      load_dataset_csv, save_dataset_csv)
 
@@ -69,6 +69,8 @@ def _build_solver(spec_text: str, args, instance) -> SolverConfig:
                                  args.delta, kv.get("epochs", args.epochs))
         beta = instance.smoothness
         t1 = kv.pop("t1", args.t1)
+        # eta1 is derived from t1, so t1 is checked first.
+        _check_count("t1", t1)
         defaults = dict(
             eta1=1.0 / (2.0 * beta * (3.0 * t1) ** 0.5),
             delta1=instance.domain_radius,

@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import (BOTH, INNER, OUTER, EpochDomain, _norm,
                        _project_two_balls, project_ball, project_epoch_domain)
 from .losses import (ProblemInstance, _loss_derivative, _loss_derivatives,
-                     full_objective, mean_gradient)
+                     full_objective, mean_gradient, mean_smoothness)
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 # The single-call sampler stays importable from here: perfbench/tracer.py
 # wraps mixedgrad.core.sample_loss by name.
@@ -55,12 +55,15 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+def _check_count(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_counts(config, names: tuple[str, ...]) -> None:
     for name in names:
-        value = getattr(config, name)
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        _check_count(name, getattr(config, name))
 
 
 @dataclass(frozen=True)
@@ -292,8 +295,8 @@ def _projected_gradient(grad, project, w: np.ndarray, eta: float,
     w_{-1} = w_0 (so the first step is a plain one). A non-finite point
     raises DivergenceError, without counters or trace, before projection.
 
-    With restart (accelerated only; used by the reference solve alone,
-    never by run_nag) the momentum is reset by the gradient rule of
+    With restart (accelerated only; used by _certified_minimum, never by
+    run_nag) the momentum is reset by the gradient rule of
     O'Donoghue and Candes: whenever (y_t - w_t) . (w_t - w_{t-1}) > 0,
     theta is set back to 1, so the next extrapolated point is w_t itself.
     """
@@ -314,31 +317,69 @@ def _projected_gradient(grad, project, w: np.ndarray, eta: float,
         yield w
 
 
-def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,
-                             lam: float, inner_radius: float,
-                             tol: float = 1e-12,
-                             max_iterations: int = 200_000) -> np.ndarray:
-    """Deterministic high-precision minimizer of the recentered epoch
-    objective (lam/2)||w||^2 + lam <w, anchor> + G(w + anchor) over the
-    two-ball domain, by projected gradient descent.
+# A certificate costs a gradient, as much as a step, so _certified_minimum
+# checks it only on every RESIDUAL_INTERVAL-th iterate (and on the last one
+# before the iteration cap).
+RESIDUAL_INTERVAL = 10
 
-    Gradients here are diagnostic and never touch oracle counters. Raises
-    RuntimeError if no step is shorter than tol within max_iterations.
+
+class CertificateError(RuntimeError):
+    """A certified minimization reached its iteration cap before any checked
+    iterate's residual fell below the tolerance."""
+
+
+def _certified_minimum(grad, project, eta: float, d: int, tol: float,
+                       max_iterations: int) -> tuple[np.ndarray, float]:
+    """Minimize a convex F over a convex set by restarted accelerated
+    projected gradient from 0 (uncounted gradients), with step eta at most
+    1 / (smoothness of F).
+
+    The certificate is the gradient-mapping residual
+    r = ||w - project(w - eta * grad(w))||, zero exactly at the minimizer;
+    it is checked on every RESIDUAL_INTERVAL-th iterate and on iterate
+    max_iterations. Returns the first checked (w, r) with r < tol, or
+    raises CertificateError if no checked iterate reaches it.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    iterates = _projected_gradient(grad, project, np.zeros(d), eta,
+                                   accelerated=True, restart=True)
+    for t, w in enumerate(itertools.islice(iterates, max_iterations), 1):
+        if t % RESIDUAL_INTERVAL and t < max_iterations:
+            continue
+        r = float(np.linalg.norm(w - project(w - eta * grad(w))))
+        if r < tol:
+            return w, r
+    raise CertificateError(
+        f"residual did not fall below {tol} on any checked iterate (every "
+        f"{RESIDUAL_INTERVAL}th and the last) within {max_iterations} "
+        f"iterations")
+
+
+def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,
+                             lam: float, inner_radius: float,
+                             tol: float = 1e-12,
+                             max_iterations: int = 200_000
+                             ) -> tuple[np.ndarray, float]:
+    """Certified minimizer of the recentered epoch objective
+    F(w) = (lam/2)||w||^2 + lam <w, anchor> + G(w + anchor) over the
+    two-ball domain, by _certified_minimum with step 1 / (L + lam), L the
+    smoothness of G (losses.mean_smoothness).
+
+    Returns (w, distance_bound): F is lam-strongly convex and
+    (L + lam)-smooth, so a residual r bounds the distance to the true
+    minimizer, ||w - w*|| <= 2 (L + lam) r / lam (Nesterov, Introductory
+    Lectures, 2004, Thm 2.2.7, gradient mapping). Gradients here are
+    diagnostic and never touch oracle counters. Raises CertificateError (a
+    RuntimeError) if no checked residual is below tol within max_iterations.
+    """
     domain = EpochDomain(anchor, instance.domain_radius, inner_radius)
-    eta = 1.0 / (instance.smoothness + lam)
-    w = np.zeros(instance.d)
-    iterates = _projected_gradient(
+    smooth = mean_smoothness(instance) + lam
+    w, r = _certified_minimum(
         lambda y: lam * (y + anchor) + mean_gradient(instance, y + anchor),
-        lambda v: project_epoch_domain(v, domain), w, eta)
-    for w_next in itertools.islice(iterates, max_iterations):
-        if np.linalg.norm(w_next - w) < tol:
-            return w_next
-        w = w_next
-    raise RuntimeError(f"epoch subproblem did not converge to tolerance {tol} "
-                       f"within {max_iterations} iterations")
+        lambda v: project_epoch_domain(v, domain), 1.0 / smooth, instance.d,
+        tol, max_iterations)
+    return w, 2.0 * smooth * r / lam
 
 
 def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,

@@ -25,6 +25,10 @@ LOSS_KINDS = (LEAST_SQUARES, LOGISTIC)
 # feature) datasets so the regularization schedules stay well defined.
 SMOOTHNESS_FLOOR = 1e-12
 
+# Largest second derivative of each loss in its margin <w, x_i>: g_i is then
+# (factor * ||x_i||^2)-smooth, and G is (factor * lambda_max(X^T X) / n)-smooth.
+_CURVATURE = {LEAST_SQUARES: 2.0, LOGISTIC: 0.25}
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -192,11 +196,23 @@ def smoothness_constant(dataset: Dataset, loss_kind: str) -> float:
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind: {loss_kind!r}")
     max_sq = float(np.max(np.sum(dataset.features ** 2, axis=1)))
-    if loss_kind == LEAST_SQUARES:
-        beta = 2.0 * max_sq
-    else:
-        beta = 0.25 * max_sq
-    return max(beta, SMOOTHNESS_FLOOR)
+    return max(_CURVATURE[loss_kind] * max_sq, SMOOTHNESS_FLOOR)
+
+
+def mean_smoothness(instance: ProblemInstance) -> float:
+    """Smoothness constant L of the averaged objective G: c * lambda_max of
+    the Gram matrix over n, with the curvature factor c of smoothness_constant.
+
+    The Gram matrix is the smaller of X^T X and X X^T (the two share their
+    nonzero eigenvalues). Since X^T X = sum_i x_i x_i^T, L <= beta, with
+    equality (up to roundoff) when n = 1. The result is clamped to
+    [SMOOTHNESS_FLOOR, beta], so L <= beta holds exactly in floating point.
+    """
+    X = instance.dataset.features
+    gram = X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    L = _CURVATURE[instance.loss_kind] * top / instance.n
+    return min(max(L, SMOOTHNESS_FLOOR), instance.smoothness)
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

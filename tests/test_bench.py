@@ -98,14 +98,22 @@ def residual(inst, w):
         w - project_ball(w - eta * mean_gradient(inst, w), R)))
 
 
+def mean_curvature(inst):
+    """The smoothness of G written plainly, for n >= d:
+    c * lambda_max(X^T X) / n, with c = 2 (least squares) or 1/4."""
+    X = inst.dataset.features
+    c = 2.0 if inst.loss_kind == LEAST_SQUARES else 0.25
+    return c * float(np.linalg.eigvalsh(X.T @ X)[-1]) / inst.n
+
+
 def reference_solve(inst, tolerance, max_iterations=10 ** 6):
     """The reference solve written plainly: Nesterov's accelerated
-    projected gradient whose momentum restarts (theta back to 1) whenever
-    (y - w) . (w - w_prev) > 0, until the projected-gradient residual,
-    checked on every 10th iterate and the last, is below tolerance.
-    Returns (point, value, iterations)."""
+    projected gradient with step 1/L (L the smoothness of G) whose momentum
+    restarts (theta back to 1) whenever (y - w) . (w - w_prev) > 0, until
+    the step-1/L projected-gradient residual, checked on every 10th iterate
+    and the last, is below tolerance. Returns (point, value, iterations)."""
     R = inst.domain_radius
-    eta = 1.0 / inst.smoothness
+    eta = 1.0 / mean_curvature(inst)
     w = np.zeros(inst.d)
     w_prev = w.copy()
     theta_prev = 1.0
@@ -115,7 +123,9 @@ def reference_solve(inst, tolerance, max_iterations=10 ** 6):
         w_prev, w = w, project_ball(y - eta * mean_gradient(inst, y), R)
         theta_prev = 1.0 if (y - w).dot(w - w_prev) > 0 else theta
         checked = k % 10 == 0 or k == max_iterations
-        if checked and residual(inst, w) < tolerance:
+        if checked and np.linalg.norm(
+                w - project_ball(w - eta * mean_gradient(inst, w), R)) \
+                < tolerance:
             return w, full_objective(inst, w), k
     raise AssertionError("reference solve did not converge")
 
@@ -166,14 +176,25 @@ class TestReferenceOptimumMatchesReference:
                                                 1e-18)
         assert residual(inst, w_star) < 1e-10
 
-    def test_gradient_calls_are_bounded(self, monkeypatch):
-        # Plain momentum with a residual on every iterate made 1,450 calls.
-        inst = gen_synthetic(0, 200, 20, 0.0, LEAST_SQUARES, 1.0)
+    @staticmethod
+    def gradient_calls(monkeypatch, inst):
         calls = []
         monkeypatch.setattr(mixedgrad.bench, "mean_gradient",
                             lambda *a: calls.append(1) or mean_gradient(*a))
         compute_reference_optimum(inst, 1e-10)
-        assert len(calls) <= 160
+        return len(calls)
+
+    def test_gradient_calls_are_bounded(self, monkeypatch):
+        # 33 calls at step 1/L; a step of 1/beta takes 143, and plain
+        # momentum with a residual on every iterate 1,450.
+        inst = gen_synthetic(0, 200, 20, 0.0, LEAST_SQUARES, 1.0)
+        assert self.gradient_calls(monkeypatch, inst) <= 40
+
+    def test_gradient_calls_are_bounded_at_large_n(self, monkeypatch):
+        # The large-n benchmark's instance shape, where L = beta / 45: 22
+        # calls at step 1/L, 143 at step 1/beta.
+        inst = gen_synthetic(0, 20_000, 50, 0.5, LEAST_SQUARES, 1.0)
+        assert self.gradient_calls(monkeypatch, inst) <= 30
 
 
 def power_law_records(coef, power, xs):

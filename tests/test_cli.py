@@ -165,6 +165,21 @@ def test_t1_and_gamma_flags_without_theory_mode(flags, calls, tmp_path):
     assert int(rows[0]["stoch_calls"]) == calls
 
 
+@pytest.mark.parametrize("flags, shown", [
+    (["--t1", "0"], "0"), (["--t1", "-4"], "-4"),
+    (["--solver", "mixedgrad:t1=-4"], "-4"),
+    (["--solver", "mixedgrad:t1=abc"], "'abc'")])
+def test_bad_t1_is_an_argparse_error(flags, shown, tmp_path, capsys):
+    # eta1 is derived from t1, so t1 is checked before it is used.
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *flags, "--n", "10", "--d", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"t1 must be an integer >= 1, got {shown}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
     out = tmp_path / "results"
     rc = main(["run", "--solver", "mixedgrad:epochs=1", "--theory-mode",

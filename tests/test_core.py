@@ -523,13 +523,15 @@ class TestEpochSubproblem:
         a = 0.6
         inst = make_instance([[1.0]], [a], radius=5.0)
         lam = 0.8
-        w = epoch_subproblem_optimum(inst, np.zeros(1), lam, 0.25)
+        w, bound = epoch_subproblem_optimum(inst, np.zeros(1), lam, 0.25)
         assert w[0] == pytest.approx(min(2 * a / (lam + 2), 0.25), abs=1e-9)
+        assert bound < 1e-10
 
     def test_raises_at_iteration_cap(self):
         inst = random_instance(seed=3)
         args = (inst, np.zeros(inst.d), 0.1, 0.5)
-        assert epoch_subproblem_optimum(*args).shape == (inst.d,)
+        w, _ = epoch_subproblem_optimum(*args)
+        assert w.shape == (inst.d,)
         with pytest.raises(RuntimeError, match="within 3 iterations"):
             epoch_subproblem_optimum(*args, max_iterations=3)
 
@@ -539,21 +541,62 @@ class TestEpochSubproblem:
             epoch_subproblem_optimum(inst, np.zeros(inst.d), 0.1, 0.5,
                                      max_iterations=0)
 
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("iterations", [1, 3, 7])
+    def test_distance_bound_holds(self, kind, iterations):
+        # An early iterate (the last one before the cap is checked, and an
+        # infinite tolerance accepts it) lies within its bound of a long
+        # run, itself within its own bound of the true minimizer.
+        rng = np.random.default_rng(21)
+        for seed in range(8):
+            inst = gen_synthetic(seed, 30, 4, 0.3, kind, 1.0)
+            anchor = rng.standard_normal(inst.d)
+            anchor *= rng.uniform(0, 0.9) / np.linalg.norm(anchor)
+            lam = 10.0 ** rng.uniform(-3, 0)
+            inner_radius = rng.uniform(0.01, 1.0)
+            args = (inst, anchor, lam, inner_radius)
+            w, bound = epoch_subproblem_optimum(
+                *args, tol=math.inf, max_iterations=iterations)
+            w_star, bound_star = epoch_subproblem_optimum(*args)
+            assert bound_star < 1e-8
+            assert np.linalg.norm(w - w_star) <= bound + bound_star
+
+
+def mean_curvature(inst):
+    """The smoothness of G written plainly, for n >= d:
+    c * lambda_max(X^T X) / n, with c = 2 (least squares) or 1/4."""
+    X = inst.dataset.features
+    c = 2.0 if inst.loss_kind == LEAST_SQUARES else 0.25
+    return c * float(np.linalg.eigvalsh(X.T @ X)[-1]) / inst.n
+
 
 def reference_subproblem(inst, anchor, lam, inner_radius, tol=1e-12,
                          max_iterations=200_000):
-    """The epoch-subproblem solve written plainly: projected gradient
-    descent on the recentered objective until a step is shorter than tol.
-    Returns (point, iterations)."""
+    """The epoch-subproblem solve written plainly: Nesterov's accelerated
+    projected gradient on the recentered objective, with step 1/(L + lam)
+    and momentum restarted whenever (y - w) . (w - w_prev) > 0, until the
+    projected-gradient residual r, checked on every 10th iterate and the
+    last, is below tol. Returns (point, 2 (L + lam) r / lam, iterations)."""
     domain = EpochDomain(anchor, inst.domain_radius, inner_radius)
-    eta = 1.0 / (inst.smoothness + lam)
+    smooth = mean_curvature(inst) + lam
+    eta = 1.0 / smooth
+
+    def grad(w):
+        return lam * (w + anchor) + mean_gradient(inst, w + anchor)
+
     w = np.zeros(inst.d)
+    w_prev = w.copy()
+    theta_prev = 1.0
     for k in range(1, max_iterations + 1):
-        grad = lam * (w + anchor) + mean_gradient(inst, w + anchor)
-        w_next = project_epoch_domain(w - eta * grad, domain)
-        if np.linalg.norm(w_next - w) < tol:
-            return w_next, k
-        w = w_next
+        theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
+        y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
+        w_prev, w = w, project_epoch_domain(y - eta * grad(y), domain)
+        theta_prev = 1.0 if (y - w).dot(w - w_prev) > 0 else theta
+        if k % 10 == 0 or k == max_iterations:
+            r = float(np.linalg.norm(
+                w - project_epoch_domain(w - eta * grad(w), domain)))
+            if r < tol:
+                return w, 2.0 * smooth * r / lam, k
     raise AssertionError("reference subproblem solve did not converge")
 
 
@@ -566,9 +609,11 @@ class TestEpochSubproblemMatchesReference:
         inst = gen_synthetic(3, 40, 5, 0.3, kind, 1.0)
         anchor = np.random.default_rng(5).standard_normal(inst.d)
         anchor *= 0.6 / np.linalg.norm(anchor)
-        w = epoch_subproblem_optimum(inst, anchor, 0.1, inner_radius)
-        ref, iterations = reference_subproblem(inst, anchor, 0.1, inner_radius)
+        w, bound = epoch_subproblem_optimum(inst, anchor, 0.1, inner_radius)
+        ref, ref_bound, iterations = reference_subproblem(
+            inst, anchor, 0.1, inner_radius)
         assert iterations > 5
         np.testing.assert_array_equal(w, ref)
+        assert bound == ref_bound
         if inner_radius == 0.05:
             assert np.linalg.norm(w) == pytest.approx(0.05, rel=1e-12)

@@ -7,8 +7,8 @@ from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               ProblemInstance, _loss_derivative,
                               _loss_derivatives, full_objective,
                               load_dataset_csv, loss_grad, loss_value,
-                              mean_gradient, save_dataset_csv,
-                              smoothness_constant)
+                              mean_gradient, mean_smoothness,
+                              save_dataset_csv, smoothness_constant)
 
 
 def make_instance(X, y, kind, radius=1.0):
@@ -141,6 +141,75 @@ class TestSmoothnessConstant:
         top = float(v @ H @ v)
         ds = Dataset(x[None, :], np.array([0.5]))
         assert smoothness_constant(ds, LEAST_SQUARES) == pytest.approx(top, rel=1e-12)
+
+
+def random_instance(rng, n, d, kind):
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, (n, 1))
+    y = (rng.choice([-1.0, 1.0], n) if kind == LOGISTIC
+         else rng.standard_normal(n))
+    return make_instance(X, y, kind)
+
+
+class TestMeanSmoothness:
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_at_most_beta(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n, d = (int(k) for k in rng.integers(1, 30, 2))
+            inst = random_instance(rng, n, d, kind)
+            assert 0 < mean_smoothness(inst) <= inst.smoothness
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_single_row_equals_beta(self, kind):
+        rng = np.random.default_rng(12)
+        for d in (1, 3, 40):
+            inst = random_instance(rng, 1, d, kind)
+            assert mean_smoothness(inst) == pytest.approx(inst.smoothness,
+                                                          rel=1e-14)
+        assert mean_smoothness(make_instance([[1.0, 0.0]], [1.0], kind)) \
+            == smoothness_constant(Dataset(np.array([[1.0, 0.0]]),
+                                           np.array([1.0])), kind)
+
+    @pytest.mark.parametrize("n, d", [(6, 15), (15, 6)])
+    def test_both_gram_sides_agree(self, n, d):
+        # mean_smoothness takes the smaller Gram matrix; the larger one has
+        # the same top eigenvalue.
+        rng = np.random.default_rng(13)
+        inst = random_instance(rng, n, d, LEAST_SQUARES)
+        X = inst.dataset.features
+        larger = X.T @ X if n < d else X @ X.T
+        top = float(np.linalg.eigvalsh(larger)[-1])
+        assert mean_smoothness(inst) == pytest.approx(2.0 * top / n,
+                                                      rel=1e-13)
+
+    def test_zero_features_floor(self):
+        inst = make_instance(np.zeros((3, 2)), [1.0, -1.0, 1.0], LOGISTIC)
+        assert mean_smoothness(inst) == 1e-12
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_lipschitz_witness(self, kind):
+        # ||grad G(a) - grad G(b)|| <= L ||a - b||, with L well below beta.
+        rng = np.random.default_rng(14)
+        inst = random_instance(rng, 60, 8, kind)
+        L = mean_smoothness(inst)
+        assert L < 0.5 * inst.smoothness
+        for _ in range(200):
+            a, b = rng.standard_normal((2, inst.d)) * rng.uniform(0.01, 3.0)
+            gap = np.linalg.norm(mean_gradient(inst, a)
+                                 - mean_gradient(inst, b))
+            assert gap <= L * np.linalg.norm(a - b) * (1 + 1e-12)
+
+    def test_least_squares_bound_is_tight(self):
+        # Along the top eigenvector of X^T X the least-squares gradient
+        # changes at exactly rate L.
+        rng = np.random.default_rng(15)
+        inst = random_instance(rng, 60, 8, LEAST_SQUARES)
+        X = inst.dataset.features
+        v = np.linalg.eigh(X.T @ X)[1][:, -1]
+        a = rng.standard_normal(inst.d)
+        gap = np.linalg.norm(mean_gradient(inst, a + v)
+                             - mean_gradient(inst, a))
+        assert gap == pytest.approx(mean_smoothness(inst), rel=1e-9)
 
 
 class TestValidation:
