@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from .core import (DivergenceError, SolverResult, TraceRecord, _check_counts,
-                   _projected_gradient)
+                   _check_positive, _projected_gradient)
 from .geometry import _norm, project_ball
 from .losses import ProblemInstance, _loss_derivative, full_objective
 # loss_grad stays importable from here: perfbench/tracer.py wraps
@@ -45,8 +45,8 @@ class BaselineConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method!r}")
         _check_counts(self, ("iterations", "checkpoint_stride"))
-        if self.step_scale is not None and not self.step_scale > 0:
-            raise ValueError("step scale must be positive")
+        if self.step_scale is not None:
+            _check_positive("step_scale", self.step_scale)
 
 
 def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarray,
@@ -62,7 +62,11 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             reference_value: float | None = None) -> SolverResult:
     """Projected SGD with step c/sqrt(t); its point (and each
     checkpoint's) is the average of the iterates w_0 = 0, ..., w_t, taken
-    as their running sum over their count."""
+    as their running sum over their count.
+
+    Step t is v = w - (eta_t * g) * x_i, with eta_t = c/sqrt(t) and g the
+    loss derivative at the margin w.x_i (the labels come from the
+    instance's per-example list), then projected onto the R-ball."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
     R = instance.domain_radius
@@ -73,7 +77,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     sampler = SeededSampler(seed)
     trace: list[TraceRecord] = []
     X = instance.dataset.features
-    labels = instance.dataset.labels
+    labels = instance._labels
     kind = instance.loss_kind
     w = np.zeros(instance.d)
     total = w.copy()           # sum of the iterates seen so far
@@ -85,7 +89,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         # square overflows gets a rescaled norm.
         eta = c / math.sqrt(t)
         x = X[i]
-        v = w - eta * (_loss_derivative(labels[i], float(w.dot(x)), kind) * x)
+        v = w - (eta * _loss_derivative(labels[i], float(w.dot(x)), kind)) * x
         v_sq = v.dot(v)
         v_norm = math.sqrt(v_sq)
         if v_norm <= R:

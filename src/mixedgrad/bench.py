@@ -259,11 +259,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     A diverging run keeps the oracle counters and trace records it had
     reached; its trace ends in a 'diverged' row carrying those counters,
     its summary row reports them with a nan final error, and the
-    experiment continues. Returns a manifest with the written paths.
+    experiment continues. Returns a manifest with the written paths. The
+    output directory is made only once the reference solve has succeeded,
+    so a ReferenceSolveError leaves none behind.
     """
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     w_star, g_star = compute_reference_optimum(spec.instance,
                                                spec.reference_tolerance)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     trace_paths = []
     summary_rows = []
     for config in spec.solvers:

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import baselines
-from .bench import (ExperimentSpec, SolverConfig, fit_slope, gen_synthetic,
-                    read_trace_csv, run_experiment)
+from .bench import (ExperimentSpec, ReferenceSolveError, SolverConfig,
+                    fit_slope, gen_synthetic, read_trace_csv, run_experiment)
 from .core import MixedGradConfig, _check_count, theory_params
 from .losses import (LEAST_SQUARES, LOGISTIC, ProblemInstance,
                      load_dataset_csv, save_dataset_csv)
@@ -170,7 +170,10 @@ def main(argv=None) -> int:
                                   reference_tolerance=args.ref_tol)
         except ValueError as exc:
             p_run.error(str(exc))
-        manifest = run_experiment(spec)
+        try:
+            manifest = run_experiment(spec)
+        except ReferenceSolveError as exc:
+            p_run.error(f"--ref-tol {args.ref_tol:g}: {exc}")
         print(f"reference objective: {manifest['reference_value']:.6e}")
         for path in manifest["traces"]:
             print(f"trace: {path}")

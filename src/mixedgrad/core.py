@@ -10,8 +10,10 @@ after m epochs is exactly T1 * (4^m - 1) / 3.
 
 run_epoch is the one inner-step path, and the tests check the
 variance-reduction invariants on it. Its correction grad g_i(w + anchor) -
-grad g_i(anchor) is one scalar times x_i, from n cached anchor derivatives,
-and its average is the iterates' running sum over their count. Each epoch's
+grad g_i(anchor) is one scalar times x_i, from n cached anchor margins and
+derivatives; the step is one fused expression in w, x_i and the epoch's
+constants, and the bounded-step diagnostic is computed from scalars. Its
+average is the iterates' running sum over their count. Each epoch's
 summary counts the steps that left the fast path, by projection branch.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
@@ -66,6 +69,13 @@ def _check_counts(config, names: tuple[str, ...]) -> None:
         _check_count(name, getattr(config, name))
 
 
+def _check_positive(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not value > 0):
+        raise ValueError(f"{name} must be a positive real number, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class MixedGradConfig:
     eta1: float                # first-epoch step size
@@ -77,8 +87,8 @@ class MixedGradConfig:
     gamma: ClassVar[float] = 2.0   # per-epoch shrink factor, fixed
 
     def __post_init__(self):
-        if not (self.eta1 > 0 and self.delta1 > 0 and self.lambda1 > 0):
-            raise ValueError("eta1, delta1, lambda1 must be positive")
+        for name in ("eta1", "delta1", "lambda1"):
+            _check_positive(name, getattr(self, name))
         _check_counts(self, ("t1", "epochs", "checkpoint_stride"))
 
 
@@ -175,6 +185,7 @@ def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
     return lam * anchor + full_grad(instance, anchor, counters)
 
 
+@np.errstate(invalid="ignore")
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
               trace: list[TraceRecord] | None = None,
@@ -192,53 +203,68 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
 
     Each step is w <- P_domain(w - eta * (anchor_grad + c * x_i + lam * w)),
     where c * x_i = grad g_i(w + anchor) - grad g_i(anchor), c the difference
-    of the loss derivatives at the two margins; the n anchor ones are cached
-    (O(n) memory). w + anchor is carried from step to step (margin operand
-    and checkpoint point), and the fast-path norms feed the projection
-    kernel. Both margins are row dots, so at w = 0 the correction is 0.
+    of the loss derivatives at the margins w.x_i + anchor.x_i and
+    anchor.x_i. It is taken fused, v = w (1 - eta lam) - eta anchor_grad -
+    (eta c) x_i, with eta anchor_grad and 1 - eta lam formed once per
+    epoch. The anchor's margins and loss derivatives are cached per epoch
+    (O(n) memory); the labels and the ||x_i||^2 are the instance's, built
+    once. The diagnostic is the scalar
+    c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2, with ||w||^2 the
+    previous step's ||v||^2, recomputed only after a projection. Both
+    margins are row dots, so at w = 0 (where w.x_i is 0.0) the correction
+    and the diagnostic are exactly 0. An infinite eta or lam makes
+    0 * inf on the first step: numpy's warning for it is silenced, and the
+    NaN it leaves raises DivergenceError.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
     if g_k is None:
         raise ValueError("epoch state is missing the anchor gradient")
     T = state.inner_iters
-    # numpy multiplies an array by a 0-d array faster than by a Python
-    # float, with the same result.
-    lam, eta = np.array(state.lam), np.array(state.eta)
+    lam, eta = state.lam, state.eta
     delta = state.delta
     R = instance.domain_radius
     domain = EpochDomain(anchor, R, delta)
     X = instance.dataset.features
-    y = instance.dataset.labels
+    y, x_sq = instance._labels, instance._row_sq
     kind = instance.loss_kind
 
-    # The anchor's loss derivatives are fixed for the epoch: cached once (no
-    # oracle access), in a list, which indexes faster. vecdot rounds each
-    # margin as the step's row dot does; X @ anchor may not.
-    d_anchor = _loss_derivatives(y, np.vecdot(X, anchor), kind).tolist()
+    # The anchor's margins and loss derivatives are fixed for the epoch:
+    # cached once (no oracle access), in lists, which index faster. vecdot
+    # rounds each margin as a row dot does; X @ anchor may not.
+    a_margins = np.vecdot(X, anchor)
+    d_anchor = _loss_derivatives(instance.dataset.labels, a_margins,
+                                 kind).tolist()
+    a_margins = a_margins.tolist()
+    eta_g = eta * g_k
+    # numpy multiplies an array by a 0-d array faster than by a Python
+    # float, with the same result.
+    shrink = np.array(1.0 - eta * lam)
+    two_lam, lam_sq = 2.0 * lam, lam * lam
 
     w = np.zeros(instance.d)
-    w_anchor = w + anchor
+    w_sq = 0.0                 # ||w||^2
     total = w.copy()           # sum of the iterates seen so far
     max_step_sq = 0.0
     branches = [0, 0, 0]       # projection-branch tally, by INNER/OUTER/BOTH
     indices = sample_losses(sampler, counters, instance.n, T)
     for t, i in enumerate(indices, 1):
         x = X[i]
-        c = _loss_derivative(y[i], float(w_anchor.dot(x)), kind) - d_anchor[i]
-        step_vec = c * x + lam * w
-        step_sq = step_vec.dot(step_vec)
+        wx = float(w.dot(x))
+        c = _loss_derivative(y[i], wx + a_margins[i], kind) - d_anchor[i]
+        # ||c * x_i + lam * w||^2, expanded into scalars.
+        step_sq = c * c * x_sq[i] + two_lam * c * wx + lam_sq * w_sq
         if step_sq > max_step_sq:
             max_step_sq = step_sq
-        v = w - eta * (g_k + step_vec)
-        v_sq = v.dot(v)
+        v = w * shrink - eta_g - (eta * c) * x
+        v_sq = float(v.dot(v))
         v_norm = math.sqrt(v_sq)
         u = v + anchor
         u_norm = math.sqrt(u.dot(u))
         # Projection fast path: inside both balls means no work.
         if v_norm <= delta and u_norm <= R:
             w = v
-            w_anchor = u
+            w_sq = v_sq
         else:
             # A NaN or infinite entry makes v_sq non-finite, so such a v
             # never takes the fast path, and a finite v_sq proves v finite.
@@ -251,10 +277,10 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
                 v_norm, u_norm = _norm(v), _norm(u)
             w, branch = _project_two_balls(v, v_norm, u, u_norm, domain)
             branches[branch] += 1
-            w_anchor = w + anchor
+            w_sq = float(w.dot(w))
         total += w
         if trace is not None and t % checkpoint_stride == 0:
-            obj = full_objective(instance, w_anchor)
+            obj = full_objective(instance, w + anchor)
             err = obj - reference_value if reference_value is not None else math.nan
             trace.append(TraceRecord(state.epoch_index, t,
                                      counters.stochastic_calls,
@@ -338,22 +364,25 @@ def _certified_minimum(grad, project, eta: float, d: int, tol: float,
     r = ||w - project(w - eta * grad(w))||, zero exactly at the minimizer;
     it is checked on every RESIDUAL_INTERVAL-th iterate and on iterate
     max_iterations. Returns the first checked (w, r) with r < tol, or
-    raises CertificateError if no checked iterate reaches it.
+    raises CertificateError, naming the smallest residual checked, if no
+    checked iterate reaches it.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     iterates = _projected_gradient(grad, project, np.zeros(d), eta,
                                    accelerated=True, restart=True)
+    smallest = math.inf
     for t, w in enumerate(itertools.islice(iterates, max_iterations), 1):
         if t % RESIDUAL_INTERVAL and t < max_iterations:
             continue
         r = float(np.linalg.norm(w - project(w - eta * grad(w))))
         if r < tol:
             return w, r
+        smallest = min(smallest, r)
     raise CertificateError(
         f"residual did not fall below {tol} on any checked iterate (every "
         f"{RESIDUAL_INTERVAL}th and the last) within {max_iterations} "
-        f"iterations")
+        f"iterations; the smallest checked residual was {smallest:.3g}")
 
 
 def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,

@@ -68,6 +68,11 @@ class ProblemInstance:
     loss_kind: str
     domain_radius: float
     smoothness: float = field(init=False)
+    # Per-example constants of the stochastic step loops (core.run_epoch,
+    # baselines.run_sgd), built once with beta: the labels and the squared
+    # row norms ||x_i||^2, as lists of floats, which index faster.
+    _labels: list[float] = field(init=False, repr=False, compare=False)
+    _row_sq: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -78,8 +83,11 @@ class ProblemInstance:
             y = self.dataset.labels
             if not np.all(np.abs(y) == 1.0):
                 raise ValueError("logistic labels must be exactly -1 or +1")
+        row_sq = _row_norms_sq(self.dataset)
         object.__setattr__(self, "smoothness",
-                           smoothness_constant(self.dataset, self.loss_kind))
+                           _max_smoothness(row_sq, self.loss_kind))
+        object.__setattr__(self, "_labels", self.dataset.labels.tolist())
+        object.__setattr__(self, "_row_sq", row_sq.tolist())
 
     @property
     def n(self) -> int:
@@ -195,8 +203,15 @@ def smoothness_constant(dataset: Dataset, loss_kind: str) -> float:
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind: {loss_kind!r}")
-    max_sq = float(np.max(np.sum(dataset.features ** 2, axis=1)))
-    return max(_CURVATURE[loss_kind] * max_sq, SMOOTHNESS_FLOOR)
+    return _max_smoothness(_row_norms_sq(dataset), loss_kind)
+
+
+def _row_norms_sq(dataset: Dataset) -> np.ndarray:
+    return np.sum(dataset.features ** 2, axis=1)
+
+
+def _max_smoothness(row_sq: np.ndarray, loss_kind: str) -> float:
+    return max(_CURVATURE[loss_kind] * float(np.max(row_sq)), SMOOTHNESS_FLOOR)
 
 
 def mean_smoothness(instance: ProblemInstance) -> float:

@@ -168,16 +168,19 @@ class TestCriterion3VarianceReduction:
 class TestCriterion4ProjectionEquivalence:
     @staticmethod
     def _grid_projection(w, domain, resolution=1e-3):
+        # Distance from w to the nearest feasible point of the grid
+        # xs x xs; each norm sqrt((x - c_0)^2 + (y - c_1)^2) comes from two
+        # 1-D squares.
         d = domain.inner_radius
         xs = np.arange(-d, d + resolution, resolution)
-        gx, gy = np.meshgrid(xs, xs)
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        feas = (np.linalg.norm(pts, axis=1) <= domain.inner_radius) \
-            & (np.linalg.norm(pts + domain.anchor, axis=1)
-               <= domain.outer_radius)
-        pts = pts[feas]
-        dists = np.linalg.norm(pts - w, axis=1)
-        return dists.min()
+
+        def norms(center):
+            return np.sqrt(((xs - center[0]) ** 2)[None, :]
+                           + ((xs - center[1]) ** 2)[:, None])
+
+        feas = (norms(np.zeros(2)) <= domain.inner_radius) \
+            & (norms(-domain.anchor) <= domain.outer_radius)
+        return norms(w)[feas].min()
 
     def test_matches_grid_search(self):
         t0 = time.perf_counter()

@@ -8,7 +8,8 @@ from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import DivergenceError
 from mixedgrad.geometry import project_ball
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
-                              ProblemInstance, full_objective, loss_grad)
+                              ProblemInstance, _loss_derivative,
+                              full_objective, loss_grad)
 from mixedgrad.oracle import (OracleCounters, SeededSampler, full_grad,
                               sample_loss)
 
@@ -65,17 +66,20 @@ class TestSgd:
 
 
 def reference_sgd(inst, config, seed, counters):
-    """Projected SGD written plainly: per step one sample_loss call, one
-    loss_grad call and a project_ball call. Returns (point, number of
-    steps that projected)."""
+    """Projected SGD written plainly: per step one sample_loss call, the
+    loss derivative at w.x_i, the step w - (eta_t * derivative) * x_i and a
+    project_ball call. Returns (point, number of steps that projected)."""
     sampler = SeededSampler(seed)
     c = config.step_scale
+    X, y, kind = inst.dataset.features, inst.dataset.labels, inst.loss_kind
     w = np.zeros(inst.d)
     total = w.copy()
     projected = 0
     for t in range(1, config.iterations + 1):
         i = sample_loss(sampler, counters, inst.n)
-        v = w - (c / math.sqrt(t)) * loss_grad(inst, i, w)
+        x = X[i]
+        derivative = _loss_derivative(y[i], float(w @ x), kind)
+        v = w - ((c / math.sqrt(t)) * derivative) * x
         if not np.isfinite(v).all():
             raise DivergenceError(f"non-finite iterate at step {t}")
         w = project_ball(v, inst.domain_radius)
@@ -271,6 +275,13 @@ class TestConfig:
         with pytest.raises(ValueError,
                            match=f"^{field} must be an integer >= 1, got "):
             BaselineConfig("sgd", **counts)
+
+    @pytest.mark.parametrize("value", ["0.5", "abc", True, 1j, 0, -1.0,
+                                       math.nan])
+    def test_non_positive_real_step_scale_rejected(self, value):
+        with pytest.raises(ValueError, match="^step_scale must be a positive "
+                                             "real number, got "):
+            BaselineConfig("sgd", 100, step_scale=value)
 
     def test_method_mismatch_rejected(self):
         inst = random_instance()

@@ -295,6 +295,19 @@ class TestRunExperiment:
         assert int(row["full_calls"]) == 3
         assert int(row["stoch_calls"]) == 8 * (4 ** 3 - 1) // 3
 
+    def test_failed_reference_solve_makes_no_output_directory(
+            self, instance, tmp_path, monkeypatch):
+        def fail(instance, tolerance):
+            raise ReferenceSolveError("reference solve: no certificate")
+
+        monkeypatch.setattr(mixedgrad.bench, "compute_reference_optimum",
+                            fail)
+        spec = ExperimentSpec(instance, [BaselineConfig("gd", 5)], seeds=[0],
+                              out_dir=tmp_path / "out" / "nested")
+        with pytest.raises(ReferenceSolveError, match="no certificate"):
+            run_experiment(spec)
+        assert not (tmp_path / "out").exists()
+
     def test_rejects_empty_solver_list(self, instance, tmp_path):
         with pytest.raises(ValueError):
             ExperimentSpec(instance, [], seeds=[0], out_dir=tmp_path)

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from mixedgrad.bench import write_trace_csv
+import mixedgrad.bench
+from mixedgrad.bench import ReferenceSolveError, write_trace_csv
 from mixedgrad.cli import main
 from mixedgrad.core import TraceRecord
 from mixedgrad.losses import load_dataset_csv
@@ -57,7 +58,8 @@ def test_theory_mode_config(tmp_path):
                "--delta", "0.01", "--epochs", "2", "--n", "10", "--d", "2",
                "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out / "summary.csv")))
+    with open(out / "summary.csv") as f:
+        rows = list(csv.DictReader(f))
     # T1 = ceil(300 ln(2/0.01)) = 1590; total = T1 * (1 + 4)
     assert int(rows[0]["stoch_calls"]) == 1590 * 5
     assert int(rows[0]["full_calls"]) == 2
@@ -98,6 +100,40 @@ def test_gamma_flag_is_rejected(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --gamma 3" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("spec, field", [("mixedgrad:eta1=abc", "eta1"),
+                                         ("mixedgrad:lambda1=true", "lambda1"),
+                                         ("sgd:step_scale=abc", "step_scale")])
+def test_non_numeric_solver_value_is_an_argparse_error(spec, field, tmp_path,
+                                                       capsys):
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", spec, "--epochs", "1", "--n", "10",
+              "--d", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{field} must be a positive real number, got " \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_reference_solve_is_an_argparse_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # The real solve at --ref-tol 1e-300 runs 10^6 iterations before it
+    # gives up; a stub fails at once, as the solve would.
+    def fail(instance, tolerance):
+        raise ReferenceSolveError(
+            f"reference solve: residual did not fall below {tolerance}")
+
+    monkeypatch.setattr(mixedgrad.bench, "compute_reference_optimum", fail)
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--ref-tol", "1e-300", "--epochs", "1", "--n", "10",
+              "--d", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("bench run: error: --ref-tol 1e-300: reference solve: residual "
+            "did not fall below 1e-300") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["mixedgrad:t1=0", "nag:iterations=0",
@@ -161,7 +197,8 @@ def test_t1_and_gamma_flags_without_theory_mode(flags, calls, tmp_path):
     rc = main(["run", "--solver", "mixedgrad", *flags, "--epochs", "2",
                "--n", "10", "--d", "2", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out / "summary.csv")))
+    with open(out / "summary.csv") as f:
+        rows = list(csv.DictReader(f))
     assert int(rows[0]["stoch_calls"]) == calls
 
 
@@ -186,7 +223,8 @@ def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
                "--delta", "0.01", "--epochs", "3", "--n", "10", "--d", "2",
                "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out / "summary.csv")))
+    with open(out / "summary.csv") as f:
+        rows = list(csv.DictReader(f))
     # T1 = ceil(300 ln(1/0.01)) = 1382, one epoch
     assert (int(rows[0]["stoch_calls"]), int(rows[0]["full_calls"])) \
         == (1382, 1)

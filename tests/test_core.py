@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from mixedgrad.bench import gen_synthetic
-from mixedgrad.core import (DivergenceError, EpochState, MixedGradConfig,
-                            ProjectionCounts, anchor_gradient,
+from mixedgrad.core import (CertificateError, DivergenceError, EpochState,
+                            MixedGradConfig, ProjectionCounts,
+                            _certified_minimum, _projected_gradient,
+                            anchor_gradient,
                             epoch_subproblem_optimum, run, run_epoch,
                             shrink_schedule, theory_params)
 from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
@@ -56,8 +59,8 @@ class TestAnchorGradient:
 
 def correction(inst, i, w, anchor):
     """grad g_i(w + anchor) - grad g_i(anchor), the variance-reduction
-    correction of reference_epoch's step, as one scalar times x_i: the
-    difference of the loss derivatives at the two margins."""
+    correction, as one scalar times x_i: the difference of the loss
+    derivatives at the two margins."""
     x, y = inst.dataset.features[i], inst.dataset.labels[i]
     kind = inst.loss_kind
     return (_loss_derivative(y, float((w + anchor) @ x), kind)
@@ -243,10 +246,14 @@ def projection_branch(v, domain):
 
 def reference_epoch(inst, state, sampler, counters):
     """The epoch written plainly: per step one sample_loss call, the
-    correction from two loss derivatives and a project_epoch_domain call;
-    the average is the iterates' sum over their count. Returns what
-    run_epoch returns, plus the projection-branch tally."""
+    correction scalar c from two loss derivatives (the margin w.x_i +
+    anchor.x_i), the fused step w (1 - eta lam) - eta anchor_grad -
+    (eta c) x_i and a project_epoch_domain call; the average is the
+    iterates' sum over their count. Returns what run_epoch returns, with
+    the largest ||c x_i + lam w||^2 taken from the vector, plus the
+    projection-branch tally."""
     anchor, lam, eta = state.anchor, state.lam, state.eta
+    X, y, kind = inst.dataset.features, inst.dataset.labels, inst.loss_kind
     domain = EpochDomain(anchor, inst.domain_radius, state.delta)
     w = np.zeros(inst.d)
     total = w.copy()
@@ -254,9 +261,13 @@ def reference_epoch(inst, state, sampler, counters):
     tally = [0, 0, 0]
     for t in range(1, state.inner_iters + 1):
         i = sample_loss(sampler, counters, inst.n)
-        step = correction(inst, i, w, anchor) + lam * w
+        x = X[i]
+        a_margin = float(anchor @ x)
+        c = (_loss_derivative(y[i], float(w @ x) + a_margin, kind)
+             - _loss_derivative(y[i], a_margin, kind))
+        step = c * x + lam * w
         max_step_sq = max(max_step_sq, float(step @ step))
-        v = w - eta * (state.anchor_grad + step)
+        v = w * (1.0 - eta * lam) - eta * state.anchor_grad - (eta * c) * x
         branch = projection_branch(v, domain)
         if branch is not None:
             tally[branch] += 1
@@ -267,16 +278,17 @@ def reference_epoch(inst, state, sampler, counters):
 
 
 def assert_matches_reference(inst, state):
-    """run_epoch and reference_epoch agree bit for bit: mean, largest step,
-    counters, sampler position and projection branches. Returns the
-    branch counts."""
+    """run_epoch and reference_epoch agree bit for bit: mean, counters,
+    sampler position and projection branches; the largest step's squared
+    norm, a scalar expansion in run_epoch, agrees to a relative 1e-12.
+    Returns the branch counts."""
     s_run, s_ref = SeededSampler(3), SeededSampler(3)
     c_run, c_ref = OracleCounters(), OracleCounters()
     mean, max_sq, projections = run_epoch(inst, state, s_run, c_run)
     ref_mean, ref_max_sq, ref_projections = reference_epoch(
         inst, state, s_ref, c_ref)
     np.testing.assert_array_equal(mean, ref_mean)
-    assert max_sq == ref_max_sq
+    assert max_sq == pytest.approx(ref_max_sq, rel=1e-12, abs=0.0)
     assert c_run == c_ref
     assert s_run.draw(inst.n) == s_ref.draw(inst.n)
     assert projections == ref_projections
@@ -517,6 +529,23 @@ class TestRun:
             MixedGradConfig(eta1=-0.1, delta1=1.0, t1=10, epochs=3,
                             lambda1=1.0)
 
+    @pytest.mark.parametrize("field", ["eta1", "delta1", "lambda1"])
+    @pytest.mark.parametrize("value", ["0.1", "abc", True, None, 1j, 0,
+                                       -0.5, math.nan])
+    def test_non_positive_real_rejected(self, field, value):
+        reals = dict(eta1=0.1, delta1=1.0, lambda1=1.0)
+        reals[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a positive "
+                                             f"real number, got "):
+            MixedGradConfig(t1=10, epochs=3, **reals)
+
+    @pytest.mark.parametrize("value", [2, np.float64(0.5), np.int64(3),
+                                       math.inf])
+    def test_positive_reals_accepted(self, value):
+        cfg = MixedGradConfig(eta1=value, delta1=value, t1=10, epochs=3,
+                              lambda1=value)
+        assert cfg.eta1 == cfg.delta1 == cfg.lambda1 == value
+
 
 class TestEpochSubproblem:
     def test_matches_closed_form_quadratic(self):
@@ -534,6 +563,33 @@ class TestEpochSubproblem:
         assert w.shape == (inst.d,)
         with pytest.raises(RuntimeError, match="within 3 iterations"):
             epoch_subproblem_optimum(*args, max_iterations=3)
+
+    def test_cap_error_names_the_smallest_checked_residual(self):
+        # F(w) = (w - 1)^2 / 2 with step 1/2: the one checked iterate is
+        # w_1 = 0.5, whose residual is |0.5 - (0.5 + 0.25)| = 0.25.
+        with pytest.raises(CertificateError, match="within 1 iterations; "
+                           "the smallest checked residual was 0.25$"):
+            _certified_minimum(lambda w: w - 1.0,
+                               lambda v: project_ball(v, 5.0), 0.5, 1,
+                               1e-3, 1)
+        # An ill-conditioned quadratic, capped at 11: iterates 10 and 11
+        # are checked, and the residual rises between them.
+        A, b = np.diag([1.0, 0.01]), np.array([1.0, 0.5])
+
+        def grad(w):
+            return A @ w - b
+
+        def project(v):
+            return project_ball(v, 10.0)
+
+        iterates = _projected_gradient(grad, project, np.zeros(2), 1.0,
+                                       accelerated=True, restart=True)
+        r = [np.linalg.norm(w - project(w - grad(w)))
+             for w in itertools.islice(iterates, 11)]
+        assert r[9] < r[10]
+        with pytest.raises(CertificateError) as exc:
+            _certified_minimum(grad, project, 1.0, 2, 1e-12, 11)
+        assert str(exc.value).endswith(f"was {r[9]:.3g}")
 
     def test_rejects_nonpositive_iteration_cap(self):
         inst = random_instance(seed=3)

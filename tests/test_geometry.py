@@ -8,17 +8,23 @@ from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain, _norm,
                                 project_epoch_domain)
 
 
+def grid_norms(xs, center):
+    """sqrt((x - c_0)^2 + (y - c_1)^2) at every point (x, y) of the grid
+    xs x xs, row k holding y = xs[k], from two 1-D squares."""
+    return np.sqrt(((xs - center[0]) ** 2)[None, :]
+                   + ((xs - center[1]) ** 2)[:, None])
+
+
 def grid_search_projection(w, domain, resolution=1e-3):
-    """Brute-force 2-D projection oracle: densest feasible grid point."""
+    """Brute-force 2-D projection oracle: the feasible point of a square
+    grid nearest w, and its distance."""
     d = domain.inner_radius
     xs = np.arange(-d, d + resolution, resolution)
-    gx, gy = np.meshgrid(xs, xs)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    feas = (np.linalg.norm(pts, axis=1) <= domain.inner_radius) \
-        & (np.linalg.norm(pts + domain.anchor, axis=1) <= domain.outer_radius)
-    pts = pts[feas]
-    dists = np.linalg.norm(pts - w, axis=1)
-    return pts[np.argmin(dists)], dists.min()
+    feas = (grid_norms(xs, np.zeros(2)) <= domain.inner_radius) \
+        & (grid_norms(xs, -domain.anchor) <= domain.outer_radius)
+    dists = np.where(feas, grid_norms(xs, w), np.inf)
+    row, col = np.unravel_index(np.argmin(dists), dists.shape)
+    return np.array([xs[col], xs[row]]), dists[row, col]
 
 
 class TestProjectBall:

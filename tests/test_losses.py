@@ -225,6 +225,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0))
 
+    def test_per_example_step_constants(self):
+        # The step loops' labels and ||x_i||^2, built once per instance and
+        # kept out of its repr.
+        ds = Dataset(np.array([[3.0, 4.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+        inst = ProblemInstance(ds, LOGISTIC, 1.0)
+        assert inst._labels == [1.0, -1.0]
+        assert inst._row_sq == [25.0, 1.0]
+        assert "_labels" not in repr(inst) and "_row_sq" not in repr(inst)
+
     def test_smoothness_must_match_dataset(self):
         # beta is derived from the dataset; it cannot be passed in.
         ds = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
