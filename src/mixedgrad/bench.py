@@ -21,7 +21,8 @@ from .core import (CertificateError, DivergenceError, MixedGradConfig,
                    run as run_mixedgrad)
 from .geometry import project_ball
 from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
-                     full_objective, mean_gradient, mean_smoothness)
+                     _check_radius, full_objective, mean_gradient,
+                     mean_smoothness)
 
 TRACE_COLUMNS = ["solver", "seed", "epoch", "step", "stoch_calls",
                  "full_calls", "objective", "error", "status"]
@@ -55,6 +56,7 @@ def gen_synthetic(seed: int, n: int, d: int, noise_sd: float,
         raise ValueError("n and d must be >= 1")
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
+    _check_radius(radius)
     rng = np.random.Generator(np.random.Philox(seed))
     X = rng.standard_normal((n, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)

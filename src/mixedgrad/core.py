@@ -13,8 +13,11 @@ variance-reduction invariants on it. Its correction grad g_i(w + anchor) -
 grad g_i(anchor) is one scalar times x_i, from n cached anchor margins and
 derivatives; the step is one fused expression in w, x_i and the epoch's
 constants, and the bounded-step diagnostic is computed from scalars. Its
-average is the iterates' running sum over their count. Each epoch's
-summary counts the steps that left the fast path, by projection branch.
+average is the iterates' running sum over their count. Once the epoch's
+Delta-ball is certified inside the R-ball (EpochDomain.outer_inactive,
+from scalars), its steps never form w + anchor, with the same bits. Each
+epoch's summary counts the steps that left the fast path, by projection
+branch, and records that certificate.
 """
 
 from __future__ import annotations
@@ -161,6 +164,9 @@ class EpochSummary:
     stoch_calls: int           # cumulative at epoch end
     full_calls: int
     max_step_norm_sq: float    # max ||grad correction + lam*w||^2 observed
+    # The Delta-ball was certified inside the R-ball (EpochDomain's
+    # outer_inactive), so no step computed ||v + anchor||.
+    outer_inactive: bool
     projections: ProjectionCounts = field(default_factory=ProjectionCounts)
 
     @property
@@ -215,6 +221,15 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     and the diagnostic are exactly 0. An infinite eta or lam makes
     0 * inf on the first step: numpy's warning for it is silenced, and the
     NaN it leaves raises DivergenceError.
+
+    A step takes the projection fast path when the computed ||v|| <= Delta
+    and ||v + anchor|| <= R. In an epoch whose domain is certified
+    outer_inactive, the second test is known to pass whenever the first
+    does (EpochDomain derives the margin), so v + anchor and its norm are
+    not computed, and a step that leaves the fast path is scaled into the
+    Delta-ball at once: every point and branch count is the one the full
+    two-ball test gives. Otherwise the step computes them once and passes
+    them to the projection kernel.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
@@ -247,6 +262,10 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     total = w.copy()           # sum of the iterates seen so far
     max_step_sq = 0.0
     branches = [0, 0, 0]       # projection-branch tally, by INNER/OUTER/BOTH
+    # In a contained epoch u = v + anchor is never formed: ||u|| stays 0.0,
+    # so the fast-path test is ||v|| <= Delta, and the kernel reads neither.
+    contained = domain.outer_inactive
+    u, u_norm = None, 0.0
     indices = sample_losses(sampler, counters, instance.n, T)
     for t, i in enumerate(indices, 1):
         x = X[i]
@@ -259,8 +278,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
         v = w * shrink - eta_g - (eta * c) * x
         v_sq = float(v.dot(v))
         v_norm = math.sqrt(v_sq)
-        u = v + anchor
-        u_norm = math.sqrt(u.dot(u))
+        if not contained:
+            u = v + anchor
+            u_norm = math.sqrt(u.dot(u))
         # Projection fast path: inside both balls means no work.
         if v_norm <= delta and u_norm <= R:
             w = v
@@ -274,7 +294,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
                     raise DivergenceError(
                         f"non-finite iterate at epoch {state.epoch_index}, "
                         f"step {t}", counters, trace)
-                v_norm, u_norm = _norm(v), _norm(u)
+                v_norm = _norm(v)
+                if not contained:
+                    u_norm = _norm(u)
             w, branch = _project_two_balls(v, v_norm, u, u_norm, domain)
             branches[branch] += 1
             w_sq = float(w.dot(w))
@@ -459,7 +481,10 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
             anchor_after=next_state.anchor.copy(), objective_after=obj,
             stoch_calls=counters.stochastic_calls,
             full_calls=counters.full_calls,
-            max_step_norm_sq=max_step_sq, projections=projections))
+            max_step_norm_sq=max_step_sq,
+            outer_inactive=EpochDomain(state.anchor, R,
+                                       state.delta).outer_inactive,
+            projections=projections))
         state = next_state
 
     return SolverResult(state.anchor, trace, counters, tuple(summaries))

@@ -9,7 +9,10 @@ intersection is the point nearest v on the circle where the spheres meet.
 The public projections validate their input once, at entry. The two-ball
 projection has one code path, the private kernel _project_two_balls, fed
 v, ||v||, u = v + anchor and ||u||: project_epoch_domain computes them, and
-the solver's step loop passes those of its fast-path test. Norms are
+the solver's step loop passes those of its fast-path test. A domain whose
+Delta-ball provably lies inside the R-ball, with room for rounding
+(EpochDomain.outer_inactive, decided once from scalars), needs neither u
+nor ||u||: there the kernel only scales v into the Delta-ball. Norms are
 math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a 1-D float
 vector and cheaper; _norm rescales by max|v_i| only if the square
 overflows.
@@ -18,7 +21,8 @@ overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,19 +36,52 @@ class EpochDomain:
 
     Construction requires ||anchor|| <= outer_radius so the origin is
     feasible and the intersection is nonempty.
+
+    outer_inactive is derived: true when
+    (A + Delta) * (1 + 4 (d + 2) eps) <= R in floating point, where A is the
+    computed ||anchor||, d the anchor's length and eps machine epsilon.
+    Then every computed norm the two-ball projection compares with R is at
+    most R, so the R-ball never binds and the projection is the Delta-ball
+    projection, branch for branch and bit for bit. Derivation, with
+    u = eps / 2 and gamma_d = d u / (1 - d u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sections 2.2 and 3.1):
+    - A computed norm math.sqrt(x.dot(x)) of a d-vector lies within factors
+      (1 - gamma_d)(1 - u) and (1 + gamma_d)(1 + u) of ||x||; _norm's
+      rescaled form loses two more roundings, (1 - u)^2.
+    - So ||anchor|| <= A / ((1 - gamma_d)(1 - u)), and a computed
+      ||v|| <= Delta gives ||v|| <= Delta / ((1 - gamma_d)(1 - u)^3).
+    - The INNER scaling p = v * (Delta / ||v||) rounds twice:
+      ||p|| <= Delta (1 + u)^2 / ((1 - gamma_d)(1 - u)^3).
+    - The rounded sum v + anchor (fast-path test) or p + anchor (INNER
+      check) adds a factor (1 + u), and its computed norm
+      (1 + gamma_d)(1 + u).
+    Both computed norms are therefore at most
+    (A + Delta)(1 + u)^4 (1 + gamma_d) / ((1 - gamma_d)(1 - u)^3), to first
+    order (A + Delta)(1 + (2 d + 7) u). The flag's own sum and product
+    round down by at most (1 - u)^2, so it certifies
+    R >= (A + Delta)(1 + 8 (d + 2) u)(1 - u)^2, which exceeds that bound,
+    second-order terms included, for every d up to 2^40. Comparisons are
+    exact. The model assumes squares that do not underflow; an underflowed
+    square is off by at most 2^-1075, which the margin absorbs while
+    A + Delta exceeds about 1e-140.
     """
 
     anchor: np.ndarray
     outer_radius: float
     inner_radius: float
+    outer_inactive: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.anchor, dtype=float)
         if not (self.outer_radius > 0 and self.inner_radius > 0):
             raise ValueError("radii must be positive")
-        if np.linalg.norm(a) > self.outer_radius + 1e-9:
+        a_norm = np.linalg.norm(a)
+        if a_norm > self.outer_radius + 1e-9:
             raise ValueError("anchor lies outside the outer ball; domain would be empty")
+        margin = 1.0 + 4 * (a.size + 2) * sys.float_info.epsilon
         object.__setattr__(self, "anchor", a)
+        object.__setattr__(self, "outer_inactive", bool(
+            (a_norm + self.inner_radius) * margin <= self.outer_radius))
 
     def contains(self, w: np.ndarray, tol: float = 1e-9) -> bool:
         return (np.linalg.norm(w + self.anchor) <= self.outer_radius + tol
@@ -97,11 +134,18 @@ def _project_two_balls(v: np.ndarray, v_norm: float, u: np.ndarray,
     into the Delta-ball, OUTER scales u into the R-ball and shifts it back
     (u * (R/||u||) - anchor, which equals (-anchor) + u * (R/||u||) in IEEE
     arithmetic). Otherwise both constraints are active (BOTH).
+
+    On a domain with outer_inactive, u and ||u|| are not read (a caller
+    may pass None and 0.0): the result is INNER at once, the point the
+    branch tests below would return, since they would find every computed
+    norm compared with R at most R (EpochDomain).
     """
-    a = domain.anchor
-    R = domain.outer_radius
     delta = domain.inner_radius
     # The radii are positive by EpochDomain's construction.
+    if domain.outer_inactive:
+        return (v if v_norm <= delta else v * (delta / v_norm)), INNER
+    a = domain.anchor
+    R = domain.outer_radius
     if v_norm <= delta:
         p, q_norm = v, u_norm
     else:

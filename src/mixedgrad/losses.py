@@ -13,6 +13,7 @@ runs are bit-reproducible there.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,15 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _check_radius(radius) -> None:
+    """A feasible-ball radius R must be a positive finite number: an
+    infinite R leaves the problem unconstrained and the baselines' default
+    step R sqrt(n) / beta infinite."""
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"domain_radius must be positive and finite, "
+                         f"got {radius!r}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A dataset plus loss kind and feasible-ball radius R; the uniform
@@ -77,8 +87,7 @@ class ProblemInstance:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind: {self.loss_kind!r}")
-        if not self.domain_radius > 0:
-            raise ValueError("domain_radius must be positive")
+        _check_radius(self.domain_radius)
         if self.loss_kind == LOGISTIC:
             y = self.dataset.labels
             if not np.all(np.abs(y) == 1.0):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ class TestGenSynthetic:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             gen_synthetic(0, 0, 3, 0.0, LEAST_SQUARES, 1.0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_rejects_a_non_finite_radius_up_front(self, radius):
+        # Checked before the planted solution is scaled by it, so no
+        # numpy warning and no complaint about the dataset.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^domain_radius must be "
+                                                 "positive and finite, got "):
+                gen_synthetic(0, 10, 3, 0.0, LEAST_SQUARES, radius)
 
 
 class TestReferenceOptimum:

@@ -235,6 +235,10 @@ def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
     ("gen", ["--radius", "-1"], "domain_radius must be positive"),
     ("run", ["--n", "0"], "n and d must be >= 1"),
     ("run", ["--radius", "-1"], "domain_radius must be positive"),
+    ("gen", ["--radius", "nan"],
+     "domain_radius must be positive and finite, got nan"),
+    ("run", ["--radius", "inf"],
+     "domain_radius must be positive and finite, got inf"),
     ("run", ["--ref-tol", "1"], "reference tolerance must lie in"),
 ])
 def test_bad_instance_flags_are_an_argparse_error(command, flags, message,
@@ -264,6 +268,23 @@ def test_bad_csv_is_an_argparse_error(content, message, tmp_path, capsys):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+def test_non_finite_radius_with_a_csv_is_an_argparse_error(tmp_path,
+                                                           capsys):
+    # An infinite R would leave mixedgrad unconstrained and SGD's default
+    # step R sqrt(n) / beta infinite.
+    data = tmp_path / "data.csv"
+    assert main(["gen", "--n", "10", "--d", "2", "--out", str(data)]) == 0
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--csv", str(data), "--radius", "inf", "--solver",
+              "mixedgrad", "--solver", "sgd:iterations=50", "--out",
+              str(out)])
+    assert exc.value.code == 2
+    assert ("bench run: error: domain_radius must be positive and finite, "
+            "got inf" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", [0, 3])

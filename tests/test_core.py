@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mixedgrad import core
 from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import (CertificateError, DivergenceError, EpochState,
                             MixedGradConfig, ProjectionCounts,
@@ -17,7 +18,8 @@ from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
                                 project_ball, project_epoch_domain)
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               ProblemInstance, _loss_derivative,
-                              full_objective, loss_grad, mean_gradient)
+                              _loss_derivatives, full_objective, loss_grad,
+                              mean_gradient)
 from mixedgrad.oracle import (INDEX_BLOCK, OracleCounters, SeededSampler,
                               sample_loss)
 
@@ -115,6 +117,68 @@ class TestVrGradient:
                 assert np.all(np.abs(correction(inst, i, w, anchor)
                                      - (g_wa - g_a))
                               <= 4 * np.spacing(larger))
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_solver_correction_matches_loss_grad_difference(self, kind,
+                                                            monkeypatch):
+        # run_epoch's own correction c x_i, its margin split as
+        # w.x_i + anchor.x_i, against the loss_grad difference. A two-step
+        # epoch on one example with eta = 1, lam = 0 and anchor_grad = -w
+        # steps to w exactly (the correction is 0 at w = 0), and its second
+        # step takes the correction at w, from the derivatives recorded as
+        # run_epoch computes them.
+        #
+        # Bound, first order in u = 2^-53, per entry j (standard rounding
+        # model; numpy's exp within 2 ulp): the margins w.x + a.x (solver)
+        # and (w + a).x (loss_grad) each lie within (d + 1) u (S_w + S_a)
+        # of the exact one and a.x within d u S_a, where S_w = sum|w_k x_k|
+        # and S_a = sum|a_k x_k|. The derivative g' is L-Lipschitz
+        # (L = 2 least squares, 1/4 logistic) and evaluated to a relative
+        # kappa u (kappa = 1 and 10). Each difference and product adds u.
+        # So |c x_j - (g_wa - g_a)_j| <= u |x_j| [2 L (d + 1)(S_w + S_a)
+        # + 2 L d S_a + (2 kappa + 1)(|D1| + |D0|) + 3 |D1 - D0|], with
+        # D1, D0 the derivatives at w + a and a; the factor 1 + 1e-6 covers
+        # the second-order terms.
+        L, kappa = (2.0, 1) if kind == LEAST_SQUARES else (0.25, 10)
+        u = 2.0 ** -53
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((30, 10))
+        y = (rng.standard_normal(30) if kind == LEAST_SQUARES
+             else np.where(rng.standard_normal(30) >= 0, 1.0, -1.0))
+        inst = ProblemInstance(Dataset(X, y), kind, 100.0)
+        d = inst.d
+        derivatives, anchor_derivatives = [], []
+
+        def recorded(*args):
+            derivatives.append(_loss_derivative(*args))
+            return derivatives[-1]
+
+        def recorded_all(*args):
+            anchor_derivatives.append(_loss_derivatives(*args))
+            return anchor_derivatives[-1]
+
+        monkeypatch.setattr(core, "_loss_derivative", recorded)
+        monkeypatch.setattr(core, "_loss_derivatives", recorded_all)
+        for scale in (1e-8, 1e-3, 1.0):
+            anchor = rng.standard_normal(d)
+            w = scale * rng.standard_normal(d)
+            state = EpochState(1, anchor, 50.0, 0.0, 1.0, 2, -w)
+            for i in range(inst.n):
+                sampler = SimpleNamespace(draw_block=lambda n, k, i=i: [i] * k)
+                run_epoch(inst, state, sampler, OracleCounters())
+                D0 = anchor_derivatives[-1][i]
+                D1 = derivatives[-1]
+                assert derivatives[-2] == D0      # step 1: correction 0
+                x = X[i]
+                got = (D1 - D0) * x
+                want = loss_grad(inst, i, w + anchor) - loss_grad(inst, i,
+                                                                  anchor)
+                S_w, S_a = np.abs(w * x).sum(), np.abs(anchor * x).sum()
+                bound = u * np.abs(x) * (
+                    2 * L * (d + 1) * (S_w + S_a) + 2 * L * d * S_a
+                    + (2 * kappa + 1) * (abs(D1) + abs(D0))
+                    + 3 * abs(D1 - D0))
+                assert np.all(np.abs(got - want) <= bound * (1 + 1e-6))
 
     def test_unbiasedness(self):
         inst = random_instance(n=20, seed=11)
@@ -345,6 +409,29 @@ class TestRunEpochMatchesReference:
             assert projections.total == 0
 
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_bit_identical_contained(self, kind):
+        # ||anchor|| + Delta = 0.8 < R: the domain is certified
+        # outer_inactive, so run_epoch never forms v + anchor, and its
+        # steps leave the fast path only into the Delta-ball, thousands of
+        # times; the reference still tests both balls on every step.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((16, 10))
+        y = (rng.standard_normal(16) if kind == LEAST_SQUARES
+             else np.where(rng.standard_normal(16) >= 0, 1.0, -1.0))
+        inst = ProblemInstance(Dataset(X, y), kind, 1.0)
+        anchor = rng.standard_normal(10)
+        anchor *= 0.5 / np.linalg.norm(anchor)
+        assert EpochDomain(anchor, 1.0, 0.3).outer_inactive
+        lam = 0.1 * inst.smoothness
+        g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
+        state = EpochState(1, anchor, 0.3, lam, 0.5 / inst.smoothness,
+                           INDEX_BLOCK + 40, g_k)
+        projections = assert_matches_reference(inst, state)
+        assert projections.inner >= 1_000
+        assert projections.outer == projections.both == 0
+        assert projections.total < state.inner_iters
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_single_example_collapse(self, kind):
         # n = 1: the variance-reduced gradient is the exact gradient of
         # the regularized epoch objective, so the epoch is projected
@@ -489,6 +576,9 @@ class TestRun:
         for s in res.epoch_summaries:
             assert s.projections == ProjectionCounts()
             assert s.fast_steps == s.inner_iters
+            # Epoch 1 has Delta_1 = R, which the margin cannot certify; from
+            # epoch 2 the halved Delta-ball lies inside the R-ball.
+            assert s.outer_inactive == (s.epoch >= 2)
 
     def test_projection_counts_boundary_logistic(self):
         # Separable data: the optimum lies on the R-sphere, so after the
@@ -502,6 +592,9 @@ class TestRun:
             p = s.projections
             assert s.fast_steps + p.inner + p.outer + p.both == s.inner_iters
             assert s.fast_steps >= 0
+            # Epoch 1 has Delta_1 = R, and later anchors sit on the
+            # R-sphere: no epoch is certified.
+            assert not s.outer_inactive
         total = sum(s.inner_iters for s in res.epoch_summaries)
         outer = sum(s.projections.outer for s in res.epoch_summaries)
         assert outer > 0.9 * total

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,3 +283,73 @@ class TestProjectionKernel:
         np.testing.assert_allclose(p, [0.25 * math.sqrt(0.5),
                                        -0.25 * math.sqrt(0.5)], rtol=1e-15)
         np.testing.assert_array_equal(public, p)
+
+
+def threshold(anchor, delta):
+    """(computed ||anchor|| + Delta) * (1 + 4 (d + 2) eps), exactly."""
+    eps = Fraction(sys.float_info.epsilon)
+    return ((Fraction(float(np.linalg.norm(anchor))) + Fraction(delta))
+            * (1 + 4 * (anchor.size + 2) * eps))
+
+
+def contained_case(rng):
+    """A domain whose R lies up to twice the margin above ||a|| + Delta, so
+    about half of them are certified, and a v nearly parallel to the anchor
+    (where ||v + a|| is largest) with ||v|| spread around Delta: within a
+    few ulp of it, or within a factor of 2."""
+    d = int(rng.integers(1, 9))
+    anchor = rng.standard_normal(d)
+    anchor *= rng.uniform(0.0, 1.0) / np.linalg.norm(anchor)
+    delta = rng.uniform(0.05, 1.0)
+    a_norm = float(np.linalg.norm(anchor))
+    R = (a_norm + delta) * (1.0 + rng.uniform(0.0, 2.0) * 4 * (d + 2)
+                            * sys.float_info.epsilon)
+    dom = EpochDomain(anchor, R, delta)
+    direction = anchor + 10.0 ** rng.uniform(-12, -3) * rng.standard_normal(d)
+    if rng.random() < 0.5:
+        length = delta * (1.0 + rng.integers(-8, 9) * sys.float_info.epsilon)
+    else:
+        length = delta * 2.0 ** rng.uniform(-1, 1)
+    return direction * (length / np.linalg.norm(direction)), dom
+
+
+class TestOuterInactive:
+    def test_shortcut_matches_full_body_bit_for_bit(self):
+        # On a certified domain the computed ||v + a|| (fast-path test) and
+        # ||p + a|| (INNER check) never exceed R, so the full body returns
+        # the Delta-ball projection and INNER, as the shortcut does.
+        rng = np.random.default_rng(2024)
+        cases = near = 0
+        for _ in range(22_000):
+            w, dom = contained_case(rng)
+            if not dom.outer_inactive:
+                continue
+            cases += 1
+            near += abs(math.sqrt(w @ w) - dom.inner_radius) \
+                <= 8 * np.spacing(dom.inner_radius)
+            expected, branch = two_shortcut_body(w, dom)
+            p, got = kernel(w, dom)
+            assert branch == got == INNER
+            assert np.array_equal(p, expected)
+        assert cases >= 10_000 and near >= 2_000
+
+    def test_flag_follows_the_margin_to_within_four_ulp(self):
+        # R four or more ulp below the exact threshold is not certified,
+        # four or more above it is; ||a|| + Delta alone is never enough.
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            d = int(rng.integers(1, 60))
+            anchor = rng.standard_normal(d)
+            anchor *= rng.uniform(0.0, 1.0) / np.linalg.norm(anchor)
+            delta = rng.uniform(1e-6, 1.0)
+            T = threshold(anchor, delta)
+            down = up = float(T)
+            for k in range(1, 9):
+                down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+                if k >= 4:
+                    assert not EpochDomain(anchor, down, delta).outer_inactive
+                    assert EpochDomain(anchor, up, delta).outer_inactive
+            assert Fraction(down) < T < Fraction(up)
+            a_norm = float(np.linalg.norm(anchor))
+            assert not EpochDomain(anchor, a_norm + delta,
+                                   delta).outer_inactive

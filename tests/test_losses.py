@@ -225,6 +225,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("radius, shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+        (0.0, "0.0")])
+    def test_rejects_a_non_finite_or_non_positive_radius(self, radius, shown):
+        with pytest.raises(ValueError, match="^domain_radius must be positive "
+                                             f"and finite, got {shown}$"):
+            make_instance([[1.0]], [1.0], LEAST_SQUARES, radius=radius)
+
     def test_per_example_step_constants(self):
         # The step loops' labels and ||x_i||^2, built once per instance and
         # kept out of its repr.
