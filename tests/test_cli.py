@@ -235,11 +235,11 @@ def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
     ("gen", ["--radius", "-1"], "domain_radius must be positive"),
     ("run", ["--n", "0"], "n and d must be >= 1"),
     ("run", ["--radius", "-1"], "domain_radius must be positive"),
+    ("run", ["--ref-tol", "1"], "reference tolerance must lie in"),
     ("gen", ["--radius", "nan"],
      "domain_radius must be positive and finite, got nan"),
     ("run", ["--radius", "inf"],
      "domain_radius must be positive and finite, got inf"),
-    ("run", ["--ref-tol", "1"], "reference tolerance must lie in"),
 ])
 def test_bad_instance_flags_are_an_argparse_error(command, flags, message,
                                                   tmp_path, capsys):
