@@ -216,7 +216,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     (O(n) memory); the labels and the ||x_i||^2 are the instance's, built
     once. The diagnostic is the scalar
     c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2, with ||w||^2 the
-    previous step's ||v||^2, recomputed only after a projection. Both
+    previous step's ||v||^2, or after a projection the squared norm the
+    projection kernel returns with its point. c is a Python float, so the
+    step's scalar arithmetic stays in Python floats. Both
     margins are row dots, so at w = 0 (where w.x_i is 0.0) the correction
     and the diagnostic are exactly 0. An infinite eta or lam makes
     0 * inf on the first step: numpy's warning for it is silenced, and the
@@ -297,9 +299,8 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
                 v_norm = _norm(v)
                 if not contained:
                     u_norm = _norm(u)
-            w, branch = _project_two_balls(v, v_norm, u, u_norm, domain)
+            w, branch, w_sq = _project_two_balls(v, v_norm, u, u_norm, domain)
             branches[branch] += 1
-            w_sq = float(w.dot(w))
         total += w
         if trace is not None and t % checkpoint_stride == 0:
             obj = full_objective(instance, w + anchor)

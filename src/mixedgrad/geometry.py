@@ -12,10 +12,12 @@ v, ||v||, u = v + anchor and ||u||: project_epoch_domain computes them, and
 the solver's step loop passes those of its fast-path test. A domain whose
 Delta-ball provably lies inside the R-ball, with room for rounding
 (EpochDomain.outer_inactive, decided once from scalars), needs neither u
-nor ||u||: there the kernel only scales v into the Delta-ball. Norms are
-math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a 1-D float
-vector and cheaper; _norm rescales by max|v_i| only if the square
-overflows.
+nor ||u||: there the kernel only scales v into the Delta-ball. The kernel
+also returns the point's squared norm p.dot(p), which the step loop needs
+next; on the OUTER branch it is the square the branch test already took.
+Norms are math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a
+1-D float vector and cheaper; _norm rescales by max|v_i| only if the
+square overflows.
 """
 
 from __future__ import annotations
@@ -119,21 +121,25 @@ def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
     if not np.isfinite(w).all():
         raise ValueError("cannot project a non-finite point")
     u = w + domain.anchor
-    p, _ = _project_two_balls(w, _norm(w), u, _norm(u), domain)
+    p, _, _ = _project_two_balls(w, _norm(w), u, _norm(u), domain)
     return p
 
 
 def _project_two_balls(v: np.ndarray, v_norm: float, u: np.ndarray,
                        u_norm: float, domain: EpochDomain
-                       ) -> tuple[np.ndarray, int]:
+                       ) -> tuple[np.ndarray, int, float]:
     """Projection of a finite v onto the domain, given ||v||, u = v + anchor
-    and ||u||; returns the point and the branch that produced it.
+    and ||u||; returns the point p, the branch that produced it and
+    float(p.dot(p)), computed once.
 
     If the closed-form projection onto one ball already satisfies the other
     constraint, it is the projection onto the intersection: INNER scales v
     into the Delta-ball, OUTER scales u into the R-ball and shifts it back
     (u * (R/||u||) - anchor, which equals (-anchor) + u * (R/||u||) in IEEE
-    arithmetic). Otherwise both constraints are active (BOTH).
+    arithmetic). Otherwise both constraints are active (BOTH). OUTER is
+    tried only when ||u|| > R: with ||u|| <= R its point would be v, which
+    the INNER test has already returned if ||v|| <= Delta and which lies
+    outside the Delta-ball otherwise.
 
     On a domain with outer_inactive, u and ||u|| are not read (a caller
     may pass None and 0.0): the result is INNER at once, the point the
@@ -143,7 +149,8 @@ def _project_two_balls(v: np.ndarray, v_norm: float, u: np.ndarray,
     delta = domain.inner_radius
     # The radii are positive by EpochDomain's construction.
     if domain.outer_inactive:
-        return (v if v_norm <= delta else v * (delta / v_norm)), INNER
+        p = v if v_norm <= delta else v * (delta / v_norm)
+        return p, INNER, float(p.dot(p))
     a = domain.anchor
     R = domain.outer_radius
     if v_norm <= delta:
@@ -153,27 +160,28 @@ def _project_two_balls(v: np.ndarray, v_norm: float, u: np.ndarray,
         q = p + a
         q_norm = math.sqrt(q.dot(q))
     if q_norm <= R:
-        return p, INNER
-    if u_norm <= R:
-        p, p_norm = v, v_norm
-    else:
+        return p, INNER, float(p.dot(p))
+    if not u_norm <= R:
         p = u * (R / u_norm) - a
-        p_norm = math.sqrt(p.dot(p))
-    if p_norm <= delta:
-        return p, OUTER
+        p_sq = float(p.dot(p))
+        if math.sqrt(p_sq) <= delta:
+            return p, OUTER, p_sq
 
     # p = s * a_hat + rho * e, the point nearest v on the circle where the
     # spheres meet (e: direction of v's part orthogonal to a). s is clamped
     # to [-Delta, Delta] and squares are factored against rounding.
     a_norm = math.sqrt(a.dot(a))
     if a_norm == 0.0:  # concentric balls
-        return v * (min(R, delta) / v_norm), BOTH
+        p = v * (min(R, delta) / v_norm)
+        return p, BOTH, float(p.dot(p))
     a_hat = a / a_norm
     s = ((R - delta) * (R + delta) - a_norm * a_norm) / (2.0 * a_norm)
     s = min(max(s, -delta), delta)
     v_perp = v - v.dot(a_hat) * a_hat
     perp_norm = _norm(v_perp)
     if perp_norm == 0.0:  # v on the anchor's axis, as always when d = 1
-        return s * a_hat, BOTH
+        p = s * a_hat
+        return p, BOTH, float(p.dot(p))
     rho = math.sqrt((delta - s) * (delta + s))
-    return s * a_hat + v_perp * (rho / perp_norm), BOTH
+    p = s * a_hat + v_perp * (rho / perp_norm)
+    return p, BOTH, float(p.dot(p))

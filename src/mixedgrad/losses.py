@@ -142,14 +142,16 @@ def _loss_derivative(y: float, margin: float, kind: str) -> float:
     # Derivative of g_i with respect to its margin <w, x_i>, so that
     # grad g_i(w) = _loss_derivative(y_i, <w, x_i>, kind) * x_i. For the
     # logistic loss, d/dm ln(1+exp(-y m)) = -y / (1 + exp(y m)), evaluated
-    # through a stable sigmoid.
+    # through a stable sigmoid. Given floats it returns a Python float:
+    # exp is numpy's, whose scalar form matches _loss_derivatives' array
+    # form bit for bit (math.exp does not always), converted once.
     if kind == LEAST_SQUARES:
         return -2.0 * (y - margin)
     z = y * margin
     if z >= 0:
-        ez = np.exp(-z)
+        ez = float(np.exp(-z))
         return -y * (ez / (1.0 + ez))
-    return -y * (1.0 / (1.0 + np.exp(z)))
+    return -y * (1.0 / (1.0 + float(np.exp(z))))
 
 
 def _loss_derivatives(y: np.ndarray, margins: np.ndarray,

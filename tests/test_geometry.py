@@ -172,8 +172,15 @@ def random_case(rng, d_low=1, d_high=9):
 
 
 def kernel(w, domain):
+    """The kernel's point and branch for w, fed as project_epoch_domain
+    feeds it. Checks on every call that the squared norm it returns is
+    float(p.dot(p)) bit for bit (a nonnegative float that is not NaN
+    equals only itself), and that OUTER's point is never v itself."""
     u = w + domain.anchor
-    return _project_two_balls(w, _norm(w), u, _norm(u), domain)
+    p, branch, p_sq = _project_two_balls(w, _norm(w), u, _norm(u), domain)
+    assert type(p_sq) is float and p_sq == float(p.dot(p))
+    assert branch != OUTER or p is not w
+    return p, branch
 
 
 class TestProjectionKernel:
@@ -202,7 +209,9 @@ class TestProjectionKernel:
         # mu >= 0, and complementary slackness.
         rng = np.random.default_rng(99)
         cases = 0
-        while cases < 1_000:
+        # This seed reaches 1,000 two-ball cases at draw 11,323; the cap
+        # makes a kernel that never returns BOTH fail instead of spin.
+        for _ in range(20_000):
             w, dom = random_case(rng, d_low=2)
             p, branch = kernel(w, dom)
             if branch != BOTH:
@@ -218,6 +227,9 @@ class TestProjectionKernel:
                                        atol=1e-9)
             assert mu.min() >= -1e-9
             assert np.max(mu * np.abs(slack)) <= 1e-9
+            if cases == 1_000:
+                break
+        assert cases >= 1_000
 
     def test_zero_anchor_scales_into_smaller_ball(self):
         # With anchor 0 and Delta = R both shortcuts can miss by an ulp
@@ -283,6 +295,27 @@ class TestProjectionKernel:
         np.testing.assert_allclose(p, [0.25 * math.sqrt(0.5),
                                        -0.25 * math.sqrt(0.5)], rtol=1e-15)
         np.testing.assert_array_equal(public, p)
+
+    @pytest.mark.parametrize("a, w, branch, same", [
+        (0.9, [0.0, 0.1], INNER, True),
+        (0.9, [-1.0, 0.3], INNER, False),
+        (0.9, [0.2, 0.03], OUTER, False),
+        (0.9, [0.5, 0.5], BOTH, False),
+        (0.1, [0.0, 0.1], INNER, True),
+        (0.1, [0.3, 1.0], INNER, False),
+    ])
+    def test_squared_norm_on_every_return(self, a, w, branch, same):
+        # kernel() checks the returned float(p.dot(p)) on each return: v
+        # itself or scaled (INNER, and with a = 0.1 the outer_inactive
+        # shortcut), u scaled and shifted (OUTER), and the circle point
+        # (BOTH). The concentric and on-axis BOTH returns arise only by
+        # rounding; the zero-anchor and anchor-axis tests above reach them
+        # through kernel().
+        dom = EpochDomain(np.array([a, 0.0]), 1.0, 0.25)
+        w = np.array(w)
+        p, got = kernel(w, dom)
+        assert got == branch and (p is w) == same
+        assert dom.outer_inactive == (a == 0.1)
 
 
 def threshold(anchor, delta):

@@ -66,16 +66,21 @@ class TestLossGrad:
 class TestLossDerivative:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_array_form_matches_scalar_bit_for_bit(self, kind):
-        # Margins up to +-800 cover both sigmoid branches and exp
-        # underflow; the array form must give the scalar's bits.
+        # Margins up to +-800 cover both sigmoid branches (y m >= 0 and
+        # < 0), |y m| near 700 and exp underflow; the scalar form, given
+        # Python floats as the step loops pass it, returns Python floats
+        # with the array form's bits, signed zeros included.
         rng = np.random.default_rng(6)
         margins = rng.uniform(-800.0, 800.0, 2000) * rng.uniform(0, 1, 2000)
+        margins[:6] = [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300]
         y = (np.where(rng.integers(0, 2, 2000) == 1, 1.0, -1.0)
              if kind == LOGISTIC else rng.standard_normal(2000))
         array = _loss_derivatives(y, margins, kind)
         scalar = [_loss_derivative(float(yi), float(m), kind)
                   for yi, m in zip(y, margins)]
-        np.testing.assert_array_equal(array, scalar)
+        assert all(type(s) is float for s in scalar)
+        np.testing.assert_array_equal(np.array(scalar).view(np.uint64),
+                                      array.view(np.uint64))
 
 
 class TestFullObjective:
