@@ -21,8 +21,8 @@ from .core import (CertificateError, DivergenceError, MixedGradConfig,
                    run as run_mixedgrad)
 from .geometry import project_ball
 from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
-                     _check_radius, full_objective, mean_gradient,
-                     mean_smoothness)
+                     _check_radius, _row_norms_sq, full_objective,
+                     mean_gradient, mean_smoothness)
 
 TRACE_COLUMNS = ["solver", "seed", "epoch", "step", "stoch_calls",
                  "full_calls", "objective", "error", "status"]
@@ -59,7 +59,7 @@ def gen_synthetic(seed: int, n: int, d: int, noise_sd: float,
     _check_radius(radius)
     rng = np.random.Generator(np.random.Philox(seed))
     X = rng.standard_normal((n, d))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X /= np.sqrt(_row_norms_sq(X))[:, None]
     w0 = rng.standard_normal(d)
     w0 *= (radius / 2.0) / np.linalg.norm(w0)
     raw = X @ w0 + noise_sd * rng.standard_normal(n)

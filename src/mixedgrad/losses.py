@@ -22,6 +22,10 @@ LEAST_SQUARES = "least_squares"
 LOGISTIC = "logistic"
 LOSS_KINDS = (LEAST_SQUARES, LOGISTIC)
 
+# Entries per block of _row_norms_sq: a block's squares take 256 KB, so a
+# pass over the rows never builds a temporary the size of the features.
+ROW_BLOCK = 32768
+
 # Floor applied to the smoothness constant for degenerate (all-zero
 # feature) datasets so the regularization schedules stay well defined.
 SMOOTHNESS_FLOOR = 1e-12
@@ -72,7 +76,10 @@ def _check_radius(radius) -> None:
 @dataclass(frozen=True)
 class ProblemInstance:
     """A dataset plus loss kind and feasible-ball radius R; the uniform
-    per-example smoothness constant beta is derived from the dataset."""
+    per-example smoothness constant beta is derived from the dataset:
+    2 max_i ||x_i||^2 for least squares, max_i ||x_i||^2 / 4 for logistic,
+    floored at SMOOTHNESS_FLOOR. A row whose ||x_i||^2 overflows, or a
+    beta that does, is a ValueError."""
 
     dataset: Dataset
     loss_kind: str
@@ -92,9 +99,18 @@ class ProblemInstance:
             y = self.dataset.labels
             if not np.all(np.abs(y) == 1.0):
                 raise ValueError("logistic labels must be exactly -1 or +1")
-        row_sq = _row_norms_sq(self.dataset)
-        object.__setattr__(self, "smoothness",
-                           _max_smoothness(row_sq, self.loss_kind))
+        row_sq = _row_norms_sq(self.dataset.features)
+        overflowed = np.flatnonzero(~np.isfinite(row_sq))
+        if overflowed.size:
+            raise ValueError(f"example {overflowed[0]}: its squared feature "
+                             f"norm ||x_i||^2 overflows to inf; rescale the "
+                             f"features")
+        curvature = _CURVATURE[self.loss_kind]
+        beta = curvature * float(np.max(row_sq))
+        if not math.isfinite(beta):
+            raise ValueError(f"beta = {curvature} max_i ||x_i||^2 overflows "
+                             f"to inf; rescale the features")
+        object.__setattr__(self, "smoothness", max(beta, SMOOTHNESS_FLOOR))
         object.__setattr__(self, "_labels", self.dataset.labels.tolist())
         object.__setattr__(self, "_row_sq", row_sq.tolist())
 
@@ -206,28 +222,24 @@ def mean_gradient(instance: ProblemInstance, w: np.ndarray) -> np.ndarray:
     return (coef @ X) / instance.n
 
 
-def smoothness_constant(dataset: Dataset, loss_kind: str) -> float:
-    """Uniform per-example smoothness constant beta (max over examples).
-
-    least squares: 2 * max_i ||x_i||^2; logistic: max_i ||x_i||^2 / 4.
-    Degenerate all-zero features get a tiny positive floor.
-    """
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind: {loss_kind!r}")
-    return _max_smoothness(_row_norms_sq(dataset), loss_kind)
-
-
-def _row_norms_sq(dataset: Dataset) -> np.ndarray:
-    return np.sum(dataset.features ** 2, axis=1)
-
-
-def _max_smoothness(row_sq: np.ndarray, loss_kind: str) -> float:
-    return max(_CURVATURE[loss_kind] * float(np.max(row_sq)), SMOOTHNESS_FLOOR)
+def _row_norms_sq(X: np.ndarray) -> np.ndarray:
+    """||x_i||^2 for every row of X, squared and summed a block of rows at a
+    time. Each row is reduced on its own, so the result equals
+    np.sum(X ** 2, axis=1) bit for bit. A square that overflows gives inf
+    without a warning; the caller decides what that means."""
+    n, d = X.shape
+    rows = max(1, ROW_BLOCK // d)
+    out = np.empty(n)
+    with np.errstate(over="ignore"):
+        for k in range(0, n, rows):
+            np.sum(X[k:k + rows] ** 2, axis=1, out=out[k:k + rows])
+    return out
 
 
 def mean_smoothness(instance: ProblemInstance) -> float:
     """Smoothness constant L of the averaged objective G: c * lambda_max of
-    the Gram matrix over n, with the curvature factor c of smoothness_constant.
+    the Gram matrix over n, with the curvature factor c of the per-example
+    constant beta = c * max_i ||x_i||^2 (ProblemInstance.smoothness).
 
     The Gram matrix is the smaller of X^T X and X X^T (the two share their
     nonzero eigenvalues). Since X^T X = sum_i x_i x_i^T, L <= beta, with

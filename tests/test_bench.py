@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,6 +59,66 @@ class TestGenSynthetic:
             with pytest.raises(ValueError, match="^domain_radius must be "
                                                  "positive and finite, got "):
                 gen_synthetic(0, 10, 3, 0.0, LEAST_SQUARES, radius)
+
+
+def old_synthetic_data(seed, n, d, noise_sd, loss_kind, radius):
+    # gen_synthetic's draws with the full-array row normalization it used
+    # before its row norms came from losses._row_norms_sq.
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = rng.standard_normal((n, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    w0 = rng.standard_normal(d)
+    w0 *= (radius / 2.0) / np.linalg.norm(w0)
+    raw = X @ w0 + noise_sd * rng.standard_normal(n)
+    y = raw if loss_kind == LEAST_SQUARES else np.where(raw >= 0, 1.0, -1.0)
+    return X, y
+
+
+@pytest.mark.parametrize("seed, n, d, loss_kind", [
+    (0, 200, 20, LEAST_SQUARES), (4, 200, 20, LOGISTIC),
+    (7, 3000, 50, LEAST_SQUARES), (11, 3, 40_000, LOGISTIC)])
+def test_blocked_normalization_is_bit_identical(seed, n, d, loss_kind):
+    inst = gen_synthetic(seed, n, d, 0.5, loss_kind, 1.0)
+    X, y = old_synthetic_data(seed, n, d, 0.5, loss_kind, 1.0)
+    assert inst.dataset.features.tobytes() == X.tobytes()
+    assert inst.dataset.labels.tobytes() == y.tobytes()
+    row_sq = np.sum(X ** 2, axis=1)
+    assert inst._row_sq == row_sq.tolist()
+    curvature = 2.0 if loss_kind == LEAST_SQUARES else 0.25
+    assert inst.smoothness == curvature * float(np.max(row_sq))
+
+
+def traced_peak(build):
+    """build() and the peak of tracemalloc's traced memory (numpy's buffers
+    included) above its level when build started, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestSetUpMemory:
+    # The large-n benchmark instance. Its row norms are computed a block of
+    # rows at a time, so neither gen_synthetic nor ProblemInstance builds
+    # an n x d temporary besides the feature matrix X itself.
+    N, D = 20_000, 50
+    X_BYTES = N * D * 8
+
+    def test_gen_synthetic_peak(self):
+        inst, peak = traced_peak(lambda: gen_synthetic(
+            0, self.N, self.D, 0.5, LEAST_SQUARES, 1.0))
+        assert inst.dataset.features.nbytes == self.X_BYTES
+        assert peak <= 1.5 * self.X_BYTES
+
+    def test_problem_instance_peak(self):
+        dataset = gen_synthetic(0, self.N, self.D, 0.5, LEAST_SQUARES,
+                                1.0).dataset
+        _, peak = traced_peak(
+            lambda: ProblemInstance(dataset, LEAST_SQUARES, 1.0))
+        assert peak <= 0.5 * self.X_BYTES
 
 
 class TestReferenceOptimum:

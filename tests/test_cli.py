@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,25 @@ def test_non_finite_radius_with_a_csv_is_an_argparse_error(tmp_path,
     assert exc.value.code == 2
     assert ("bench run: error: domain_radius must be positive and finite, "
             "got inf" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["mixedgrad", "sgd", "gd"])
+def test_csv_row_whose_norm_overflows_is_an_argparse_error(solver, tmp_path,
+                                                           capsys):
+    # ||x_1||^2 = 1e400 overflows. The row is named up front: no numpy
+    # overflow warning, no misleading eta1 error or DivergenceError later.
+    data = tmp_path / "data.csv"
+    data.write_text("y,x1,x2\n1.0,1.0,0.0\n-1.0,1e200,0.5\n1.0,0.3,0.2\n")
+    out = tmp_path / "results"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--csv", str(data), "--solver", solver, "--out",
+                  str(out)])
+    assert exc.value.code == 2
+    assert ("bench run: error: example 1: its squared feature norm "
+            "||x_i||^2 overflows to inf" in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -1,14 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
+from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, ROW_BLOCK, Dataset,
                               ProblemInstance, _loss_derivative,
-                              _loss_derivatives, full_objective,
-                              load_dataset_csv, loss_grad, loss_value,
-                              mean_gradient, mean_smoothness,
-                              save_dataset_csv, smoothness_constant)
+                              _loss_derivatives, _row_norms_sq,
+                              full_objective, load_dataset_csv, loss_grad,
+                              loss_value, mean_gradient, mean_smoothness,
+                              save_dataset_csv)
 
 
 def make_instance(X, y, kind, radius=1.0):
@@ -119,20 +120,22 @@ class TestFullObjective:
                                                             rel=1e-14)
 
 
+def beta(dataset, kind):
+    return ProblemInstance(dataset, kind, 1.0).smoothness
+
+
 class TestSmoothnessConstant:
     def test_least_squares_single_row(self):
-        assert smoothness_constant(Dataset(np.array([[1.0, 0.0]]),
-                                           np.array([1.0])),
-                                   LEAST_SQUARES) == 2.0
+        assert beta(Dataset(np.array([[1.0, 0.0]]), np.array([1.0])),
+                    LEAST_SQUARES) == 2.0
 
     def test_logistic_single_row(self):
-        assert smoothness_constant(Dataset(np.array([[2.0, 0.0]]),
-                                           np.array([1.0])),
-                                   LOGISTIC) == 1.0
+        assert beta(Dataset(np.array([[2.0, 0.0]]), np.array([1.0])),
+                    LOGISTIC) == 1.0
 
     def test_zero_features_floor(self):
         ds = Dataset(np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]))
-        assert smoothness_constant(ds, LEAST_SQUARES) == 1e-12
+        assert beta(ds, LEAST_SQUARES) == 1e-12
 
     def test_power_iteration_confirms_least_squares(self):
         # top eigenvalue of the per-example Hessian 2 x x^T is 2 ||x||^2
@@ -145,7 +148,51 @@ class TestSmoothnessConstant:
             v /= np.linalg.norm(v)
         top = float(v @ H @ v)
         ds = Dataset(x[None, :], np.array([0.5]))
-        assert smoothness_constant(ds, LEAST_SQUARES) == pytest.approx(top, rel=1e-12)
+        assert beta(ds, LEAST_SQUARES) == pytest.approx(top, rel=1e-12)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("d", [1, 7, 50, ROW_BLOCK + 1])
+    def test_blocked_pass_is_bit_identical(self, d):
+        # Blocks of max(1, ROW_BLOCK // d) rows; n straddles one block and
+        # covers several. Some rows are scaled so that their squares
+        # underflow to subnormals or to zero.
+        rows = max(1, ROW_BLOCK // d)
+        rng = np.random.default_rng(d)
+        for n in sorted({max(rows - 1, 1), rows, rows + 1, 3 * rows + 1}):
+            X = rng.standard_normal((n, d))
+            X[::3] *= 1e-160
+            X[1::5] *= 1e-200
+            expected = np.sum(X ** 2, axis=1)
+            assert expected[::3].min() < 1e-300
+            assert _row_norms_sq(X).tobytes() == expected.tobytes()
+
+    def test_overflow_is_inf_without_a_warning(self):
+        X = np.array([[1.0, 2.0], [1e200, 0.0], [1e154, 1e154]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _row_norms_sq(X).tolist() == [5.0, math.inf, math.inf]
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_instance_rejects_the_first_overflowing_row(self, kind):
+        X = np.ones((6, 3))
+        X[2, 1] = 1e200
+        X[4, 0] = -1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^example 2: its squared "
+                                                 r"feature norm \|\|x_i\|\|\^2 "
+                                                 r"overflows to inf"):
+                make_instance(X, np.ones(6), kind)
+
+    def test_beta_that_overflows_is_rejected(self):
+        # ||x_0||^2 = 1e308 is finite: logistic beta is a quarter of it,
+        # least-squares beta twice it, which overflows.
+        X, y = [[1e154, 0.0], [1.0, 0.0]], [1.0, -1.0]
+        assert make_instance(X, y, LOGISTIC).smoothness == 1e308 / 4
+        with pytest.raises(ValueError, match=r"^beta = 2\.0 max_i "
+                                             r"\|\|x_i\|\|\^2 overflows to inf"):
+            make_instance(X, y, LEAST_SQUARES)
 
 
 def random_instance(rng, n, d, kind):
@@ -172,8 +219,7 @@ class TestMeanSmoothness:
             assert mean_smoothness(inst) == pytest.approx(inst.smoothness,
                                                           rel=1e-14)
         assert mean_smoothness(make_instance([[1.0, 0.0]], [1.0], kind)) \
-            == smoothness_constant(Dataset(np.array([[1.0, 0.0]]),
-                                           np.array([1.0])), kind)
+            == beta(Dataset(np.array([[1.0, 0.0]]), np.array([1.0])), kind)
 
     @pytest.mark.parametrize("n, d", [(6, 15), (15, 6)])
     def test_both_gram_sides_agree(self, n, d):
@@ -250,8 +296,7 @@ class TestValidation:
     def test_smoothness_must_match_dataset(self):
         # beta is derived from the dataset; it cannot be passed in.
         ds = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
-        assert ProblemInstance(ds, LEAST_SQUARES, 1.0).smoothness \
-            == smoothness_constant(ds, LEAST_SQUARES) == 2.0
+        assert ProblemInstance(ds, LEAST_SQUARES, 1.0).smoothness == 2.0
         with pytest.raises(TypeError):
             ProblemInstance(ds, LEAST_SQUARES, 1.0, 3.0)
 
