@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (DivergenceError, SolverResult, TraceRecord, _check_counts,
                    _check_positive, _projected_gradient)
-from .geometry import _norm, project_ball
+from .geometry import _project_ball, project_ball
 from .losses import ProblemInstance, _loss_derivative, full_objective
 # loss_grad stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.loss_grad by name.
@@ -58,6 +58,7 @@ def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarr
                              counters.full_calls, obj, err))
 
 
+@np.errstate(over="ignore")
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             reference_value: float | None = None) -> SolverResult:
     """Projected SGD with step c/sqrt(t); its point (and each
@@ -66,7 +67,9 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
 
     Step t is v = w - (eta_t * g) * x_i, with eta_t = c/sqrt(t) and g the
     loss derivative at the margin w.x_i (the labels come from the
-    instance's per-example list), then projected onto the R-ball."""
+    instance's per-example list), then projected onto the R-ball by the
+    ball kernel (geometry._project_ball), whose ValueError for a non-finite
+    v raises DivergenceError."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
     R = instance.domain_radius
@@ -83,24 +86,15 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     total = w.copy()           # sum of the iterates seen so far
     indices = sample_losses(sampler, counters, instance.n, config.iterations)
     for t, i in enumerate(indices, 1):
-        # loss_grad and project_ball written out: ||v||^2 is taken once
-        # and serves the R-ball test, the projection and the finiteness
-        # check, which only a point outside the ball needs; a finite v whose
-        # square overflows gets a rescaled norm.
+        # loss_grad written out.
         eta = c / math.sqrt(t)
         x = X[i]
         v = w - (eta * _loss_derivative(labels[i], float(w.dot(x)), kind)) * x
-        v_sq = v.dot(v)
-        v_norm = math.sqrt(v_sq)
-        if v_norm <= R:
-            w = v
-        else:
-            if not math.isfinite(v_sq):
-                if not np.isfinite(v).all():
-                    raise DivergenceError(f"non-finite iterate at step {t}",
-                                          counters, trace)
-                v_norm = _norm(v)
-            w = v * (R / v_norm)
+        try:
+            w = _project_ball(v, R)
+        except ValueError:
+            raise DivergenceError(f"non-finite iterate at step {t}",
+                                  counters, trace) from None
         total += w
         if t % config.checkpoint_stride == 0 or t == config.iterations:
             point = total / (t + 1.0)

@@ -13,11 +13,12 @@ variance-reduction invariants on it. Its correction grad g_i(w + anchor) -
 grad g_i(anchor) is one scalar times x_i, from n cached anchor margins and
 derivatives; the step is one fused expression in w, x_i and the epoch's
 constants, and the bounded-step diagnostic is computed from scalars. Its
-average is the iterates' running sum over their count. Once the epoch's
-Delta-ball is certified inside the R-ball (EpochDomain.outer_inactive,
-from scalars), its steps never form w + anchor, with the same bits. Each
-epoch's summary counts the steps that left the fast path, by projection
-branch, and records that certificate.
+average is the iterates' running sum over their count. Each step makes
+one call to the two-ball projection kernel (geometry._project_two_balls),
+which owns the fast path and the shortcut for an epoch whose Delta-ball is
+certified inside the R-ball (EpochDomain.outer_inactive). Each epoch's
+summary counts the steps that left the fast path, by projection branch,
+and records that certificate.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import (BOTH, INNER, OUTER, EpochDomain, _norm,
-                       _project_two_balls, project_ball, project_epoch_domain)
+from .geometry import (BOTH, INNER, OUTER, EpochDomain, _project_two_balls,
+                       project_ball, project_epoch_domain)
 from .losses import (ProblemInstance, _loss_derivative, _loss_derivatives,
                      full_objective, mean_gradient, mean_smoothness)
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
@@ -108,8 +109,13 @@ def theory_params(beta: float, radius: float, failure_prob: float,
             f"{MAX_FAILURE_PROBABILITY:.4g}]")
     t1 = math.ceil(300.0 * math.log(epochs / failure_prob))
     eta1 = 1.0 / (2.0 * beta * math.sqrt(3.0 * t1))
+    lambda1 = 16.0 * beta
+    if not (eta1 > 0 and lambda1 < math.inf):
+        raise ValueError(f"beta = {beta:g} is too large: eta1 = 1/(2 beta "
+                         f"sqrt(3 T1)) or lambda1 = 16 beta overflows; "
+                         f"rescale the features")
     return MixedGradConfig(eta1=eta1, delta1=radius, t1=t1, epochs=epochs,
-                           lambda1=16.0 * beta)
+                           lambda1=lambda1)
 
 
 @dataclass
@@ -191,7 +197,7 @@ def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
     return lam * anchor + full_grad(instance, anchor, counters)
 
 
-@np.errstate(invalid="ignore")
+@np.errstate(invalid="ignore", over="ignore")
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
               trace: list[TraceRecord] | None = None,
@@ -216,22 +222,16 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     (O(n) memory); the labels and the ||x_i||^2 are the instance's, built
     once. The diagnostic is the scalar
     c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2, with ||w||^2 the
-    previous step's ||v||^2, or after a projection the squared norm the
-    projection kernel returns with its point. c is a Python float, so the
-    step's scalar arithmetic stays in Python floats. Both
+    squared norm the projection kernel returned with w. c is a Python
+    float, so the step's scalar arithmetic stays in Python floats. Both
     margins are row dots, so at w = 0 (where w.x_i is 0.0) the correction
     and the diagnostic are exactly 0. An infinite eta or lam makes
-    0 * inf on the first step: numpy's warning for it is silenced, and the
-    NaN it leaves raises DivergenceError.
+    0 * inf on the first step, and a huge one can overflow v: numpy's
+    warnings for them are silenced, and the NaN or inf they leave makes
+    the projection kernel raise, which raises DivergenceError.
 
-    A step takes the projection fast path when the computed ||v|| <= Delta
-    and ||v + anchor|| <= R. In an epoch whose domain is certified
-    outer_inactive, the second test is known to pass whenever the first
-    does (EpochDomain derives the margin), so v + anchor and its norm are
-    not computed, and a step that leaves the fast path is scaled into the
-    Delta-ball at once: every point and branch count is the one the full
-    two-ball test gives. Otherwise the step computes them once and passes
-    them to the projection kernel.
+    The new iterate is the projection kernel's point, with its branch
+    (geometry._project_two_balls): FAST, inside both balls, is v itself.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
@@ -239,9 +239,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
         raise ValueError("epoch state is missing the anchor gradient")
     T = state.inner_iters
     lam, eta = state.lam, state.eta
-    delta = state.delta
-    R = instance.domain_radius
-    domain = EpochDomain(anchor, R, delta)
+    domain = EpochDomain(anchor, instance.domain_radius, state.delta)
     X = instance.dataset.features
     y, x_sq = instance._labels, instance._row_sq
     kind = instance.loss_kind
@@ -263,11 +261,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     w_sq = 0.0                 # ||w||^2
     total = w.copy()           # sum of the iterates seen so far
     max_step_sq = 0.0
-    branches = [0, 0, 0]       # projection-branch tally, by INNER/OUTER/BOTH
-    # In a contained epoch u = v + anchor is never formed: ||u|| stays 0.0,
-    # so the fast-path test is ||v|| <= Delta, and the kernel reads neither.
-    contained = domain.outer_inactive
-    u, u_norm = None, 0.0
+    branches = [0, 0, 0, 0]    # steps by projection branch (geometry's indices)
     indices = sample_losses(sampler, counters, instance.n, T)
     for t, i in enumerate(indices, 1):
         x = X[i]
@@ -278,29 +272,13 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
         if step_sq > max_step_sq:
             max_step_sq = step_sq
         v = w * shrink - eta_g - (eta * c) * x
-        v_sq = float(v.dot(v))
-        v_norm = math.sqrt(v_sq)
-        if not contained:
-            u = v + anchor
-            u_norm = math.sqrt(u.dot(u))
-        # Projection fast path: inside both balls means no work.
-        if v_norm <= delta and u_norm <= R:
-            w = v
-            w_sq = v_sq
-        else:
-            # A NaN or infinite entry makes v_sq non-finite, so such a v
-            # never takes the fast path, and a finite v_sq proves v finite.
-            # A finite v whose square overflows gets rescaled norms.
-            if not math.isfinite(v_sq):
-                if not np.isfinite(v).all():
-                    raise DivergenceError(
-                        f"non-finite iterate at epoch {state.epoch_index}, "
-                        f"step {t}", counters, trace)
-                v_norm = _norm(v)
-                if not contained:
-                    u_norm = _norm(u)
-            w, branch, w_sq = _project_two_balls(v, v_norm, u, u_norm, domain)
-            branches[branch] += 1
+        try:
+            w, branch, w_sq = _project_two_balls(v, domain)
+        except ValueError:
+            raise DivergenceError(
+                f"non-finite iterate at epoch {state.epoch_index}, step {t}",
+                counters, trace) from None
+        branches[branch] += 1
         total += w
         if trace is not None and t % checkpoint_stride == 0:
             obj = full_objective(instance, w + anchor)
@@ -341,8 +319,9 @@ def _projected_gradient(grad, project, w: np.ndarray, eta: float,
     y_t = w_{t-1}, or when accelerated Nesterov's extrapolated point
     w_{t-1} + ((theta_t - 1) / theta_{t+1}) (w_{t-1} - w_{t-2}) with
     theta_1 = 1, theta_{t+1} = (1 + sqrt(1 + 4 theta_t^2)) / 2 and
-    w_{-1} = w_0 (so the first step is a plain one). A non-finite point
-    raises DivergenceError, without counters or trace, before projection.
+    w_{-1} = w_0 (so the first step is a plain one). A non-finite point,
+    which project must reject with ValueError, raises DivergenceError,
+    without counters or trace.
 
     With restart (accelerated only; used by _certified_minimum, never by
     run_nag) the momentum is reset by the gradient rule of
@@ -358,9 +337,11 @@ def _projected_gradient(grad, project, w: np.ndarray, eta: float,
             y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
             theta_prev = theta
         v = y - eta * grad(y)
-        if not np.isfinite(v).all():
-            raise DivergenceError(f"non-finite iterate at step {t}")
-        w_prev, w = w, project(v)
+        try:
+            p = project(v)
+        except ValueError:
+            raise DivergenceError(f"non-finite iterate at step {t}") from None
+        w_prev, w = w, p
         if restart and (y - w).dot(w - w_prev) > 0:
             theta_prev = 1.0
         yield w

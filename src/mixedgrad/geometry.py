@@ -6,18 +6,19 @@ Both projections are closed form. If neither ball's projection satisfies
 the other constraint, both are active, and the projection onto the
 intersection is the point nearest v on the circle where the spheres meet.
 
-The public projections validate their input once, at entry. The two-ball
-projection has one code path, the private kernel _project_two_balls, fed
-v, ||v||, u = v + anchor and ||u||: project_epoch_domain computes them, and
-the solver's step loop passes those of its fast-path test. A domain whose
-Delta-ball provably lies inside the R-ball, with room for rounding
-(EpochDomain.outer_inactive, decided once from scalars), needs neither u
-nor ||u||: there the kernel only scales v into the Delta-ball. The kernel
-also returns the point's squared norm p.dot(p), which the step loop needs
-next; on the OUTER branch it is the square the branch test already took.
-Norms are math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a
-1-D float vector and cheaper; _norm rescales by max|v_i| only if the
-square overflows.
+Each domain has one kernel, which every caller uses on the raw point:
+_project_ball for a ball about 0 (project_ball, baselines.run_sgd) and
+_project_two_balls for an epoch domain (project_epoch_domain,
+core.run_epoch). The kernel makes the fast-path test, skips the outer-ball
+work on a domain whose Delta-ball provably lies inside the R-ball
+(EpochDomain.outer_inactive, decided once from scalars), and returns the
+point's squared norm with it, which the step loop needs next. Norms are
+math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a 1-D float
+vector and cheaper. Only a square that is not finite goes to _norm, which
+rescales by max|v_i| a finite v whose square overflows and raises
+ValueError for a v with a NaN or infinite entry; no other finiteness check
+is made. The numpy overflow warning of such a square is silenced once per
+public call or solver call, never per step.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Branches of the two-ball projection, as indices into a per-branch tally.
-INNER, OUTER, BOTH = 0, 1, 2
+# Branches of the two-ball projection, as indices into a per-branch tally;
+# FAST is the point itself, inside both balls.
+INNER, OUTER, BOTH, FAST = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -91,77 +93,99 @@ class EpochDomain:
 
 
 def _norm(v: np.ndarray) -> float:
-    """||v|| of a finite v, rescaled by max|v_i| if v.dot(v) overflows."""
+    """||v||, rescaled by max|v_i| if v.dot(v) overflows. A NaN or infinite
+    entry, which always makes v.dot(v) NaN or inf, raises ValueError."""
     sq = v.dot(v)
-    if math.isfinite(sq):
+    if sq < math.inf:
         return math.sqrt(sq)
     m = float(np.abs(v).max())
+    if not m < math.inf:
+        raise ValueError("cannot project a non-finite point")
     v = v / m
     return m * math.sqrt(v.dot(v))
 
 
+@np.errstate(over="ignore")
 def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None) -> np.ndarray:
-    """Orthogonal projection onto the ball of given radius (default center 0)."""
+    """Orthogonal projection onto the ball of given radius (default center
+    0). A non-finite point, or one whose offset from the center overflows,
+    raises ValueError."""
     w = np.asarray(w, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError("cannot project a non-finite point")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    v = w if center is None else w - center
-    nrm = _norm(v)
-    if nrm <= radius:
-        return w
-    p = v * (radius / nrm)
-    return p if center is None else center + p
+    if center is None:
+        return _project_ball(w, radius)
+    v = w - center
+    p = _project_ball(v, radius)
+    return w if p is v else center + p
 
 
+@np.errstate(over="ignore")
 def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
-    """Euclidean projection onto the two-ball intersection of the domain."""
-    w = np.asarray(w, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError("cannot project a non-finite point")
-    u = w + domain.anchor
-    p, _, _ = _project_two_balls(w, _norm(w), u, _norm(u), domain)
+    """Euclidean projection onto the two-ball intersection of the domain.
+    A non-finite point raises ValueError."""
+    p, _, _ = _project_two_balls(np.asarray(w, dtype=float), domain)
     return p
 
 
-def _project_two_balls(v: np.ndarray, v_norm: float, u: np.ndarray,
-                       u_norm: float, domain: EpochDomain
+def _project_ball(v: np.ndarray, radius: float) -> np.ndarray:
+    """Projection of v onto the ball of the given radius about 0: v itself
+    if its computed norm is at most the radius, else v scaled onto the
+    sphere. A non-finite v raises ValueError (_norm)."""
+    norm = math.sqrt(v.dot(v))
+    if not norm < math.inf:
+        norm = _norm(v)
+    return v if norm <= radius else v * (radius / norm)
+
+
+def _project_two_balls(v: np.ndarray, domain: EpochDomain
                        ) -> tuple[np.ndarray, int, float]:
-    """Projection of a finite v onto the domain, given ||v||, u = v + anchor
-    and ||u||; returns the point p, the branch that produced it and
-    float(p.dot(p)), computed once.
+    """Projection of v onto the domain; returns the point p, the branch that
+    produced it and float(p.dot(p)), computed once. A non-finite v raises
+    ValueError (_norm).
 
-    If the closed-form projection onto one ball already satisfies the other
-    constraint, it is the projection onto the intersection: INNER scales v
-    into the Delta-ball, OUTER scales u into the R-ball and shifts it back
-    (u * (R/||u||) - anchor, which equals (-anchor) + u * (R/||u||) in IEEE
-    arithmetic). Otherwise both constraints are active (BOTH). OUTER is
-    tried only when ||u|| > R: with ||u|| <= R its point would be v, which
-    the INNER test has already returned if ||v|| <= Delta and which lies
-    outside the Delta-ball otherwise.
+    FAST: the computed ||v|| <= Delta and ||v + anchor|| <= R, so p is v
+    itself; a non-finite v never gets there, as its square goes to _norm.
+    On a domain certified outer_inactive the second test is known to pass
+    whenever the first does (EpochDomain derives the margin): v + anchor
+    and its norm are not formed, and a v outside the Delta-ball is scaled
+    into it at once. Every point and branch is then the one the full
+    two-ball test gives.
 
-    On a domain with outer_inactive, u and ||u|| are not read (a caller
-    may pass None and 0.0): the result is INNER at once, the point the
-    branch tests below would return, since they would find every computed
-    norm compared with R at most R (EpochDomain).
+    Otherwise, if the closed-form projection onto one ball satisfies the
+    other constraint, it is the projection onto the intersection: INNER
+    scales v into the Delta-ball, OUTER scales u = v + anchor into the
+    R-ball and shifts it back (u * (R/||u||) - anchor, which equals
+    (-anchor) + u * (R/||u||) in IEEE arithmetic). Otherwise both
+    constraints are active (BOTH). INNER is tried only when ||v|| > Delta
+    (else its point would be v, which is FAST if ||u|| <= R), and OUTER
+    only when ||u|| > R (else its point would be v, which lies outside the
+    Delta-ball, or FAST).
     """
     delta = domain.inner_radius
+    v_sq = float(v.dot(v))
+    v_norm = math.sqrt(v_sq) if v_sq < math.inf else _norm(v)
     # The radii are positive by EpochDomain's construction.
     if domain.outer_inactive:
-        p = v if v_norm <= delta else v * (delta / v_norm)
+        if v_norm <= delta:
+            return v, FAST, v_sq
+        p = v * (delta / v_norm)
         return p, INNER, float(p.dot(p))
     a = domain.anchor
     R = domain.outer_radius
+    u = v + a
+    u_norm = math.sqrt(u.dot(u))
+    if not u_norm < math.inf:
+        u_norm = _norm(u)
     if v_norm <= delta:
-        p, q_norm = v, u_norm
+        if u_norm <= R:
+            return v, FAST, v_sq
     else:
         p = v * (delta / v_norm)
         q = p + a
-        q_norm = math.sqrt(q.dot(q))
-    if q_norm <= R:
-        return p, INNER, float(p.dot(p))
-    if not u_norm <= R:
+        if math.sqrt(q.dot(q)) <= R:
+            return p, INNER, float(p.dot(p))
+    if u_norm > R:
         p = u * (R / u_norm) - a
         p_sq = float(p.dot(p))
         if math.sqrt(p_sq) <= delta:

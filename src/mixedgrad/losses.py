@@ -78,8 +78,9 @@ class ProblemInstance:
     """A dataset plus loss kind and feasible-ball radius R; the uniform
     per-example smoothness constant beta is derived from the dataset:
     2 max_i ||x_i||^2 for least squares, max_i ||x_i||^2 / 4 for logistic,
-    floored at SMOOTHNESS_FLOOR. A row whose ||x_i||^2 overflows, or a
-    beta that does, is a ValueError."""
+    floored at SMOOTHNESS_FLOOR. A row whose ||x_i||^2 overflows, a beta
+    that does, or data on which the solvers' sums may overflow
+    (_check_scale) is a ValueError."""
 
     dataset: Dataset
     loss_kind: str
@@ -110,6 +111,8 @@ class ProblemInstance:
         if not math.isfinite(beta):
             raise ValueError(f"beta = {curvature} max_i ||x_i||^2 overflows "
                              f"to inf; rescale the features")
+        _check_scale(self.dataset.labels, row_sq, self.loss_kind,
+                     self.domain_radius)
         object.__setattr__(self, "smoothness", max(beta, SMOOTHNESS_FLOOR))
         object.__setattr__(self, "_labels", self.dataset.labels.tolist())
         object.__setattr__(self, "_row_sq", row_sq.tolist())
@@ -234,6 +237,32 @@ def _row_norms_sq(X: np.ndarray) -> np.ndarray:
         for k in range(0, n, rows):
             np.sum(X[k:k + rows] ** 2, axis=1, out=out[k:k + rows])
     return out
+
+
+def _check_scale(y: np.ndarray, row_sq: np.ndarray, kind: str,
+                 radius: float) -> None:
+    """Reject data on which an objective, gradient or Gram sum a solver
+    computes may overflow.
+
+    Every point where a solver evaluates G or its gradient lies within 3R
+    of the origin: an accelerated step extrapolates at most 2R past a
+    feasible point. With k_i = |y_i| + 3R ||x_i||, example i's loss there
+    is at most k_i^2 (least squares) or k_i (logistic, |y_i| = 1). A sum of
+    the losses is at most the sum of these bounds b_i, an entry of
+    sum_i grad g_i at most sum_i (b_i + ||x_i||^2) (as 2 k_i ||x_i|| <=
+    k_i^2 + ||x_i||^2, and ||x_i|| <= max(1, ||x_i||^2) <= k_i + ||x_i||^2),
+    and a Gram entry at most sum_i ||x_i||^2. So a finite
+    sum_i (b_i + ||x_i||^2) keeps them all finite, to within rounding.
+    """
+    with np.errstate(over="ignore"):
+        k = np.abs(y) + (3.0 * radius) * np.sqrt(row_sq)
+        bound = float(np.sum(k * k if kind == LEAST_SQUARES else k)
+                      + np.sum(row_sq))
+    if not bound < math.inf:
+        raise ValueError("sum_i ||x_i||^2 plus the losses' bound on the "
+                         "3R-ball overflows to inf, so the solvers' "
+                         "objectives and gradients may too; rescale the "
+                         "data")
 
 
 def mean_smoothness(instance: ProblemInstance) -> float:

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import mixedgrad.baselines
 from mixedgrad.baselines import (BaselineConfig, run_gd, run_nag, run_sgd)
 from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import DivergenceError
@@ -115,6 +117,39 @@ class TestSgdMatchesReference:
             == "non-finite iterate at step 1"
         assert run_exc.value.counters == c_ref == OracleCounters(1, 0)
         assert run_exc.value.trace == []
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_diverges_with_counters(self, entry,
+                                                    monkeypatch):
+        # The second step's loss derivative is -entry, which puts entry
+        # into both coordinates of v (x_i is positive).
+        calls = []
+
+        def derivative(y, margin, kind):
+            calls.append(margin)
+            return (_loss_derivative(y, margin, kind) if len(calls) == 1
+                    else -entry)
+
+        monkeypatch.setattr(mixedgrad.baselines, "_loss_derivative",
+                            derivative)
+        inst = make_instance([[1.0, 0.5]], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="^non-finite iterate at step 2$") as exc:
+                run_sgd(inst, BaselineConfig("sgd", 5, checkpoint_stride=1),
+                        0)
+        assert exc.value.counters == OracleCounters(2, 0)
+        assert [r.step for r in exc.value.trace] == [1]
+
+    def test_step_whose_square_overflows_raises_no_warning(self):
+        # After one step the point is (0 + w_1) / 2, with w_1 on the sphere.
+        inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = run_sgd(inst, BaselineConfig("sgd", 1, step_scale=1e200),
+                            9).point
+        assert np.linalg.norm(2 * first) == pytest.approx(1.0, rel=1e-15)
 
     def test_step_whose_square_overflows_lands_on_sphere(self):
         # With a step scale of 1e200 each v is finite but ||v||^2

@@ -1,14 +1,17 @@
 import csv
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import mixedgrad.bench
-from mixedgrad.bench import ReferenceSolveError, write_trace_csv
+from mixedgrad.bench import (ReferenceSolveError, gen_synthetic,
+                             write_trace_csv)
 from mixedgrad.cli import main
 from mixedgrad.core import TraceRecord
-from mixedgrad.losses import load_dataset_csv
+from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
+                              load_dataset_csv, save_dataset_csv)
 
 
 def test_gen_writes_loadable_csv(tmp_path, capsys):
@@ -304,6 +307,67 @@ def test_csv_row_whose_norm_overflows_is_an_argparse_error(solver, tmp_path,
     assert exc.value.code == 2
     assert ("bench run: error: example 1: its squared feature norm "
             "||x_i||^2 overflows to inf" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+FOUND_CSV = "y,x1,x2\n" + "1.0,5e153,0.0\n-1.0,5e153,0.0\n" * 5
+
+
+def test_feature_scale_sweep_ends_in_a_finite_solve_or_a_named_error(
+        tmp_path, capsys):
+    # Feature scales from 1e-300 to 1e300, around the largest one whose
+    # sums stay finite, and ten rows (+-1, 5e153, 0.0), for both losses
+    # and every solver. Each case solves to a finite error or is an
+    # argparse error that names the feature scale, with no numpy warning.
+    scales = [10.0 ** k for k in range(-300, 301, 50)] + [1e153, 3e153,
+                                                          5e153]
+    solvers = ["mixedgrad:t1=8", "sgd:iterations=20", "gd:iterations=20",
+               "nag:iterations=20"]
+    outcomes = {"solved": 0, "rejected": 0}
+    for loss, kind in [("ls", LEAST_SQUARES), ("logistic", LOGISTIC)]:
+        base = gen_synthetic(0, 10, 3, 0.0, kind, 1.0).dataset
+        for k, scale in enumerate([*scales, None]):
+            data = tmp_path / f"{loss}{k}.csv"
+            if scale is None:
+                data.write_text(FOUND_CSV)
+            else:
+                save_dataset_csv(Dataset(base.features * scale, base.labels),
+                                 data)
+            for spec in solvers:
+                out = tmp_path / f"{loss}{k}-{spec.partition(':')[0]}"
+                case = f"{loss} scale {scale} {spec}"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        main(["run", "--csv", str(data), "--loss", loss,
+                              "--solver", spec, "--epochs", "1", "--out",
+                              str(out)])
+                    except SystemExit as exc:
+                        err = capsys.readouterr().err
+                        assert exc.code == 2, case
+                        assert "beta" in err or "||x_i||^2" in err, case
+                        assert not out.exists(), case
+                        outcomes["rejected"] += 1
+                        continue
+                capsys.readouterr()
+                with open(out / "summary.csv") as f:
+                    (row,) = csv.DictReader(f)
+                assert math.isfinite(float(row["final_error"])), case
+                outcomes["solved"] += 1
+    assert min(outcomes.values()) > 0
+
+
+def test_default_step_that_underflows_names_beta(tmp_path, capsys):
+    # beta = 2e300 is fine, but 1 / (2 beta sqrt(3 t1)) is 0 at this t1.
+    data = tmp_path / "data.csv"
+    data.write_text("y,x1,x2\n1.0,1e150,0.0\n-1.0,0.0,1e150\n")
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--csv", str(data), "--t1", str(10 ** 16), "--out",
+              str(out)])
+    assert exc.value.code == 2
+    assert ("the default eta1 = 1/(2 beta sqrt(3 t1)) is 0 at beta = 2e+300"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -258,6 +259,40 @@ class TestRunEpoch:
         assert c.stochastic_calls == 1
 
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("delta", [0.25, 1.0])
+    def test_non_finite_step_diverges_with_counters(self, entry, delta):
+        # The anchor gradient's entry puts -entry into v at the first step
+        # (the correction is 0 at w = 0), on a contained epoch (Delta =
+        # 0.25) and on one that is not (Delta = R).
+        inst = random_instance()
+        c = OracleCounters()
+        g_k = anchor_gradient(inst, np.zeros(4), 1.0, c)
+        g_k[1] = entry
+        state = EpochState(1, np.zeros(4), delta, 1.0, 0.1, 50, g_k)
+        assert EpochDomain(np.zeros(4), 1.0, delta).outer_inactive \
+            == (delta < 1.0)
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="^non-finite iterate at epoch 1, "
+                                     "step 1$") as exc:
+                run_epoch(inst, state, SeededSampler(0), c, trace)
+        assert exc.value.counters is c and c == OracleCounters(1, 1)
+        assert exc.value.trace is trace
+
+    def test_step_whose_square_overflows_raises_no_warning(self):
+        inst = random_instance()
+        g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
+        state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30, g_k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, _, projections = run_epoch(inst, state, SeededSampler(0),
+                                             OracleCounters())
+        assert projections == ProjectionCounts(30, 0, 0)
+        assert np.linalg.norm(mean) > 0.1
+
     def test_step_whose_square_overflows_is_projected(self):
         # eta = 1e200 keeps each v finite but overflows ||v||^2; every
         # step still lands on the Delta-sphere, as project_epoch_domain
@@ -510,6 +545,14 @@ class TestTheoryParams:
     def test_rejects_large_failure_probability(self):
         with pytest.raises(ValueError):
             theory_params(1.0, 1.0, 0.1, 5)
+
+    @pytest.mark.parametrize("beta", [1e307, 1e308])
+    def test_rejects_a_beta_whose_parameters_overflow(self, beta):
+        # 2 beta sqrt(3 T1) overflows (T1 = 1712), so eta1 would be 0; at
+        # 1e308, lambda1 = 16 beta overflows too.
+        with pytest.raises(ValueError, match="^beta = 1e\\+30[78] is too "
+                                             "large"):
+            theory_params(beta, 1.0, 0.01, 3)
 
 
 class TestRun:

@@ -1,11 +1,12 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain, _norm,
+from mixedgrad.geometry import (BOTH, FAST, INNER, OUTER, EpochDomain,
                                 _project_two_balls, project_ball,
                                 project_epoch_domain)
 
@@ -57,6 +58,67 @@ class TestProjectBall:
                                    rtol=1e-15)
         np.testing.assert_allclose(shifted, [0.5 + math.sqrt(0.5),
                                              -math.sqrt(0.5)], rtol=1e-15)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# Two domains with anchor (0.5, 0, ...): the first certified outer_inactive,
+# the second not.
+CONTAINED = (2.0, 0.25)
+OPEN = (1.0, 0.5)
+
+
+def anchored_domain(d, radii):
+    return EpochDomain(np.eye(d)[0] * 0.5, *radii)
+
+
+@pytest.fixture
+def warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.usefixtures("warnings_as_errors")
+class TestNonFinite:
+    """The kernels' one finiteness check: a square that is not finite is
+    rescaled if the point is finite, and the point is rejected otherwise,
+    on every public path, with no numpy warning."""
+
+    @pytest.mark.parametrize("entry", NON_FINITE)
+    @pytest.mark.parametrize("project", [
+        lambda w: project_ball(w, 1.0),
+        lambda w: project_ball(w, 1.0, center=np.array([0.5, 0.0, 0.0])),
+        lambda w: project_epoch_domain(w, anchored_domain(3, CONTAINED)),
+        lambda w: project_epoch_domain(w, anchored_domain(3, OPEN)),
+    ], ids=["ball", "ball-center", "domain-contained", "domain"])
+    def test_non_finite_entry_is_rejected(self, project, entry):
+        with pytest.raises(ValueError,
+                           match="^cannot project a non-finite point$"):
+            project(np.array([0.1, entry, 0.0]))
+
+    def test_offset_from_center_that_overflows_is_rejected(self):
+        # w and the center are finite, but w - center is not: the
+        # projection raises instead of returning NaN.
+        with pytest.raises(ValueError,
+                           match="^cannot project a non-finite point$"):
+            project_ball(np.array([1e308, 0.0]), 1.0,
+                         center=np.array([-1e308, 0.0]))
+
+    def test_rescale_path_raises_no_warning(self):
+        # ||w||^2 overflows although w is finite: no overflow warning
+        # escapes, and every path lands on its sphere.
+        w = np.array([1e200, -1e200])
+        h = math.sqrt(0.5)
+        np.testing.assert_allclose(project_ball(w, 1.0), [h, -h], rtol=1e-15)
+        np.testing.assert_allclose(
+            project_ball(w, 1.0, center=np.array([0.5, 0.0])),
+            [0.5 + h, -h], rtol=1e-15)
+        for radii, contained in [(CONTAINED, True), (OPEN, False)]:
+            dom = anchored_domain(2, radii)
+            assert dom.outer_inactive == contained
+            delta = dom.inner_radius
+            np.testing.assert_allclose(project_epoch_domain(w, dom),
+                                       [delta * h, -delta * h], rtol=1e-15)
 
 
 class TestEpochDomain:
@@ -132,13 +194,13 @@ class TestProjectEpochDomain:
 def two_shortcut_body(w, domain):
     """project_epoch_domain's two shortcuts as written before the kernel
     took its norms from the caller: (point, branch), point None for the
-    two-ball branch."""
+    two-ball branch, and FAST for w itself inside both balls."""
     a, R, delta = domain.anchor, domain.outer_radius, domain.inner_radius
     nrm = math.sqrt(w @ w)
     p = w if nrm <= delta else w * (delta / nrm)
     q = p + a
     if math.sqrt(q @ q) <= R:
-        return p, INNER
+        return p, FAST if p is w else INNER
     v = w - (-a)
     nrm = math.sqrt(v @ v)
     p = w if nrm <= R else (-a) + v * (R / nrm)
@@ -172,14 +234,14 @@ def random_case(rng, d_low=1, d_high=9):
 
 
 def kernel(w, domain):
-    """The kernel's point and branch for w, fed as project_epoch_domain
-    feeds it. Checks on every call that the squared norm it returns is
-    float(p.dot(p)) bit for bit (a nonnegative float that is not NaN
-    equals only itself), and that OUTER's point is never v itself."""
-    u = w + domain.anchor
-    p, branch, p_sq = _project_two_balls(w, _norm(w), u, _norm(u), domain)
+    """The kernel's point and branch for w, as project_epoch_domain and the
+    solver's step loop call it. Checks on every call that the squared norm
+    it returns is float(p.dot(p)) bit for bit (a nonnegative float that is
+    not NaN equals only itself), and that the point is w itself exactly on
+    the FAST branch."""
+    p, branch, p_sq = _project_two_balls(w, domain)
     assert type(p_sq) is float and p_sq == float(p.dot(p))
-    assert branch != OUTER or p is not w
+    assert (branch == FAST) == (p is w)
     return p, branch
 
 
@@ -188,7 +250,7 @@ class TestProjectionKernel:
         # The shortcut branches are bit-identical to the two-shortcut body;
         # every two-ball case lies on the spheres' circle.
         rng = np.random.default_rng(1234)
-        seen = {INNER: 0, OUTER: 0, BOTH: 0}
+        seen = {FAST: 0, INNER: 0, OUTER: 0, BOTH: 0}
         for _ in range(12_000):
             w, dom = random_case(rng)
             expected, branch = two_shortcut_body(w, dom)
@@ -273,7 +335,7 @@ class TestProjectionKernel:
         # In 1-D the domain is an interval; its two-ball cases arise only
         # by rounding (test_point_on_anchor_axis).
         rng = np.random.default_rng(7)
-        seen = {INNER: 0, OUTER: 0, BOTH: 0}
+        seen = {FAST: 0, INNER: 0, OUTER: 0, BOTH: 0}
         for _ in range(5_000):
             w, dom = random_case(rng, d_low=1, d_high=2)
             a, R, delta = dom.anchor[0], dom.outer_radius, dom.inner_radius
@@ -297,17 +359,17 @@ class TestProjectionKernel:
         np.testing.assert_array_equal(public, p)
 
     @pytest.mark.parametrize("a, w, branch, same", [
-        (0.9, [0.0, 0.1], INNER, True),
+        (0.9, [0.0, 0.1], FAST, True),
         (0.9, [-1.0, 0.3], INNER, False),
         (0.9, [0.2, 0.03], OUTER, False),
         (0.9, [0.5, 0.5], BOTH, False),
-        (0.1, [0.0, 0.1], INNER, True),
+        (0.1, [0.0, 0.1], FAST, True),
         (0.1, [0.3, 1.0], INNER, False),
     ])
     def test_squared_norm_on_every_return(self, a, w, branch, same):
         # kernel() checks the returned float(p.dot(p)) on each return: v
-        # itself or scaled (INNER, and with a = 0.1 the outer_inactive
-        # shortcut), u scaled and shifted (OUTER), and the circle point
+        # itself (FAST) or scaled (INNER), both also with a = 0.1 on the
+        # outer_inactive shortcut, u scaled and shifted (OUTER), and the circle point
         # (BOTH). The concentric and on-axis BOTH returns arise only by
         # rounding; the zero-anchor and anchor-axis tests above reach them
         # through kernel().
@@ -350,7 +412,7 @@ class TestOuterInactive:
     def test_shortcut_matches_full_body_bit_for_bit(self):
         # On a certified domain the computed ||v + a|| (fast-path test) and
         # ||p + a|| (INNER check) never exceed R, so the full body returns
-        # the Delta-ball projection and INNER, as the shortcut does.
+        # the Delta-ball projection, FAST or INNER, as the shortcut does.
         rng = np.random.default_rng(2024)
         cases = near = 0
         for _ in range(22_000):
@@ -362,7 +424,7 @@ class TestOuterInactive:
                 <= 8 * np.spacing(dom.inner_radius)
             expected, branch = two_shortcut_body(w, dom)
             p, got = kernel(w, dom)
-            assert branch == got == INNER
+            assert branch == got and got in (FAST, INNER)
             assert np.array_equal(p, expected)
         assert cases >= 10_000 and near >= 2_000
 

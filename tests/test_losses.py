@@ -194,6 +194,21 @@ class TestRowNorms:
                                              r"\|\|x_i\|\|\^2 overflows to inf"):
             make_instance(X, y, LEAST_SQUARES)
 
+    @pytest.mark.parametrize("X, y, kind, radius", [
+        # Least-squares losses reach (|y_i| + 3R ||x_i||)^2 on the 3R-ball.
+        ([[1.0, 0.0], [0.0, 1.0]], [1e155, 0.0], LEAST_SQUARES, 1.0),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], LEAST_SQUARES, 1e155),
+        # Logistic sums stay finite, but the Gram diagonal does not.
+        ([[1e154, 0.0], [1e154, 0.0]], [1.0, -1.0], LOGISTIC, 1.0),
+    ])
+    def test_instance_rejects_data_whose_sums_overflow(self, X, y, kind,
+                                                       radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^sum_i \|\|x_i\|\|\^2 "
+                                                 r"plus the losses' bound"):
+                make_instance(X, y, kind, radius)
+
 
 def random_instance(rng, n, d, kind):
     X = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, (n, 1))
