@@ -18,7 +18,10 @@ import numpy as np
 
 from .core import (DivergenceError, SolverResult, TraceRecord, _check_counts,
                    _check_positive, _projected_gradient)
-from .geometry import _project_ball, project_ball
+from .geometry import _project_ball
+# project_ball stays importable from here: perfbench/tracer.py wraps
+# mixedgrad.baselines.project_ball by name.
+from .geometry import project_ball  # noqa: F401
 from .losses import ProblemInstance, _loss_derivative, full_objective
 # loss_grad stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.loss_grad by name.
@@ -102,10 +105,13 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     return SolverResult(point, trace, counters)  # as checkpointed at step T
 
 
+@np.errstate(over="ignore")
 def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
                        reference_value: float | None, method: str
                        ) -> SolverResult:
-    """The body of run_gd and run_nag (accelerated) over the R-ball."""
+    """The body of run_gd and run_nag (accelerated) over the R-ball: one
+    call to the ball kernel (geometry._project_ball) per iterate, with
+    numpy's overflow warning silenced once for the whole run."""
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
     R = instance.domain_radius
@@ -114,7 +120,7 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
     trace: list[TraceRecord] = []
     w = np.zeros(instance.d)
     iterates = _projected_gradient(lambda y: full_grad(instance, y, counters),
-                                   lambda v: project_ball(v, R), w, eta,
+                                   lambda v: _project_ball(v, R), w, eta,
                                    accelerated=method == NAG)
     try:
         for t, w in enumerate(islice(iterates, config.iterations), 1):

@@ -19,7 +19,10 @@ from . import baselines
 from .core import (CertificateError, DivergenceError, MixedGradConfig,
                    SolverResult, TraceRecord, _certified_minimum,
                    run as run_mixedgrad)
-from .geometry import project_ball
+from .geometry import _project_ball
+# project_ball stays importable from here: perfbench/tracer.py wraps
+# mixedgrad.bench.project_ball by name.
+from .geometry import project_ball  # noqa: F401
 from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
                      _check_radius, _row_norms_sq, full_objective,
                      mean_gradient, mean_smoothness)
@@ -97,7 +100,7 @@ def compute_reference_optimum(instance: ProblemInstance, tolerance: float,
     # bench.mean_gradient sees every gradient the solve takes.
     try:
         w, _ = _certified_minimum(lambda y: mean_gradient(instance, y),
-                                  lambda v: project_ball(v, R),
+                                  lambda v: _project_ball(v, R),
                                   1.0 / mean_smoothness(instance), instance.d,
                                   tolerance, max_iterations)
     except CertificateError as exc:

@@ -10,15 +10,19 @@ after m epochs is exactly T1 * (4^m - 1) / 3.
 
 run_epoch is the one inner-step path, and the tests check the
 variance-reduction invariants on it. Its correction grad g_i(w + anchor) -
-grad g_i(anchor) is one scalar times x_i, from n cached anchor margins and
-derivatives; the step is one fused expression in w, x_i and the epoch's
-constants, and the bounded-step diagnostic is computed from scalars. Its
-average is the iterates' running sum over their count. Each step makes
-one call to the two-ball projection kernel (geometry._project_two_balls),
-which owns the fast path and the shortcut for an epoch whose Delta-ball is
-certified inside the R-ball (EpochDomain.outer_inactive). Each epoch's
-summary counts the steps that left the fast path, by projection branch,
-and records that certificate.
+grad g_i(anchor) is one scalar times x_i, from the row's anchor margin and
+loss derivative, cached on its first draw. The iterate is held in scalar
+form, w = alpha z + beta g_k + gamma anchor (the lazy scaling of Pegasos,
+Shalev-Shwartz et al., Math. Prog. 2011), with ||w||^2, w.g_k and
+w.anchor kept as Python floats: a step is one dot, one axpy and scalar
+updates, and its projection is geometry._two_ball_coefficients on ||v||^2
+and v.anchor. A step that kernel cannot decide (both balls active, or a
+square that is not finite or is negative) is taken on the explicit point
+with geometry._project_two_balls. The epoch average is the lazy sum of
+averaged SGD (Xu, arXiv:1107.2490), formed once per epoch over the rows
+drawn. Each epoch's summary counts the steps that left the fast path, by
+projection branch, and records whether its Delta-ball was certified inside
+the R-ball (EpochDomain.outer_inactive).
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .geometry import (BOTH, INNER, OUTER, EpochDomain, _project_two_balls,
-                       project_ball, project_epoch_domain)
-from .losses import (ProblemInstance, _loss_derivative, _loss_derivatives,
-                     full_objective, mean_gradient, mean_smoothness)
+                       _two_ball_coefficients, project_ball)
+# project_epoch_domain and the single-call sampler stay importable from
+# here: perfbench/tracer.py wraps mixedgrad.core.project_epoch_domain and
+# mixedgrad.core.sample_loss by name.
+from .geometry import project_epoch_domain  # noqa: F401
+from .losses import (ROW_BLOCK, ProblemInstance, _loss_derivative,
+                     full_objective)
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
-# The single-call sampler stays importable from here: perfbench/tracer.py
-# wraps mixedgrad.core.sample_loss by name.
 from .oracle import sample_loss  # noqa: F401
 
 # Largest delta (failure probability) the theory-mode parameter formulas
@@ -52,7 +58,7 @@ class DivergenceError(RuntimeError):
     the oracle counters and the trace they had reached. Only
     _projected_gradient raises it bare (counters and trace None): run_gd
     and run_nag attach theirs as it passes, and the uncounted solves built
-    on it (the reference optimum, the epoch subproblem) pass it on bare.
+    on it (_certified_minimum: the reference optimum) pass it on bare.
     """
 
     def __init__(self, message: str, counters: OracleCounters | None = None,
@@ -197,6 +203,18 @@ def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
     return lam * anchor + full_grad(instance, anchor, counters)
 
 
+# The step keeps w = alpha z + beta g_k + gamma anchor only while each
+# coefficient lies in this range; a step outside it is taken on the explicit
+# point, which resets the form to w = z.
+COEFFICIENT_RANGE = (1e-2, 1e2)
+
+
+def _products(w: np.ndarray, g_k: np.ndarray, anchor: np.ndarray
+              ) -> tuple[float, float, float]:
+    """w.w, w.g_k and w.anchor, the scalars run_epoch keeps with w."""
+    return float(w.dot(w)), float(w.dot(g_k)), float(w.dot(anchor))
+
+
 @np.errstate(invalid="ignore", over="ignore")
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
@@ -213,25 +231,39 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     the trace every checkpoint_stride steps; their objective evaluations
     do not touch the oracle counters.
 
-    Each step is w <- P_domain(w - eta * (anchor_grad + c * x_i + lam * w)),
-    where c * x_i = grad g_i(w + anchor) - grad g_i(anchor), c the difference
-    of the loss derivatives at the margins w.x_i + anchor.x_i and
-    anchor.x_i. It is taken fused, v = w (1 - eta lam) - eta anchor_grad -
-    (eta c) x_i, with eta anchor_grad and 1 - eta lam formed once per
-    epoch. The anchor's margins and loss derivatives are cached per epoch
-    (O(n) memory); the labels and the ||x_i||^2 are the instance's, built
-    once. The diagnostic is the scalar
-    c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2, with ||w||^2 the
-    squared norm the projection kernel returned with w. c is a Python
-    float, so the step's scalar arithmetic stays in Python floats. Both
-    margins are row dots, so at w = 0 (where w.x_i is 0.0) the correction
-    and the diagnostic are exactly 0. An infinite eta or lam makes
-    0 * inf on the first step, and a huge one can overflow v: numpy's
-    warnings for them are silenced, and the NaN or inf they leave makes
-    the projection kernel raise, which raises DivergenceError.
+    Each step is w <- P_domain(v), v = w (1 - eta lam) - eta anchor_grad -
+    (eta c) x_i, where c x_i = grad g_i(w + anchor) - grad g_i(anchor), c
+    the difference of the loss derivatives at the margins w.x_i + anchor.x_i
+    and anchor.x_i. The iterate is held as w = alpha z + beta g_k +
+    gamma anchor (g_k the anchor gradient), with ||w||^2, w.g_k and
+    w.anchor as Python floats. v and every projection branch but BOTH are
+    in the span of w, g_k, x_i and anchor, so a step is one dot, z.x_i,
+    scalar updates of (alpha, beta, gamma) and of the three products, and
+    one axpy, z += (-eta c / ((1 - eta lam) alpha)) x_i. The projection is
+    geometry._two_ball_coefficients on ||v||^2 and v.anchor. A step it
+    returns BOTH for (both balls active, or a square that is not finite or
+    is negative), or whose coefficients before the projection leave
+    COEFFICIENT_RANGE, forms v and projects it with
+    geometry._project_two_balls, whose branch is the one counted; a NaN or
+    infinite v makes that kernel raise, which raises DivergenceError. Every
+    checkpoint_stride steps the form is folded, z <- w, and the three
+    products recomputed from it, so the scalar ||w||^2 never drifts for
+    more than checkpoint_stride steps; the checkpoint evaluates w there.
 
-    The new iterate is the projection kernel's point, with its branch
-    (geometry._project_two_balls): FAST, inside both balls, is v itself.
+    The average is the lazy sum of averaged SGD. A fold or an explicit step
+    adds A z + B g_k + C anchor to a running sum, A, B and C being the sums
+    of alpha, beta and gamma since the last one, and restarts them; each
+    axpy z += k x_i adds A k to its row's coefficient q_i. The iterates'
+    sum is the running sum plus A z + B g_k + C anchor - sum_j q_j x_j,
+    whose last term is formed once per epoch over the rows drawn, a block
+    of rows at a time. A row's anchor margin, anchor loss derivative,
+    g_k.x_i and q_i are cached on its first draw, so an epoch holds at most
+    min(n, inner_iters) of them and makes no pass over X; the labels and
+    ||x_i||^2 are the instance's, built once. The bounded-step
+    diagnostic is the scalar c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2.
+    At w = 0 the margin w.x_i is 0.0, so the correction and the diagnostic
+    are exactly 0. An infinite eta or lam makes 0 * inf on the first step,
+    and a huge one can overflow v: numpy's warnings for them are silenced.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
@@ -243,49 +275,93 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     X = instance.dataset.features
     y, x_sq = instance._labels, instance._row_sq
     kind = instance.loss_kind
-
-    # The anchor's margins and loss derivatives are fixed for the epoch:
-    # cached once (no oracle access), in lists, which index faster. vecdot
-    # rounds each margin as a row dot does; X @ anchor may not.
-    a_margins = np.vecdot(X, anchor)
-    d_anchor = _loss_derivatives(instance.dataset.labels, a_margins,
-                                 kind).tolist()
-    a_margins = a_margins.tolist()
-    eta_g = eta * g_k
-    # numpy multiplies an array by a 0-d array faster than by a Python
-    # float, with the same result.
-    shrink = np.array(1.0 - eta * lam)
+    shrink = 1.0 - eta * lam
     two_lam, lam_sq = 2.0 * lam, lam * lam
+    g_sq, ga = float(g_k.dot(g_k)), float(g_k.dot(anchor))
+    a_sq = domain.anchor_sq
+    v_base = eta * eta * g_sq          # ||eta g_k||^2
+    low, high = COEFFICIENT_RANGE
 
-    w = np.zeros(instance.d)
-    w_sq = 0.0                 # ||w||^2
-    total = w.copy()           # sum of the iterates seen so far
+    def combine(cz, cg, ca):
+        return z * cz + (g_k * cg + anchor * ca)
+
+    z = np.zeros(instance.d)
+    alpha, beta, gamma = 1.0, 0.0, 0.0
+    w_sq = wg = wa = 0.0       # ||w||^2, w.g_k, w.anchor
+    total = z.copy()           # running sum of the iterates
+    A = B = C = 0.0            # alpha, beta, gamma summed since total grew
+    rows = {}                  # i -> [a.x_i, anchor derivative, g_k.x_i, q_i]
     max_step_sq = 0.0
     branches = [0, 0, 0, 0]    # steps by projection branch (geometry's indices)
     indices = sample_losses(sampler, counters, instance.n, T)
     for t, i in enumerate(indices, 1):
         x = X[i]
-        wx = float(w.dot(x))
-        c = _loss_derivative(y[i], wx + a_margins[i], kind) - d_anchor[i]
+        row = rows.get(i)
+        if row is None:
+            ax = float(x.dot(anchor))
+            row = rows[i] = [ax, _loss_derivative(y[i], ax, kind),
+                             float(x.dot(g_k)), 0.0]
+        ax, d_anchor, gx, _ = row
+        wx = alpha * float(z.dot(x)) + beta * gx + gamma * ax
+        c = _loss_derivative(y[i], wx + ax, kind) - d_anchor
+        xx = x_sq[i]
         # ||c * x_i + lam * w||^2, expanded into scalars.
-        step_sq = c * c * x_sq[i] + two_lam * c * wx + lam_sq * w_sq
+        step_sq = c * c * xx + two_lam * c * wx + lam_sq * w_sq
         if step_sq > max_step_sq:
             max_step_sq = step_sq
-        v = w * shrink - eta_g - (eta * c) * x
-        try:
-            w, branch, w_sq = _project_two_balls(v, domain)
-        except ValueError:
-            raise DivergenceError(
-                f"non-finite iterate at epoch {state.epoch_index}, step {t}",
-                counters, trace) from None
+        # v = shrink w - eta g_k + m x_i = alpha_v z + beta_v g_k + gamma_v a
+        # + m x_i, and its products.
+        m = -eta * c
+        alpha_v, beta_v = shrink * alpha, shrink * beta - eta
+        gamma_v = shrink * gamma
+        v_sq = (shrink * shrink * w_sq + v_base + m * m * xx
+                + 2.0 * (m * (shrink * wx - eta * gx) - shrink * eta * wg))
+        va = shrink * wa - eta * ga + m * ax
+        k_v, k_a, branch, w_sq = _two_ball_coefficients(v_sq, va, domain)
+        if (branch != BOTH and low <= alpha_v <= high
+                and -high <= beta_v <= high and -high <= gamma_v <= high):
+            k = m / alpha_v
+            z += k * x
+            row[3] += A * k
+            alpha, beta = k_v * alpha_v, k_v * beta_v
+            gamma = k_v * gamma_v + k_a
+            wg = k_v * (shrink * wg - eta * g_sq + m * gx) + k_a * ga
+            wa = k_v * va + k_a * a_sq
+        else:
+            v = combine(alpha_v, beta_v, gamma_v) + m * x
+            total += combine(A, B, C)
+            A = B = C = 0.0
+            try:
+                z, branch, w_sq = _project_two_balls(v, domain)
+            except ValueError:
+                raise DivergenceError(
+                    f"non-finite iterate at epoch {state.epoch_index}, "
+                    f"step {t}", counters, trace) from None
+            alpha, beta, gamma = 1.0, 0.0, 0.0
+            _, wg, wa = _products(z, g_k, anchor)
         branches[branch] += 1
-        total += w
-        if trace is not None and t % checkpoint_stride == 0:
-            obj = full_objective(instance, w + anchor)
-            err = obj - reference_value if reference_value is not None else math.nan
-            trace.append(TraceRecord(state.epoch_index, t,
-                                     counters.stochastic_calls,
-                                     counters.full_calls, obj, err))
+        A += alpha
+        B += beta
+        C += gamma
+        if t % checkpoint_stride == 0:
+            total += combine(A, B, C)
+            A = B = C = 0.0
+            z = combine(alpha, beta, gamma)
+            alpha, beta, gamma = 1.0, 0.0, 0.0
+            w_sq, wg, wa = _products(z, g_k, anchor)
+            if trace is not None:
+                obj = full_objective(instance, z + anchor)
+                err = (obj - reference_value if reference_value is not None
+                       else math.nan)
+                trace.append(TraceRecord(state.epoch_index, t,
+                                         counters.stochastic_calls,
+                                         counters.full_calls, obj, err))
+    total += combine(A, B, C)
+    drawn = np.fromiter(rows, dtype=np.intp, count=len(rows))
+    q = np.array([row[3] for row in rows.values()])
+    block = max(1, ROW_BLOCK // instance.d)
+    for start in range(0, len(drawn), block):
+        total -= q[start:start + block] @ X[drawn[start:start + block]]
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])
     return total / (T + 1.0), float(max_step_sq), projections
@@ -358,11 +434,14 @@ class CertificateError(RuntimeError):
     iterate's residual fell below the tolerance."""
 
 
+@np.errstate(over="ignore")
 def _certified_minimum(grad, project, eta: float, d: int, tol: float,
                        max_iterations: int) -> tuple[np.ndarray, float]:
     """Minimize a convex F over a convex set by restarted accelerated
     projected gradient from 0 (uncounted gradients), with step eta at most
-    1 / (smoothness of F).
+    1 / (smoothness of F). numpy's overflow warning is silenced once, for
+    the whole solve: project may be a geometry kernel, which squares its
+    point without a warning guard of its own.
 
     The certificate is the gradient-mapping residual
     r = ||w - project(w - eta * grad(w))||, zero exactly at the minimizer;
@@ -387,32 +466,6 @@ def _certified_minimum(grad, project, eta: float, d: int, tol: float,
         f"residual did not fall below {tol} on any checked iterate (every "
         f"{RESIDUAL_INTERVAL}th and the last) within {max_iterations} "
         f"iterations; the smallest checked residual was {smallest:.3g}")
-
-
-def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,
-                             lam: float, inner_radius: float,
-                             tol: float = 1e-12,
-                             max_iterations: int = 200_000
-                             ) -> tuple[np.ndarray, float]:
-    """Certified minimizer of the recentered epoch objective
-    F(w) = (lam/2)||w||^2 + lam <w, anchor> + G(w + anchor) over the
-    two-ball domain, by _certified_minimum with step 1 / (L + lam), L the
-    smoothness of G (losses.mean_smoothness).
-
-    Returns (w, distance_bound): F is lam-strongly convex and
-    (L + lam)-smooth, so a residual r bounds the distance to the true
-    minimizer, ||w - w*|| <= 2 (L + lam) r / lam (Nesterov, Introductory
-    Lectures, 2004, Thm 2.2.7, gradient mapping). Gradients here are
-    diagnostic and never touch oracle counters. Raises CertificateError (a
-    RuntimeError) if no checked residual is below tol within max_iterations.
-    """
-    domain = EpochDomain(anchor, instance.domain_radius, inner_radius)
-    smooth = mean_smoothness(instance) + lam
-    w, r = _certified_minimum(
-        lambda y: lam * (y + anchor) + mean_gradient(instance, y + anchor),
-        lambda v: project_epoch_domain(v, domain), 1.0 / smooth, instance.d,
-        tol, max_iterations)
-    return w, 2.0 * smooth * r / lam
 
 
 def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,

@@ -6,19 +6,24 @@ Both projections are closed form. If neither ball's projection satisfies
 the other constraint, both are active, and the projection onto the
 intersection is the point nearest v on the circle where the spheres meet.
 
-Each domain has one kernel, which every caller uses on the raw point:
-_project_ball for a ball about 0 (project_ball, baselines.run_sgd) and
-_project_two_balls for an epoch domain (project_epoch_domain,
-core.run_epoch). The kernel makes the fast-path test, skips the outer-ball
-work on a domain whose Delta-ball provably lies inside the R-ball
-(EpochDomain.outer_inactive, decided once from scalars), and returns the
-point's squared norm with it, which the step loop needs next. Norms are
-math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a 1-D float
-vector and cheaper. Only a square that is not finite goes to _norm, which
-rescales by max|v_i| a finite v whose square overflows and raises
-ValueError for a v with a NaN or infinite entry; no other finiteness check
-is made. The numpy overflow warning of such a square is silenced once per
-public call or solver call, never per step.
+Each domain has one vector kernel, which every caller uses on the raw
+point: _project_ball for a ball about 0 (project_ball, baselines.run_sgd
+and the full-gradient solvers) and _project_two_balls for an epoch domain
+(project_epoch_domain, and core.run_epoch's steps that cannot be decided
+in scalars). The epoch domain also has a scalar kernel,
+_two_ball_coefficients, which decides FAST, INNER and OUTER from ||v||^2
+and v.anchor alone and returns the point as coefficients of v and the
+anchor; it is core.run_epoch's step, and answers BOTH wherever the vector
+kernel must decide. A vector kernel makes the fast-path test, skips the
+outer-ball work on a domain whose Delta-ball provably lies inside the
+R-ball (EpochDomain.outer_inactive, decided once from scalars), and
+returns the point's squared norm with it, which the step loop needs next.
+Norms are math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a
+1-D float vector and cheaper. Only a square that is not finite goes to
+_norm, which rescales by max|v_i| a finite v whose square overflows and
+raises ValueError for a v with a NaN or infinite entry; no other
+finiteness check is made. The numpy overflow warning of such a square is
+silenced once per public call or solver call, never per step.
 """
 
 from __future__ import annotations
@@ -68,12 +73,25 @@ class EpochDomain:
     exact. The model assumes squares that do not underflow; an underflowed
     square is off by at most 2^-1075, which the margin absorbs while
     A + Delta exceeds about 1e-140.
+
+    The scalar kernel (_two_ball_coefficients) tests a ||v||^2 that
+    core.run_epoch carries in scalars, which differs from the exact square
+    of its v by a drift e (an absolute bound, checked in the tests at every
+    fold of the scalar form), not a computed v.dot(v). The bit-for-bit
+    claim above is for the vector kernel only. On a certified domain the
+    scalar kernel also never forms ||v + anchor||, and a point it returns
+    has ||p|| <= sqrt(Delta^2 + e) <= Delta + e / (2 Delta), to rounding, so
+    ||p + anchor|| <= A + Delta + e / (2 Delta) <= R + e / (2 Delta): the
+    R-ball binds by at most the drift's share, which for the solver's
+    epochs (e below 1e-13 R^2, Delta >= R / 2^(m-1)) is far below the
+    1e-9 the solver allows an anchor outside the R-ball.
     """
 
     anchor: np.ndarray
     outer_radius: float
     inner_radius: float
     outer_inactive: bool = field(init=False, compare=False)
+    anchor_sq: float = field(init=False, compare=False)   # anchor . anchor
 
     def __post_init__(self):
         a = np.asarray(self.anchor, dtype=float)
@@ -84,6 +102,7 @@ class EpochDomain:
             raise ValueError("anchor lies outside the outer ball; domain would be empty")
         margin = 1.0 + 4 * (a.size + 2) * sys.float_info.epsilon
         object.__setattr__(self, "anchor", a)
+        object.__setattr__(self, "anchor_sq", float(a.dot(a)))
         object.__setattr__(self, "outer_inactive", bool(
             (a_norm + self.inner_radius) * margin <= self.outer_radius))
 
@@ -209,3 +228,52 @@ def _project_two_balls(v: np.ndarray, domain: EpochDomain
     rho = math.sqrt((delta - s) * (delta + s))
     p = s * a_hat + v_perp * (rho / perp_norm)
     return p, BOTH, float(p.dot(p))
+
+
+def _two_ball_coefficients(v_sq: float, va: float, domain: EpochDomain
+                           ) -> tuple[float, float, int, float]:
+    """The two-ball projection of a point v known only by v_sq = ||v||^2 and
+    va = v . anchor: returns (k_v, k_a, branch, p_sq) with p = k_v v + k_a
+    anchor and p_sq = ||p||^2, all from scalars.
+
+    FAST is (1, 0), INNER is (Delta / ||v||, 0) and OUTER, which scales
+    u = v + anchor into the R-ball and shifts it back, is (k, k - 1) with
+    k = R / ||u||; ||u||^2, ||p||^2 and the INNER point's ||p + anchor||^2
+    are expanded in v_sq, va and anchor_sq. The tests are
+    _project_two_balls' in the same order, so the two kernels differ only
+    where a norm lies within rounding of a radius. BOTH is returned when
+    both constraints are active, and also when v_sq, ||u||^2 or the OUTER
+    point's square is not finite or is negative (a cancellation): the
+    caller then projects the explicit v with _project_two_balls, which
+    owns the circle point, the rescaled norm and the non-finite check.
+    """
+    delta = domain.inner_radius
+    if not 0.0 <= v_sq < math.inf:
+        return 1.0, 0.0, BOTH, v_sq
+    v_norm = math.sqrt(v_sq)
+    if domain.outer_inactive:
+        if v_norm <= delta:
+            return 1.0, 0.0, FAST, v_sq
+        k = delta / v_norm
+        return k, 0.0, INNER, k * k * v_sq
+    R, a_sq = domain.outer_radius, domain.anchor_sq
+    u_sq = v_sq + 2.0 * va + a_sq
+    if not 0.0 <= u_sq < math.inf:
+        return 1.0, 0.0, BOTH, v_sq
+    u_norm = math.sqrt(u_sq)
+    if v_norm <= delta:
+        if u_norm <= R:
+            return 1.0, 0.0, FAST, v_sq
+    else:
+        k = delta / v_norm
+        p_sq = k * k * v_sq
+        # A negative ||p + anchor||^2 is a cancellation: p + anchor ~ 0.
+        if math.sqrt(max(p_sq + 2.0 * k * va + a_sq, 0.0)) <= R:
+            return k, 0.0, INNER, p_sq
+    if u_norm > R:
+        k = R / u_norm
+        k_a = k - 1.0
+        p_sq = k * k * v_sq + 2.0 * k * k_a * va + k_a * k_a * a_sq
+        if p_sq >= 0.0 and math.sqrt(p_sq) <= delta:
+            return k, k_a, OUTER, p_sq
+    return 1.0, 0.0, BOTH, v_sq

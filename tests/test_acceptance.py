@@ -29,7 +29,9 @@ from mixedgrad import (
     run_gd, run_nag, run_sgd, theory_params,
 )
 from mixedgrad.baselines import GD, NAG, SGD
-from mixedgrad.core import EpochState, epoch_subproblem_optimum, run_epoch
+from mixedgrad.core import EpochState, run_epoch
+
+from helpers import epoch_subproblem_optimum
 
 
 def _report(criterion: int, detail: str):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mixedgrad.geometry import (BOTH, FAST, INNER, OUTER, EpochDomain,
-                                _project_two_balls, project_ball,
-                                project_epoch_domain)
+                                _project_two_balls, _two_ball_coefficients,
+                                project_ball, project_epoch_domain)
 
 
 def grid_norms(xs, center):
@@ -448,3 +448,83 @@ class TestOuterInactive:
             a_norm = float(np.linalg.norm(anchor))
             assert not EpochDomain(anchor, a_norm + delta,
                                    delta).outer_inactive
+
+
+def scalar_kernel(w, domain):
+    """_two_ball_coefficients on w.w and w.anchor: the point its
+    coefficients give (None on BOTH, where the caller projects w itself),
+    the branch and the square it returns."""
+    k_v, k_a, branch, p_sq = _two_ball_coefficients(
+        float(w @ w), float(w @ domain.anchor), domain)
+    if branch == BOTH:
+        return None, branch, p_sq
+    return k_v * w + k_a * domain.anchor, branch, p_sq
+
+
+class TestScalarKernel:
+    # Rounding bound for a point (and its square) built from a handful of
+    # scalar operations: 8 u relative to ||w|| + ||anchor|| (squared).
+    TOL = 8 * 2.0 ** -53
+
+    def assert_close(self, w, dom, q, q_sq, p):
+        scale = np.linalg.norm(w) + np.linalg.norm(dom.anchor)
+        assert np.linalg.norm(q - p) <= self.TOL * scale
+        assert abs(q_sq - q @ q) <= self.TOL * scale * scale
+
+    def test_matches_vector_kernel(self):
+        # The vector kernel's random cases: every branch is the vector
+        # kernel's, and every point and square agree to rounding.
+        rng = np.random.default_rng(1234)
+        seen = {FAST: 0, INNER: 0, OUTER: 0, BOTH: 0}
+        for _ in range(12_000):
+            w, dom = random_case(rng)
+            p, branch = kernel(w, dom)
+            q, got, q_sq = scalar_kernel(w, dom)
+            assert got == branch
+            seen[got] += 1
+            if got != BOTH:
+                self.assert_close(w, dom, q, q_sq, p)
+        assert min(seen.values()) >= 100
+
+    def test_ties_give_a_feasible_point_as_near_as_the_vector_kernels(self):
+        # ||v|| within a few ulp of Delta, and R within a few ulp of
+        # ||a|| + Delta: the spheres are nearly tangent, so a point within
+        # rounding of both can lie ~sqrt(u) from the projection, and the
+        # two kernels may name different branches. Wherever the scalar one
+        # decides, its point is feasible to rounding and no farther from v
+        # than the vector kernel's, to rounding.
+        rng = np.random.default_rng(2024)
+        for _ in range(22_000):
+            w, dom = contained_case(rng)
+            p, _ = kernel(w, dom)
+            q, got, _ = scalar_kernel(w, dom)
+            if got == BOTH:
+                continue
+            tol = self.TOL * (np.linalg.norm(w) + np.linalg.norm(dom.anchor))
+            assert np.linalg.norm(q) <= dom.inner_radius + tol
+            assert np.linalg.norm(q + dom.anchor) <= dom.outer_radius + tol
+            assert np.linalg.norm(w - q) <= np.linalg.norm(w - p) + tol
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_concentric_inner_and_both_points_are_equal(self, delta):
+        # Anchor 0: the INNER point v Delta/||v|| and the concentric BOTH
+        # point v min(R, Delta)/||v|| are the same when Delta <= R, so
+        # which branch a kernel names at Delta = R, where ||p|| rounds
+        # either side of R, moves no bit of the point. The scalar kernel
+        # scales by the same computed norm, and its OUTER point
+        # k v + (k - 1) 0 is k v with k = R/||v||.
+        dom = EpochDomain(np.zeros(3), 1.0, delta)
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(2_000):
+            w = rng.standard_normal(3)
+            w *= rng.uniform(1.5, 3.0) / np.linalg.norm(w)
+            expected = w * (delta / math.sqrt(w @ w))
+            p, branch = kernel(w, dom)
+            q, got, _ = scalar_kernel(w, dom)
+            seen.update([branch, got])
+            assert branch in (INNER, BOTH)
+            assert np.array_equal(p, expected)
+            assert got == BOTH or np.array_equal(q, expected)
+        assert seen >= ({INNER, BOTH} if delta == 1.0 else {INNER})
+
