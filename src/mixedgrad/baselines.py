@@ -6,6 +6,15 @@ smooth convex problems) are what the benchmark harness measures slopes
 against. Each starts from 0, counts its own oracle calls and returns a
 core.SolverResult, as core.run does. SGD touches only the stochastic
 counter; GD and NAG only the full-gradient counter.
+
+SGD's step has core.run_epoch's design: the iterate is held in scalar
+form, w = alpha z with ||w||^2 a Python float (the lazy scaling of
+Pegasos), so a step is one dot, one axpy and scalar updates, and a
+projection onto the R-ball only rescales alpha; a step the scalars cannot
+decide is taken on the explicit point with the ball kernel. Its average is
+run_epoch's lazy sum (averaged SGD, Xu, arXiv:1107.2490), closed at each
+checkpoint by the same helper, core._subtract_rows. GD and NAG run
+core._projected_gradient with the ball kernel, one call per iterate.
 """
 
 from __future__ import annotations
@@ -16,8 +25,9 @@ from itertools import islice
 
 import numpy as np
 
-from .core import (DivergenceError, SolverResult, TraceRecord, _check_counts,
-                   _check_positive, _projected_gradient)
+from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult,
+                   TraceRecord, _check_counts, _check_positive,
+                   _projected_gradient, _subtract_rows)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.project_ball by name.
@@ -68,11 +78,26 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     checkpoint's) is the average of the iterates w_0 = 0, ..., w_t, taken
     as their running sum over their count.
 
-    Step t is v = w - (eta_t * g) * x_i, with eta_t = c/sqrt(t) and g the
-    loss derivative at the margin w.x_i (the labels come from the
-    instance's per-example list), then projected onto the R-ball by the
-    ball kernel (geometry._project_ball), whose ValueError for a non-finite
-    v raises DivergenceError."""
+    Step t is w <- P_R(v), v = w + m x_i, with m = -eta_t g, eta_t =
+    c/sqrt(t) and g the loss derivative at the margin w.x_i (the labels
+    come from the instance's per-example list). The iterate is held as
+    w = alpha z with ||w||^2 a Python float, so a step is one dot, z.x_i,
+    one axpy, z += (m / alpha) x_i, and scalar updates: ||v||^2 =
+    ||w||^2 + 2 m (w.x_i) + m^2 ||x_i||^2 decides the R-ball test, and a
+    projection only scales alpha by R / ||v||. A step whose square is not
+    finite or is negative, or whose projection would take alpha below
+    core.COEFFICIENT_RANGE, forms v and projects it with the ball kernel
+    (geometry._project_ball), whose ValueError for a non-finite v raises
+    DivergenceError; the form restarts there at w = z.
+
+    The average is core.run_epoch's lazy sum: a restart or a checkpoint
+    adds A z to a running sum, A the sum of alpha since the last one, and
+    each axpy z += k x_i adds A k to its row's coefficient q_i. At each
+    checkpoint the sum is closed with core._subtract_rows (minus
+    sum_j q_j x_j over the rows drawn since the last checkpoint, which are
+    then cleared, so the coefficients held never exceed checkpoint_stride)
+    and the form is folded, z <- w, alpha = 1, with ||w||^2 recomputed from
+    z. numpy's overflow warning is silenced once for the whole run."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
     R = instance.domain_radius
@@ -83,23 +108,49 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     sampler = SeededSampler(seed)
     trace: list[TraceRecord] = []
     X = instance.dataset.features
-    labels = instance._labels
+    labels, x_sq = instance._labels, instance._row_sq
     kind = instance.loss_kind
-    w = np.zeros(instance.d)
-    total = w.copy()           # sum of the iterates seen so far
+    low = COEFFICIENT_RANGE[0]
+    z = np.zeros(instance.d)
+    alpha, w_sq = 1.0, 0.0     # w = alpha z, ||w||^2
+    total = z.copy()           # running sum of the iterates
+    A = 0.0                    # alpha summed since total grew
+    q = {}                     # i -> q_i, rows drawn since the last checkpoint
     indices = sample_losses(sampler, counters, instance.n, config.iterations)
     for t, i in enumerate(indices, 1):
         # loss_grad written out.
-        eta = c / math.sqrt(t)
         x = X[i]
-        v = w - (eta * _loss_derivative(labels[i], float(w.dot(x)), kind)) * x
-        try:
-            w = _project_ball(v, R)
-        except ValueError:
-            raise DivergenceError(f"non-finite iterate at step {t}",
-                                  counters, trace) from None
-        total += w
+        wx = alpha * float(z.dot(x))
+        m = -(c / math.sqrt(t)) * _loss_derivative(labels[i], wx, kind)
+        v_sq = w_sq + 2.0 * m * wx + m * m * x_sq[i]
+        scale = 0.0            # a square that is not finite or is negative
+        if 0.0 <= v_sq < math.inf:
+            v_norm = math.sqrt(v_sq)
+            scale = 1.0 if v_norm <= R else R / v_norm
+        if alpha * scale >= low:
+            k = m / alpha
+            z += k * x
+            q[i] = q.get(i, 0.0) + A * k
+            alpha *= scale
+            w_sq = scale * scale * v_sq
+        else:
+            total += z * A
+            A = 0.0
+            try:
+                z = _project_ball(z * alpha + m * x, R)
+            except ValueError:
+                raise DivergenceError(f"non-finite iterate at step {t}",
+                                      counters, trace) from None
+            alpha, w_sq = 1.0, float(z.dot(z))
+        A += alpha
         if t % config.checkpoint_stride == 0 or t == config.iterations:
+            total += z * A
+            A = 0.0
+            _subtract_rows(total, X, np.fromiter(q, np.intp, len(q)),
+                           np.fromiter(q.values(), float, len(q)))
+            q.clear()
+            z *= alpha
+            alpha, w_sq = 1.0, float(z.dot(z))
             point = total / (t + 1.0)
             _checkpoint(trace, instance, point, t, counters, reference_value)
     return SolverResult(point, trace, counters)  # as checkpointed at step T

@@ -215,6 +215,17 @@ def _products(w: np.ndarray, g_k: np.ndarray, anchor: np.ndarray
     return float(w.dot(w)), float(w.dot(g_k)), float(w.dot(anchor))
 
 
+def _subtract_rows(total: np.ndarray, X: np.ndarray, drawn: np.ndarray,
+                   q: np.ndarray) -> None:
+    """total -= sum_j q_j X[drawn_j], in place: the closing term of a lazy
+    sum (run_epoch's average, baselines.run_sgd's checkpoints), one gather
+    and one matvec per block of rows, so no temporary exceeds ROW_BLOCK
+    entries."""
+    block = max(1, ROW_BLOCK // X.shape[1])
+    for start in range(0, len(drawn), block):
+        total -= q[start:start + block] @ X[drawn[start:start + block]]
+
+
 @np.errstate(invalid="ignore", over="ignore")
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
@@ -357,11 +368,8 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
                                          counters.stochastic_calls,
                                          counters.full_calls, obj, err))
     total += combine(A, B, C)
-    drawn = np.fromiter(rows, dtype=np.intp, count=len(rows))
-    q = np.array([row[3] for row in rows.values()])
-    block = max(1, ROW_BLOCK // instance.d)
-    for start in range(0, len(drawn), block):
-        total -= q[start:start + block] @ X[drawn[start:start + block]]
+    _subtract_rows(total, X, np.fromiter(rows, dtype=np.intp, count=len(rows)),
+                   np.array([row[3] for row in rows.values()]))
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])
     return total / (T + 1.0), float(max_step_sq), projections

@@ -7,8 +7,10 @@ the other constraint, both are active, and the projection onto the
 intersection is the point nearest v on the circle where the spheres meet.
 
 Each domain has one vector kernel, which every caller uses on the raw
-point: _project_ball for a ball about 0 (project_ball, baselines.run_sgd
-and the full-gradient solvers) and _project_two_balls for an epoch domain
+point: _project_ball for a ball about 0 (project_ball, the full-gradient
+solvers and baselines.run_sgd's steps that cannot be decided in scalars;
+its other steps only rescale a scalar by R / ||v||) and _project_two_balls
+for an epoch domain
 (project_epoch_domain, and core.run_epoch's steps that cannot be decided
 in scalars). The epoch domain also has a scalar kernel,
 _two_ball_coefficients, which decides FAST, INNER and OUTER from ||v||^2

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -90,19 +92,64 @@ def reference_sgd(inst, config, seed, counters):
     return total / (config.iterations + 1), projected
 
 
+def step_term_bound(inst, config):
+    """M = max(R, c G max||x_i||), G = max |loss derivative| over the
+    R-ball (least squares 2 (max|y_i| + R max||x_i||), logistic 1): a bound
+    on every vector term of an SGD step, w and m x_i."""
+    R, x_max = inst.domain_radius, math.sqrt(max(inst._row_sq))
+    G = (2.0 * (np.abs(inst.dataset.labels).max() + R * x_max)
+         if inst.loss_kind == LEAST_SQUARES else 1.0)
+    return max(R, config.step_scale * G * x_max)
+
+
+def sgd_rounding_bound(inst, config):
+    """A bound on |run_sgd's point - reference_sgd's point|, entrywise.
+
+    Both compute the same exact iterates; each step's map
+    w -> P_R(w - eta_t grad g_i(w)) is nonexpansive when
+    eta_t L ||x_i||^2 <= 2 (a gradient step on a convex L ||x_i||^2-smooth
+    g_i, then a projection), which c beta <= 2 ensures as eta_t <= c. So
+    the local rounding errors of the steps add up, every iterate's error is
+    at most T times one step's, and so is the average's; one step's is
+    e = 64 u stride M (1 + M / R), M from step_term_bound:
+    - between two folds (at most stride steps) z and each k x_i are at most
+      1 / COEFFICIENT_RANGE[0] = 100 times their terms of w, but enter w
+      scaled by an alpha no larger than the one they were added at, so each
+      axpy and each projection's scale of alpha rounds w by a relative u on
+      terms of at most M; the lazy sum's A z and sum_j q_j x_j are at most
+      stride times those terms, and round alike;
+    - the carried ||v||^2 drifts by at most a dozen roundings of terms of
+      at most M^2 per step over those steps, and a projection's scale
+      R / ||v|| turns a drift of the square into a move of the point of at
+      most drift / (2 R) (as does a fast-path test decided the other way at
+      a tie): the factor M / R;
+    - the factor 64 covers the dozen roundings per step of the scalar form
+      and of the reference, each on a term of at most stride M.
+    """
+    u = 2.0 ** -53
+    M = step_term_bound(inst, config)
+    R = inst.domain_radius
+    step = 64 * u * config.checkpoint_stride * M * (1 + M / R)
+    return config.iterations * step
+
+
 class TestSgdMatchesReference:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_bit_identical(self, kind):
         # With R = 0.2 both the R-ball projection and the fast path run
-        # hundreds of times on each loss.
+        # hundreds of times on each loss. run_sgd holds w = alpha z and
+        # ||w||^2 in scalars, so the points agree within
+        # sgd_rounding_bound, not bit for bit; the counters exactly.
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
         cfg = BaselineConfig("sgd", 600, step_scale=0.5, checkpoint_stride=50)
+        assert cfg.step_scale * inst.smoothness <= 2
         c_ref = OracleCounters()
         point, _, c_run, _ = run_sgd(inst, cfg, 9)
         ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
         assert 0 < projected < cfg.iterations
-        np.testing.assert_array_equal(point, ref_point)
-        assert c_run == c_ref
+        np.testing.assert_allclose(point, ref_point, rtol=0,
+                                   atol=sgd_rounding_bound(inst, cfg))
+        assert c_run == c_ref == OracleCounters(cfg.iterations, 0)
 
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_divergence_at_first_step(self, kind):
@@ -168,6 +215,107 @@ class TestSgdMatchesReference:
         assert projected == cfg.iterations
         np.testing.assert_array_equal(point, ref_point)
         assert np.linalg.norm(2 * first) == pytest.approx(1.0, rel=1e-15)
+
+
+class TestSgdScalarState:
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_scalar_norm_tracks_the_explicit_one(self, kind, monkeypatch):
+        # Each checkpoint closes the lazy sum (core._subtract_rows) before
+        # it folds w = alpha z into z; there the ||w||^2 carried in scalars
+        # must agree with the explicit w.w to an absolute 16 u stride M^2:
+        # each step rounds about a dozen terms of its update of ||w||^2,
+        # each at most M^2 (step_term_bound), and scales the error it
+        # inherits by at most 1 (a projection), over at most stride steps
+        # since the last fold.
+        inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
+        cfg = BaselineConfig("sgd", 600, step_scale=0.5, checkpoint_stride=50)
+        M = step_term_bound(inst, cfg)
+        bound = 16 * 2.0 ** -53 * cfg.checkpoint_stride * M * M
+        subtract_rows, gaps = mixedgrad.baselines._subtract_rows, []
+
+        def checked(*args):
+            state = sys._getframe(1).f_locals
+            w = state["z"] * state["alpha"]
+            gaps.append(abs(state["w_sq"] - float(w.dot(w))))
+            return subtract_rows(*args)
+
+        monkeypatch.setattr(mixedgrad.baselines, "_subtract_rows", checked)
+        trace = run_sgd(inst, cfg, 9).trace
+        assert len(gaps) == len(trace) == cfg.iterations // 50
+        assert all(gap <= bound for gap in gaps)
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_explicit_steps_run_and_stay_in_ball(self, kind, monkeypatch):
+        # At step scale 20 a projection scales alpha by R / ||v|| with
+        # ||v|| up to ~100 R, so many steps would take alpha below
+        # COEFFICIENT_RANGE and are taken on the explicit point instead.
+        calls = []
+
+        def counting(v, radius):
+            calls.append(v)
+            return project_ball_kernel(v, radius)
+
+        project_ball_kernel = mixedgrad.baselines._project_ball
+        monkeypatch.setattr(mixedgrad.baselines, "_project_ball", counting)
+        inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
+        cfg = BaselineConfig("sgd", 600, step_scale=20.0,
+                             checkpoint_stride=50)
+        point = run_sgd(inst, cfg, 9).point
+        assert 0 < len(calls) < cfg.iterations
+        assert np.linalg.norm(point) <= inst.domain_radius * (1 + 1e-12)
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("step_scale", [1e10, 1e100])
+    def test_step_that_would_shrink_alpha_out_of_range_is_explicit(
+            self, kind, step_scale):
+        # ||v||^2 is finite but every projection would scale alpha by less
+        # than 1e-2: each step is taken on the explicit point and runs the
+        # reference's operations, so the points agree bit for bit. Kept in
+        # scalars, such a step would add k x_i with |k| ~ step_scale to z
+        # and cancel it out of the lazy sum again.
+        inst = gen_synthetic(2, 40, 5, 0.3, kind, 1.0)
+        cfg = BaselineConfig("sgd", 200, step_scale=step_scale,
+                             checkpoint_stride=50)
+        point = run_sgd(inst, cfg, 9).point
+        with np.errstate(over="ignore"):
+            ref_point, projected = reference_sgd(inst, cfg, 9,
+                                                 OracleCounters())
+        assert projected == cfg.iterations
+        np.testing.assert_array_equal(point, ref_point)
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    @pytest.mark.parametrize("step_scale", [1e200, 1e300])
+    def test_huge_step_scale_finishes_without_warning(self, kind,
+                                                      step_scale):
+        # ||v||^2 overflows on every step: each is taken on the explicit
+        # point, which the ball kernel rescales onto the sphere. m * m on a
+        # Python float gives inf where m ** 2 would raise OverflowError.
+        inst = gen_synthetic(2, 40, 5, 0.3, kind, 1.0)
+        cfg = BaselineConfig("sgd", 200, step_scale=step_scale,
+                             checkpoint_stride=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point, trace, counters, _ = run_sgd(inst, cfg, 9)
+        assert counters == OracleCounters(cfg.iterations, 0)
+        assert [r.step for r in trace] == [50, 100, 150, 200]
+        assert 0 < np.linalg.norm(point) <= 1.0
+
+    def test_memory_of_a_short_run_stays_below_one_row_array(self,
+                                                             monkeypatch):
+        # 32 steps on the 20,000 x 50 large-n shape hold O(d) vectors and
+        # one coefficient per row drawn: no array of n entries (160 KB).
+        # The checkpoint objective, one matvec over X by design, is
+        # replaced so that only the step loop and the lazy sum are counted.
+        inst = gen_synthetic(0, 20000, 50, 0.5, LEAST_SQUARES, 1.0)
+        monkeypatch.setattr(mixedgrad.baselines, "full_objective",
+                            lambda instance, w: 0.0)
+        tracemalloc.start()
+        try:
+            run_sgd(inst, BaselineConfig("sgd", 32), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**10
 
 
 class TestGd:
