@@ -177,7 +177,7 @@ class EpochSummary:
     full_calls: int
     max_step_norm_sq: float    # max ||grad correction + lam*w||^2 observed
     # The Delta-ball was certified inside the R-ball (EpochDomain's
-    # outer_inactive), so no step computed ||v + anchor||.
+    # outer_inactive), so no scalar step computed ||v + anchor||.
     outer_inactive: bool
     projections: ProjectionCounts = field(default_factory=ProjectionCounts)
 
@@ -255,7 +255,8 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     returns BOTH for (both balls active, or a square that is not finite or
     is negative), or whose coefficients before the projection leave
     COEFFICIENT_RANGE, forms v and projects it with
-    geometry._project_two_balls, whose branch is the one counted; a NaN or
+    geometry._project_two_balls, whose branch is the one counted, and
+    recomputes the three products from the point it returns; a NaN or
     infinite v makes that kernel raise, which raises DivergenceError. Every
     checkpoint_stride steps the form is folded, z <- w, and the three
     products recomputed from it, so the scalar ||w||^2 never drifts for
@@ -343,13 +344,13 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
             total += combine(A, B, C)
             A = B = C = 0.0
             try:
-                z, branch, w_sq = _project_two_balls(v, domain)
+                z, branch = _project_two_balls(v, domain)
             except ValueError:
                 raise DivergenceError(
                     f"non-finite iterate at epoch {state.epoch_index}, "
                     f"step {t}", counters, trace) from None
             alpha, beta, gamma = 1.0, 0.0, 0.0
-            _, wg, wa = _products(z, g_k, anchor)
+            w_sq, wg, wa = _products(z, g_k, anchor)
         branches[branch] += 1
         A += alpha
         B += beta

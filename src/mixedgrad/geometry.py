@@ -6,26 +6,27 @@ Both projections are closed form. If neither ball's projection satisfies
 the other constraint, both are active, and the projection onto the
 intersection is the point nearest v on the circle where the spheres meet.
 
-Each domain has one vector kernel, which every caller uses on the raw
-point: _project_ball for a ball about 0 (project_ball, the full-gradient
-solvers and baselines.run_sgd's steps that cannot be decided in scalars;
-its other steps only rescale a scalar by R / ||v||) and _project_two_balls
-for an epoch domain
-(project_epoch_domain, and core.run_epoch's steps that cannot be decided
-in scalars). The epoch domain also has a scalar kernel,
+Each domain has one vector kernel, a plain projection of the raw point:
+_project_ball for a ball about 0 (project_ball, the full-gradient solvers
+and baselines.run_sgd's steps that cannot be decided in scalars; its other
+steps only rescale a scalar by R / ||v||) and _project_two_balls for an
+epoch domain (project_epoch_domain, and core.run_epoch's steps that cannot
+be decided in scalars). The epoch domain also has a scalar kernel,
 _two_ball_coefficients, which decides FAST, INNER and OUTER from ||v||^2
 and v.anchor alone and returns the point as coefficients of v and the
 anchor; it is core.run_epoch's step, and answers BOTH wherever the vector
-kernel must decide. A vector kernel makes the fast-path test, skips the
-outer-ball work on a domain whose Delta-ball provably lies inside the
-R-ball (EpochDomain.outer_inactive, decided once from scalars), and
-returns the point's squared norm with it, which the step loop needs next.
-Norms are math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a
-1-D float vector and cheaper. Only a square that is not finite goes to
-_norm, which rescales by max|v_i| a finite v whose square overflows and
-raises ValueError for a v with a NaN or infinite entry; no other
-finiteness check is made. The numpy overflow warning of such a square is
-silenced once per public call or solver call, never per step.
+kernel must decide. It is the only kernel with a per-step shortcut: on a
+domain whose Delta-ball provably lies inside the R-ball
+(EpochDomain.outer_inactive, decided once from scalars) it never forms
+||v + anchor||. A vector kernel takes the norms of the raw point (||v||,
+and for an epoch domain ||v + anchor|| and the circle's ||v_perp||) from
+_norm: math.sqrt(v.dot(v)), bit-identical to np.linalg.norm(v) for a 1-D
+float vector and cheaper, rescaled by max|v_i| when the square overflows
+for a finite v, and a ValueError for a v with a NaN or infinite entry; no
+other finiteness check is made. The numpy overflow warning of such a
+square is silenced once per public call or solver call, never per step.
+The public wrappers check the shapes of their arguments; the kernels
+trust their callers.
 """
 
 from __future__ import annotations
@@ -45,15 +46,19 @@ INNER, OUTER, BOTH, FAST = 0, 1, 2, 3
 class EpochDomain:
     """Intersection {v : ||v + anchor|| <= outer_radius, ||v|| <= inner_radius}.
 
-    Construction requires ||anchor|| <= outer_radius so the origin is
-    feasible and the intersection is nonempty.
+    Construction requires a non-empty 1-D anchor with
+    ||anchor|| <= outer_radius, so the origin is feasible and the
+    intersection is nonempty.
 
     outer_inactive is derived: true when
     (A + Delta) * (1 + 4 (d + 2) eps) <= R in floating point, where A is the
     computed ||anchor||, d the anchor's length and eps machine epsilon.
-    Then every computed norm the two-ball projection compares with R is at
-    most R, so the R-ball never binds and the projection is the Delta-ball
-    projection, branch for branch and bit for bit. Derivation, with
+    Its readers are the scalar kernel's shortcut (_two_ball_coefficients)
+    and EpochSummary.outer_inactive (core.run); _project_two_balls runs its
+    full body on every domain. On a certified domain every computed norm
+    that body compares with R is at most R, so the R-ball never binds and
+    the projection is the Delta-ball projection, branch for branch and bit
+    for bit. Derivation, with
     u = eps / 2 and gamma_d = d u / (1 - d u) (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, sections 2.2 and 3.1):
     - A computed norm math.sqrt(x.dot(x)) of a d-vector lies within factors
@@ -96,7 +101,7 @@ class EpochDomain:
     anchor_sq: float = field(init=False, compare=False)   # anchor . anchor
 
     def __post_init__(self):
-        a = np.asarray(self.anchor, dtype=float)
+        a = _vector("anchor", self.anchor)
         if not (self.outer_radius > 0 and self.inner_radius > 0):
             raise ValueError("radii must be positive")
         a_norm = np.linalg.norm(a)
@@ -111,6 +116,15 @@ class EpochDomain:
     def contains(self, w: np.ndarray, tol: float = 1e-9) -> bool:
         return (np.linalg.norm(w + self.anchor) <= self.outer_radius + tol
                 and np.linalg.norm(w) <= self.inner_radius + tol)
+
+
+def _vector(name: str, x) -> np.ndarray:
+    """x as a float array, which must be non-empty and 1-D."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D array, got shape "
+                         f"{x.shape}")
+    return x
 
 
 def _norm(v: np.ndarray) -> float:
@@ -129,13 +143,18 @@ def _norm(v: np.ndarray) -> float:
 @np.errstate(over="ignore")
 def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal projection onto the ball of given radius (default center
-    0). A non-finite point, or one whose offset from the center overflows,
-    raises ValueError."""
-    w = np.asarray(w, dtype=float)
+    0). w must be a non-empty 1-D array and the center, if given, of the
+    same shape. A non-finite point, or one whose offset from the center
+    overflows, raises ValueError."""
+    w = _vector("w", w)
     if not radius > 0:
         raise ValueError("radius must be positive")
     if center is None:
         return _project_ball(w, radius)
+    center = np.asarray(center, dtype=float)
+    if center.shape != w.shape:
+        raise ValueError(f"w has shape {w.shape} but center has shape "
+                         f"{center.shape}")
     v = w - center
     p = _project_ball(v, radius)
     return w if p is v else center + p
@@ -144,8 +163,12 @@ def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None)
 @np.errstate(over="ignore")
 def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
     """Euclidean projection onto the two-ball intersection of the domain.
-    A non-finite point raises ValueError."""
-    p, _, _ = _project_two_balls(np.asarray(w, dtype=float), domain)
+    w must have the anchor's shape. A non-finite point raises ValueError."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != domain.anchor.shape:
+        raise ValueError(f"w has shape {w.shape} but the domain's anchor "
+                         f"has shape {domain.anchor.shape}")
+    p, _ = _project_two_balls(w, domain)
     return p
 
 
@@ -153,26 +176,17 @@ def _project_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Projection of v onto the ball of the given radius about 0: v itself
     if its computed norm is at most the radius, else v scaled onto the
     sphere. A non-finite v raises ValueError (_norm)."""
-    norm = math.sqrt(v.dot(v))
-    if not norm < math.inf:
-        norm = _norm(v)
+    norm = _norm(v)
     return v if norm <= radius else v * (radius / norm)
 
 
 def _project_two_balls(v: np.ndarray, domain: EpochDomain
-                       ) -> tuple[np.ndarray, int, float]:
-    """Projection of v onto the domain; returns the point p, the branch that
-    produced it and float(p.dot(p)), computed once. A non-finite v raises
-    ValueError (_norm).
+                       ) -> tuple[np.ndarray, int]:
+    """Projection of v onto the domain; returns the point p and the branch
+    that produced it. A non-finite v raises ValueError (_norm).
 
     FAST: the computed ||v|| <= Delta and ||v + anchor|| <= R, so p is v
-    itself; a non-finite v never gets there, as its square goes to _norm.
-    On a domain certified outer_inactive the second test is known to pass
-    whenever the first does (EpochDomain derives the margin): v + anchor
-    and its norm are not formed, and a v outside the Delta-ball is scaled
-    into it at once. Every point and branch is then the one the full
-    two-ball test gives.
-
+    itself; a non-finite v never gets there, as _norm rejects it first.
     Otherwise, if the closed-form projection onto one ball satisfies the
     other constraint, it is the projection onto the intersection: INNER
     scales v into the Delta-ball, OUTER scales u = v + anchor into the
@@ -181,55 +195,46 @@ def _project_two_balls(v: np.ndarray, domain: EpochDomain
     constraints are active (BOTH). INNER is tried only when ||v|| > Delta
     (else its point would be v, which is FAST if ||u|| <= R), and OUTER
     only when ||u|| > R (else its point would be v, which lies outside the
-    Delta-ball, or FAST).
+    Delta-ball, or FAST). ||v||, ||u|| and ||v_perp|| come from _norm; the
+    feasibility checks of the INNER point (||p + anchor|| <= R) and the
+    OUTER point (||p|| <= Delta) are plain math.sqrt(x.dot(x)), so a
+    square that overflows reads inf and fails its check.
     """
     delta = domain.inner_radius
-    v_sq = float(v.dot(v))
-    v_norm = math.sqrt(v_sq) if v_sq < math.inf else _norm(v)
-    # The radii are positive by EpochDomain's construction.
-    if domain.outer_inactive:
-        if v_norm <= delta:
-            return v, FAST, v_sq
-        p = v * (delta / v_norm)
-        return p, INNER, float(p.dot(p))
     a = domain.anchor
     R = domain.outer_radius
+    # The radii are positive by EpochDomain's construction.
+    v_norm = _norm(v)
     u = v + a
-    u_norm = math.sqrt(u.dot(u))
-    if not u_norm < math.inf:
-        u_norm = _norm(u)
+    u_norm = _norm(u)
     if v_norm <= delta:
         if u_norm <= R:
-            return v, FAST, v_sq
+            return v, FAST
     else:
         p = v * (delta / v_norm)
         q = p + a
         if math.sqrt(q.dot(q)) <= R:
-            return p, INNER, float(p.dot(p))
+            return p, INNER
     if u_norm > R:
         p = u * (R / u_norm) - a
-        p_sq = float(p.dot(p))
-        if math.sqrt(p_sq) <= delta:
-            return p, OUTER, p_sq
+        if math.sqrt(p.dot(p)) <= delta:
+            return p, OUTER
 
     # p = s * a_hat + rho * e, the point nearest v on the circle where the
     # spheres meet (e: direction of v's part orthogonal to a). s is clamped
     # to [-Delta, Delta] and squares are factored against rounding.
     a_norm = math.sqrt(a.dot(a))
     if a_norm == 0.0:  # concentric balls
-        p = v * (min(R, delta) / v_norm)
-        return p, BOTH, float(p.dot(p))
+        return v * (min(R, delta) / v_norm), BOTH
     a_hat = a / a_norm
     s = ((R - delta) * (R + delta) - a_norm * a_norm) / (2.0 * a_norm)
     s = min(max(s, -delta), delta)
     v_perp = v - v.dot(a_hat) * a_hat
     perp_norm = _norm(v_perp)
     if perp_norm == 0.0:  # v on the anchor's axis, as always when d = 1
-        p = s * a_hat
-        return p, BOTH, float(p.dot(p))
+        return s * a_hat, BOTH
     rho = math.sqrt((delta - s) * (delta + s))
-    p = s * a_hat + v_perp * (rho / perp_norm)
-    return p, BOTH, float(p.dot(p))
+    return s * a_hat + v_perp * (rho / perp_norm), BOTH
 
 
 def _two_ball_coefficients(v_sq: float, va: float, domain: EpochDomain
@@ -243,7 +248,10 @@ def _two_ball_coefficients(v_sq: float, va: float, domain: EpochDomain
     k = R / ||u||; ||u||^2, ||p||^2 and the INNER point's ||p + anchor||^2
     are expanded in v_sq, va and anchor_sq. The tests are
     _project_two_balls' in the same order, so the two kernels differ only
-    where a norm lies within rounding of a radius. BOTH is returned when
+    where a norm lies within rounding of a radius. On a domain certified
+    outer_inactive only the Delta-ball is tested, and ||u|| is never
+    formed: the solver's per-step shortcut, which EpochDomain derives and
+    bounds for the carried square's drift. BOTH is returned when
     both constraints are active, and also when v_sq, ||u||^2 or the OUTER
     point's square is not finite or is negative (a cancellation): the
     caller then projects the explicit v with _project_two_balls, which

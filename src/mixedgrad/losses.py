@@ -144,17 +144,22 @@ def _log1pexp(z: float | np.ndarray) -> float | np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def _losses(y: float | np.ndarray, margins: float | np.ndarray,
+            kind: str) -> float | np.ndarray:
+    # g_i as a function of its label and margin <w, x_i>, elementwise.
+    if kind == LEAST_SQUARES:
+        r = y - margins
+        return r * r
+    return _log1pexp(-y * margins)
+
+
 def loss_value(instance: ProblemInstance, i: int, w: np.ndarray) -> float:
     """Per-example loss g_i(w)."""
     _check_index(instance, i)
     w = _check_dim(instance, w)
-    x = instance.dataset.features[i]
-    y = instance.dataset.labels[i]
-    margin = float(w @ x)
-    if instance.loss_kind == LEAST_SQUARES:
-        r = y - margin
-        return r * r
-    return float(_log1pexp(-y * margin))
+    margin = float(w @ instance.dataset.features[i])
+    return float(_losses(instance.dataset.labels[i], margin,
+                         instance.loss_kind))
 
 
 def _loss_derivative(y: float, margin: float, kind: str) -> float:
@@ -202,13 +207,8 @@ def full_objective(instance: ProblemInstance, w: np.ndarray) -> float:
     """G(w) = (1/n) sum_i g_i(w) from one matrix-vector product; numpy
     does the summation, deterministically on a given platform."""
     w = _check_dim(instance, w)
-    margins = instance.dataset.features @ w
-    y = instance.dataset.labels
-    if instance.loss_kind == LEAST_SQUARES:
-        r = y - margins
-        losses = r * r
-    else:
-        losses = _log1pexp(-y * margins)
+    losses = _losses(instance.dataset.labels, instance.dataset.features @ w,
+                     instance.loss_kind)
     return float(losses.sum()) / instance.n
 
 

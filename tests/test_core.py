@@ -655,12 +655,15 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_scalar_norm_tracks_the_explicit_one(self, kind, monkeypatch):
-        # At every fold of the scalar form (each checkpoint, and each step
-        # taken on the explicit point) run_epoch recomputes w.w from the
-        # vector; the ||w||^2 it carried in scalars, the last square a
-        # projection kernel returned, must agree with it to an absolute
-        # 16 u stride S^2. Each step rounds about a dozen terms of its
-        # update of ||w||^2, each at most S^2, and scales the error it
+        # At every fold of the scalar form that follows a scalar step (each
+        # checkpoint whose step the scalar kernel took) run_epoch
+        # recomputes w.w from the vector; the ||w||^2 it carried in
+        # scalars, the square the scalar kernel last returned, must agree
+        # with it to an absolute 16 u stride S^2. A step taken on the
+        # explicit point drops the carried square and takes w.w from the
+        # vector, so the fold it makes, and a checkpoint at the same step,
+        # have nothing to compare. Each step rounds about a dozen terms of
+        # its update of ||w||^2, each at most S^2, and scales the error it
         # inherits by at most 1 (a shrink and a projection), over at most
         # stride steps since the last fold; S = Delta + ||anchor|| +
         # eta ||g_k|| + eta L Delta max||x_i||^2 bounds every vector term of
@@ -673,31 +676,37 @@ class TestRun:
                               lambda1=0.05 * beta)
         L = 2.0 if kind == LEAST_SQUARES else 0.25
         eta, delta, u = cfg.eta1, cfg.delta1, 2.0 ** -53
-        last_sq, gaps = [0.0], []
+        carried, explicit, gaps = [None], [0], []
 
-        def recording(kernel, index):
-            def wrapper(*args):
-                out = kernel(*args)
-                last_sq[0] = out[index]
-                return out
-            return wrapper
+        def scalar(*args):
+            out = coefficients(*args)
+            carried[0] = out[3]
+            return out
+
+        def vector(*args):
+            explicit[0] += 1
+            carried[0] = None
+            return project(*args)
 
         def checked(w, g_k, anchor):
             out = products(w, g_k, anchor)
-            S = (delta + np.linalg.norm(anchor) + eta * np.linalg.norm(g_k)
-                 + eta * L * delta * max(inst._row_sq))
-            gaps.append((abs(last_sq[0] - out[0]),
-                         16 * u * cfg.checkpoint_stride * S * S))
+            if carried[0] is not None:
+                S = (delta + np.linalg.norm(anchor) + eta * np.linalg.norm(g_k)
+                     + eta * L * delta * max(inst._row_sq))
+                gaps.append((abs(carried[0] - out[0]),
+                             16 * u * cfg.checkpoint_stride * S * S))
+            carried[0] = None
             return out
 
+        coefficients = core._two_ball_coefficients
+        project = core._project_two_balls
         products = core._products
-        monkeypatch.setattr(core, "_two_ball_coefficients",
-                            recording(core._two_ball_coefficients, 3))
-        monkeypatch.setattr(core, "_project_two_balls",
-                            recording(core._project_two_balls, 2))
+        monkeypatch.setattr(core, "_two_ball_coefficients", scalar)
+        monkeypatch.setattr(core, "_project_two_balls", vector)
         monkeypatch.setattr(core, "_products", checked)
         res = run(inst, cfg, seed=0)
-        assert len(gaps) >= len(res.trace) - cfg.epochs
+        checkpoints = len(res.trace) - cfg.epochs
+        assert checkpoints - explicit[0] <= len(gaps) <= checkpoints
         assert all(gap <= bound for gap, bound in gaps)
 
     def test_trace_counters_nondecreasing(self):

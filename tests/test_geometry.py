@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -121,6 +122,34 @@ class TestNonFinite:
                                        [delta * h, -delta * h], rtol=1e-15)
 
 
+class TestShapes:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: EpochDomain(np.array(0.1), 1.0, 0.5),
+         r"anchor must be a non-empty 1-D array, got shape ()"),
+        (lambda: EpochDomain(np.array([]), 1.0, 0.5),
+         r"anchor must be a non-empty 1-D array, got shape (0,)"),
+        (lambda: project_epoch_domain(np.array([0.1, 0.2, 0.3]),
+                                      EpochDomain([0.1, 0.0], 2.0, 0.5)),
+         r"w has shape (3,) but the domain's anchor has shape (2,)"),
+        (lambda: project_epoch_domain(np.array([3.0]),
+                                      EpochDomain([0.5, 0.0], 1.0, 0.5)),
+         r"w has shape (1,) but the domain's anchor has shape (2,)"),
+        (lambda: project_ball([3.0], 1.0, center=[0, 0]),
+         r"w has shape (1,) but center has shape (2,)"),
+        (lambda: project_ball(np.array(3.0), 1.0),
+         r"w must be a non-empty 1-D array, got shape ()"),
+        (lambda: project_ball(np.zeros((2, 2)), 1.0),
+         r"w must be a non-empty 1-D array, got shape (2, 2)"),
+    ], ids=["anchor-0d", "anchor-empty", "domain-certified",
+            "domain-broadcast", "ball-center", "ball-0d", "ball-2d"])
+    def test_mismatched_shape_is_rejected(self, call, message):
+        # The constructor and the public wrappers check shapes and name
+        # them; unchecked, these calls broadcast, return the point
+        # unchanged, or fail inside a kernel.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 class TestEpochDomain:
     def test_rejects_anchor_outside_outer_ball(self):
         with pytest.raises(ValueError):
@@ -235,12 +264,9 @@ def random_case(rng, d_low=1, d_high=9):
 
 def kernel(w, domain):
     """The kernel's point and branch for w, as project_epoch_domain and the
-    solver's step loop call it. Checks on every call that the squared norm
-    it returns is float(p.dot(p)) bit for bit (a nonnegative float that is
-    not NaN equals only itself), and that the point is w itself exactly on
-    the FAST branch."""
-    p, branch, p_sq = _project_two_balls(w, domain)
-    assert type(p_sq) is float and p_sq == float(p.dot(p))
+    solver's step loop call it. Checks on every call that the point is w
+    itself exactly on the FAST branch."""
+    p, branch = _project_two_balls(w, domain)
     assert (branch == FAST) == (p is w)
     return p, branch
 
@@ -366,13 +392,13 @@ class TestProjectionKernel:
         (0.1, [0.0, 0.1], FAST, True),
         (0.1, [0.3, 1.0], INNER, False),
     ])
-    def test_squared_norm_on_every_return(self, a, w, branch, same):
-        # kernel() checks the returned float(p.dot(p)) on each return: v
-        # itself (FAST) or scaled (INNER), both also with a = 0.1 on the
-        # outer_inactive shortcut, u scaled and shifted (OUTER), and the circle point
-        # (BOTH). The concentric and on-axis BOTH returns arise only by
-        # rounding; the zero-anchor and anchor-axis tests above reach them
-        # through kernel().
+    def test_branch_and_identity_on_every_return(self, a, w, branch, same):
+        # Each return names its branch, and only FAST returns v itself: v
+        # (FAST) or v scaled (INNER), both also with a = 0.1 on a domain
+        # certified outer_inactive, u scaled and shifted (OUTER), and the
+        # circle point (BOTH). The concentric and on-axis BOTH returns
+        # arise only by rounding; the zero-anchor and anchor-axis tests
+        # above reach them through kernel().
         dom = EpochDomain(np.array([a, 0.0]), 1.0, 0.25)
         w = np.array(w)
         p, got = kernel(w, dom)
@@ -411,8 +437,9 @@ def contained_case(rng):
 class TestOuterInactive:
     def test_shortcut_matches_full_body_bit_for_bit(self):
         # On a certified domain the computed ||v + a|| (fast-path test) and
-        # ||p + a|| (INNER check) never exceed R, so the full body returns
-        # the Delta-ball projection, FAST or INNER, as the shortcut does.
+        # ||p + a|| (INNER check) never exceed R, so the kernel's full body
+        # returns the Delta-ball projection, FAST or INNER: the claim that
+        # lets the scalar kernel's shortcut skip the R-ball.
         rng = np.random.default_rng(2024)
         cases = near = 0
         for _ in range(22_000):
