@@ -7,14 +7,14 @@ against. Each starts from 0, counts its own oracle calls and returns a
 core.SolverResult, as core.run does. SGD touches only the stochastic
 counter; GD and NAG only the full-gradient counter.
 
-SGD's step has core.run_epoch's design: the iterate is held in scalar
-form, w = alpha z with ||w||^2 a Python float (the lazy scaling of
-Pegasos), so a step is one dot, one axpy and scalar updates, and a
-projection onto the R-ball only rescales alpha; a step the scalars cannot
-decide is taken on the explicit point with the ball kernel. Its average is
-run_epoch's lazy sum (averaged SGD, Xu, arXiv:1107.2490), closed at each
-checkpoint by the same helper, core._subtract_rows. GD and NAG run
-core._projected_gradient with the ball kernel, one call per iterate.
+SGD's step has core.run_epoch's scalar form: the iterate is held as
+w = alpha z with ||w||^2 a Python float (the lazy scaling of Pegasos), so
+a step is one dot, one axpy and scalar updates, and a projection onto the
+R-ball only rescales alpha; a step the scalars cannot decide is taken on
+the explicit point with the ball kernel. Its average is run_epoch's lazy
+sum (averaged SGD, Xu, arXiv:1107.2490), closed at each checkpoint by
+_subtract_rows. GD and NAG run core._projected_gradient with the ball
+kernel, one call per iterate.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ import numpy as np
 
 from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult,
                    TraceRecord, _check_counts, _check_positive,
-                   _projected_gradient, _subtract_rows)
+                   _projected_gradient)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.project_ball by name.
 from .geometry import project_ball  # noqa: F401
-from .losses import ProblemInstance, _loss_derivative, full_objective
+from .losses import (ROW_BLOCK, ProblemInstance, _loss_derivative,
+                     full_objective)
 # loss_grad stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.loss_grad by name.
 from .losses import loss_grad  # noqa: F401
@@ -71,6 +72,16 @@ def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarr
                              counters.full_calls, obj, err))
 
 
+def _subtract_rows(total: np.ndarray, X: np.ndarray, drawn: np.ndarray,
+                   q: np.ndarray) -> None:
+    """total -= sum_j q_j X[drawn_j], in place: the closing term of
+    run_sgd's lazy sum at a checkpoint, one gather and one matvec per block
+    of rows, so no temporary exceeds ROW_BLOCK entries."""
+    block = max(1, ROW_BLOCK // X.shape[1])
+    for start in range(0, len(drawn), block):
+        total -= q[start:start + block] @ X[drawn[start:start + block]]
+
+
 @np.errstate(over="ignore")
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             reference_value: float | None = None) -> SolverResult:
@@ -93,7 +104,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     The average is core.run_epoch's lazy sum: a restart or a checkpoint
     adds A z to a running sum, A the sum of alpha since the last one, and
     each axpy z += k x_i adds A k to its row's coefficient q_i. At each
-    checkpoint the sum is closed with core._subtract_rows (minus
+    checkpoint the sum is closed with _subtract_rows (minus
     sum_j q_j x_j over the rows drawn since the last checkpoint, which are
     then cleared, so the coefficients held never exceed checkpoint_stride)
     and the form is folded, z <- w, alpha = 1, with ||w||^2 recomputed from

@@ -11,18 +11,21 @@ after m epochs is exactly T1 * (4^m - 1) / 3.
 run_epoch is the one inner-step path, and the tests check the
 variance-reduction invariants on it. Its correction grad g_i(w + anchor) -
 grad g_i(anchor) is one scalar times x_i, from the row's anchor margin and
-loss derivative, cached on its first draw. The iterate is held in scalar
-form, w = alpha z + beta g_k + gamma anchor (the lazy scaling of Pegasos,
-Shalev-Shwartz et al., Math. Prog. 2011), with ||w||^2, w.g_k and
-w.anchor kept as Python floats: a step is one dot, one axpy and scalar
-updates, and its projection is geometry._two_ball_coefficients on ||v||^2
+loss derivative. The iterate is held in scalar form, w = alpha z +
+beta g_k + gamma anchor (the lazy scaling of Pegasos, Shalev-Shwartz et
+al., Math. Prog. 2011), with ||w||^2, w.g_k and w.anchor kept as Python
+floats, and its projection is geometry._two_ball_coefficients on ||v||^2
 and v.anchor. A step that kernel cannot decide (both balls active, or a
 square that is not finite or is negative) is taken on the explicit point
-with geometry._project_two_balls. The epoch average is the lazy sum of
-averaged SGD (Xu, arXiv:1107.2490), formed once per epoch over the rows
-drawn. Each epoch's summary counts the steps that left the fast path, by
-projection branch, and records whether its Delta-ball was certified inside
-the R-ball (EpochDomain.outer_inactive).
+with geometry._project_two_balls. The steps up to each checkpoint run as
+one block: the block's rows are gathered once, one product gives their
+anchor margins and their dots with g_k and z, and their Gram matrix gives
+each step's z.x_i, so a step is one dot over the block and scalar
+updates, and z and the epoch average (the lazy sum of averaged SGD, Xu,
+arXiv:1107.2490) are updated once per block. Each epoch's summary counts
+the steps that left the fast path, by projection branch, and records
+whether its Delta-ball was certified inside the R-ball
+(EpochDomain.outer_inactive).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .geometry import (BOTH, INNER, OUTER, EpochDomain, _project_two_balls,
 # mixedgrad.core.sample_loss by name.
 from .geometry import project_epoch_domain  # noqa: F401
 from .losses import (ROW_BLOCK, ProblemInstance, _loss_derivative,
-                     full_objective)
+                     _loss_derivatives, full_objective)
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 from .oracle import sample_loss  # noqa: F401
 
@@ -215,17 +218,6 @@ def _products(w: np.ndarray, g_k: np.ndarray, anchor: np.ndarray
     return float(w.dot(w)), float(w.dot(g_k)), float(w.dot(anchor))
 
 
-def _subtract_rows(total: np.ndarray, X: np.ndarray, drawn: np.ndarray,
-                   q: np.ndarray) -> None:
-    """total -= sum_j q_j X[drawn_j], in place: the closing term of a lazy
-    sum (run_epoch's average, baselines.run_sgd's checkpoints), one gather
-    and one matvec per block of rows, so no temporary exceeds ROW_BLOCK
-    entries."""
-    block = max(1, ROW_BLOCK // X.shape[1])
-    for start in range(0, len(drawn), block):
-        total -= q[start:start + block] @ X[drawn[start:start + block]]
-
-
 @np.errstate(invalid="ignore", over="ignore")
 def run_epoch(instance: ProblemInstance, state: EpochState,
               sampler: SeededSampler, counters: OracleCounters,
@@ -248,9 +240,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     and anchor.x_i. The iterate is held as w = alpha z + beta g_k +
     gamma anchor (g_k the anchor gradient), with ||w||^2, w.g_k and
     w.anchor as Python floats. v and every projection branch but BOTH are
-    in the span of w, g_k, x_i and anchor, so a step is one dot, z.x_i,
-    scalar updates of (alpha, beta, gamma) and of the three products, and
-    one axpy, z += (-eta c / ((1 - eta lam) alpha)) x_i. The projection is
+    in the span of w, g_k, x_i and anchor, so a step updates
+    (alpha, beta, gamma) and the three products in scalars and adds
+    k x_i to z, k = -eta c / ((1 - eta lam) alpha). The projection is
     geometry._two_ball_coefficients on ||v||^2 and v.anchor. A step it
     returns BOTH for (both balls active, or a square that is not finite or
     is negative), or whose coefficients before the projection leave
@@ -262,20 +254,30 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     products recomputed from it, so the scalar ||w||^2 never drifts for
     more than checkpoint_stride steps; the checkpoint evaluates w there.
 
+    The steps run in blocks, each ending at the next checkpoint or the
+    epoch's end, of at most min(ROW_BLOCK // d, isqrt(ROW_BLOCK)) steps, so
+    no temporary exceeds ROW_BLOCK entries. A block draws its indices and
+    gathers its rows XB once. One product XB [z, g_k, anchor] gives each
+    step's z.x_i at the block's start, g_k.x_i and anchor.x_i, and
+    losses._loss_derivatives the anchor loss derivatives; the Gram matrix
+    G = XB XB^T gives step l's z.x_i as z0.x_i + kb.G_l, kb holding the
+    block's additions k (zero past step l). z += kb XB once, when the block
+    ends or before an explicit step, which then takes z.x_i for the rest
+    of the block from one XB z; G stays valid.
+
     The average is the lazy sum of averaged SGD. A fold or an explicit step
     adds A z + B g_k + C anchor to a running sum, A, B and C being the sums
     of alpha, beta and gamma since the last one, and restarts them; each
-    axpy z += k x_i adds A k to its row's coefficient q_i. The iterates'
-    sum is the running sum plus A z + B g_k + C anchor - sum_j q_j x_j,
-    whose last term is formed once per epoch over the rows drawn, a block
-    of rows at a time. A row's anchor margin, anchor loss derivative,
-    g_k.x_i and q_i are cached on its first draw, so an epoch holds at most
-    min(n, inner_iters) of them and makes no pass over X; the labels and
-    ||x_i||^2 are the instance's, built once. The bounded-step
-    diagnostic is the scalar c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2.
-    At w = 0 the margin w.x_i is 0.0, so the correction and the diagnostic
-    are exactly 0. An infinite eta or lam makes 0 * inf on the first step,
-    and a huge one can overflow v: numpy's warnings for them are silenced.
+    addition k x_i to z adds A k to the block's coefficient qb_l. The
+    iterates' sum is the running sum plus A z + B g_k + C anchor minus
+    every qb XB, each closed with the block's z += kb XB. An epoch keeps no
+    state per row and makes no pass over X; the labels and ||x_i||^2 are
+    the instance's, built once. The bounded-step diagnostic is the scalar
+    c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2. At w = 0 the margin
+    w.x_i is 0.0, so the correction and the diagnostic are exactly 0. An
+    infinite eta or lam makes 0 * inf on the first step, and a huge one
+    can overflow v: numpy's warnings for them are silenced. A
+    DivergenceError leaves the stochastic counter at the steps taken.
     """
     anchor = state.anchor
     g_k = state.anchor_grad
@@ -284,7 +286,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     T = state.inner_iters
     lam, eta = state.lam, state.eta
     domain = EpochDomain(anchor, instance.domain_radius, state.delta)
-    X = instance.dataset.features
+    X, labels = instance.dataset.features, instance.dataset.labels
     y, x_sq = instance._labels, instance._row_sq
     kind = instance.loss_kind
     shrink = 1.0 - eta * lam
@@ -293,6 +295,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     a_sq = domain.anchor_sq
     v_base = eta * eta * g_sq          # ||eta g_k||^2
     low, high = COEFFICIENT_RANGE
+    block = max(1, min(ROW_BLOCK // instance.d, math.isqrt(ROW_BLOCK)))
 
     def combine(cz, cg, ca):
         return z * cz + (g_k * cg + anchor * ca)
@@ -302,59 +305,77 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     w_sq = wg = wa = 0.0       # ||w||^2, w.g_k, w.anchor
     total = z.copy()           # running sum of the iterates
     A = B = C = 0.0            # alpha, beta, gamma summed since total grew
-    rows = {}                  # i -> [a.x_i, anchor derivative, g_k.x_i, q_i]
+    zga = np.empty((instance.d, 3))
+    zga[:, 1], zga[:, 2] = g_k, anchor
     max_step_sq = 0.0
     branches = [0, 0, 0, 0]    # steps by projection branch (geometry's indices)
+    calls = counters.stochastic_calls
     indices = sample_losses(sampler, counters, instance.n, T)
-    for t, i in enumerate(indices, 1):
-        x = X[i]
-        row = rows.get(i)
-        if row is None:
-            ax = float(x.dot(anchor))
-            row = rows[i] = [ax, _loss_derivative(y[i], ax, kind),
-                             float(x.dot(g_k)), 0.0]
-        ax, d_anchor, gx, _ = row
-        wx = alpha * float(z.dot(x)) + beta * gx + gamma * ax
-        c = _loss_derivative(y[i], wx + ax, kind) - d_anchor
-        xx = x_sq[i]
-        # ||c * x_i + lam * w||^2, expanded into scalars.
-        step_sq = c * c * xx + two_lam * c * wx + lam_sq * w_sq
-        if step_sq > max_step_sq:
-            max_step_sq = step_sq
-        # v = shrink w - eta g_k + m x_i = alpha_v z + beta_v g_k + gamma_v a
-        # + m x_i, and its products.
-        m = -eta * c
-        alpha_v, beta_v = shrink * alpha, shrink * beta - eta
-        gamma_v = shrink * gamma
-        v_sq = (shrink * shrink * w_sq + v_base + m * m * xx
-                + 2.0 * (m * (shrink * wx - eta * gx) - shrink * eta * wg))
-        va = shrink * wa - eta * ga + m * ax
-        k_v, k_a, branch, w_sq = _two_ball_coefficients(v_sq, va, domain)
-        if (branch != BOTH and low <= alpha_v <= high
-                and -high <= beta_v <= high and -high <= gamma_v <= high):
-            k = m / alpha_v
-            z += k * x
-            row[3] += A * k
-            alpha, beta = k_v * alpha_v, k_v * beta_v
-            gamma = k_v * gamma_v + k_a
-            wg = k_v * (shrink * wg - eta * g_sq + m * gx) + k_a * ga
-            wa = k_v * va + k_a * a_sq
-        else:
-            v = combine(alpha_v, beta_v, gamma_v) + m * x
-            total += combine(A, B, C)
-            A = B = C = 0.0
-            try:
-                z, branch = _project_two_balls(v, domain)
-            except ValueError:
-                raise DivergenceError(
-                    f"non-finite iterate at epoch {state.epoch_index}, "
-                    f"step {t}", counters, trace) from None
-            alpha, beta, gamma = 1.0, 0.0, 0.0
-            w_sq, wg, wa = _products(z, g_k, anchor)
-        branches[branch] += 1
-        A += alpha
-        B += beta
-        C += gamma
+    t = 0                      # steps taken
+    while t < T:
+        idx = list(itertools.islice(
+            indices, min(block, checkpoint_stride - t % checkpoint_stride,
+                         T - t)))
+        XB = X[idx]
+        zga[:, 0] = z
+        margins = XB @ zga
+        zx0, gxs, axs = margins.T.tolist()
+        d_anchors = _loss_derivatives(labels[idx], margins[:, 2],
+                                      kind).tolist()
+        G = XB @ XB.T
+        kb = np.zeros(len(idx))    # z's additions k, step by step
+        qb = np.zeros(len(idx))    # the lazy sum's A k, step by step
+        for l, (i, G_l, gx, ax, d_anchor) in enumerate(
+                zip(idx, G, gxs, axs, d_anchors)):
+            wx = alpha * (zx0[l] + float(kb.dot(G_l))) + beta * gx + gamma * ax
+            c = _loss_derivative(y[i], wx + ax, kind) - d_anchor
+            xx = x_sq[i]
+            # ||c * x_i + lam * w||^2, expanded into scalars.
+            step_sq = c * c * xx + two_lam * c * wx + lam_sq * w_sq
+            if step_sq > max_step_sq:
+                max_step_sq = step_sq
+            # v = shrink w - eta g_k + m x_i = alpha_v z + beta_v g_k
+            # + gamma_v a + m x_i, and its products.
+            m = -eta * c
+            alpha_v, beta_v = shrink * alpha, shrink * beta - eta
+            gamma_v = shrink * gamma
+            v_sq = (shrink * shrink * w_sq + v_base + m * m * xx
+                    + 2.0 * (m * (shrink * wx - eta * gx) - shrink * eta * wg))
+            va = shrink * wa - eta * ga + m * ax
+            k_v, k_a, branch, w_sq = _two_ball_coefficients(v_sq, va, domain)
+            if (branch != BOTH and low <= alpha_v <= high
+                    and -high <= beta_v <= high and -high <= gamma_v <= high):
+                k = m / alpha_v
+                kb[l] = k
+                qb[l] = A * k
+                alpha, beta = k_v * alpha_v, k_v * beta_v
+                gamma = k_v * gamma_v + k_a
+                wg = k_v * (shrink * wg - eta * g_sq + m * gx) + k_a * ga
+                wa = k_v * va + k_a * a_sq
+            else:
+                z += kb @ XB
+                total -= qb @ XB
+                kb[:] = qb[:] = 0.0
+                v = combine(alpha_v, beta_v, gamma_v) + m * XB[l]
+                total += combine(A, B, C)
+                A = B = C = 0.0
+                try:
+                    z, branch = _project_two_balls(v, domain)
+                except ValueError:
+                    counters.stochastic_calls = calls + t + l + 1
+                    raise DivergenceError(
+                        f"non-finite iterate at epoch {state.epoch_index}, "
+                        f"step {t + l + 1}", counters, trace) from None
+                alpha, beta, gamma = 1.0, 0.0, 0.0
+                w_sq, wg, wa = _products(z, g_k, anchor)
+                zx0 = (XB @ z).tolist()
+            branches[branch] += 1
+            A += alpha
+            B += beta
+            C += gamma
+        t += len(idx)
+        z += kb @ XB
+        total -= qb @ XB
         if t % checkpoint_stride == 0:
             total += combine(A, B, C)
             A = B = C = 0.0
@@ -369,8 +390,6 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
                                          counters.stochastic_calls,
                                          counters.full_calls, obj, err))
     total += combine(A, B, C)
-    _subtract_rows(total, X, np.fromiter(rows, dtype=np.intp, count=len(rows)),
-                   np.array([row[3] for row in rows.values()]))
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])
     return total / (T + 1.0), float(max_step_sq), projections

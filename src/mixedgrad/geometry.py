@@ -42,13 +42,13 @@ import numpy as np
 INNER, OUTER, BOTH, FAST = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochDomain:
     """Intersection {v : ||v + anchor|| <= outer_radius, ||v|| <= inner_radius}.
 
     Construction requires a non-empty 1-D anchor with
     ||anchor|| <= outer_radius, so the origin is feasible and the
-    intersection is nonempty.
+    intersection is nonempty. Domains compare and hash by identity.
 
     outer_inactive is derived: true when
     (A + Delta) * (1 + 4 (d + 2) eps) <= R in floating point, where A is the
@@ -97,8 +97,8 @@ class EpochDomain:
     anchor: np.ndarray
     outer_radius: float
     inner_radius: float
-    outer_inactive: bool = field(init=False, compare=False)
-    anchor_sq: float = field(init=False, compare=False)   # anchor . anchor
+    outer_inactive: bool = field(init=False)
+    anchor_sq: float = field(init=False)   # anchor . anchor
 
     def __post_init__(self):
         a = _vector("anchor", self.anchor)
@@ -114,8 +114,10 @@ class EpochDomain:
             (a_norm + self.inner_radius) * margin <= self.outer_radius))
 
     def contains(self, w: np.ndarray, tol: float = 1e-9) -> bool:
-        return (np.linalg.norm(w + self.anchor) <= self.outer_radius + tol
-                and np.linalg.norm(w) <= self.inner_radius + tol)
+        """w lies in both balls, to tol. w must have the anchor's shape."""
+        w = _same_shape(w, self.anchor)
+        return bool(np.linalg.norm(w + self.anchor) <= self.outer_radius + tol
+                    and np.linalg.norm(w) <= self.inner_radius + tol)
 
 
 def _vector(name: str, x) -> np.ndarray:
@@ -125,6 +127,15 @@ def _vector(name: str, x) -> np.ndarray:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape "
                          f"{x.shape}")
     return x
+
+
+def _same_shape(w, anchor: np.ndarray) -> np.ndarray:
+    """w as a float array, which must have the anchor's shape."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != anchor.shape:
+        raise ValueError(f"w has shape {w.shape} but the domain's anchor "
+                         f"has shape {anchor.shape}")
+    return w
 
 
 def _norm(v: np.ndarray) -> float:
@@ -164,11 +175,7 @@ def project_ball(w: np.ndarray, radius: float, center: np.ndarray | None = None)
 def project_epoch_domain(w: np.ndarray, domain: EpochDomain) -> np.ndarray:
     """Euclidean projection onto the two-ball intersection of the domain.
     w must have the anchor's shape. A non-finite point raises ValueError."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != domain.anchor.shape:
-        raise ValueError(f"w has shape {w.shape} but the domain's anchor "
-                         f"has shape {domain.anchor.shape}")
-    p, _ = _project_two_balls(w, domain)
+    p, _ = _project_two_balls(_same_shape(w, domain.anchor), domain)
     return p
 
 
@@ -252,10 +259,15 @@ def _two_ball_coefficients(v_sq: float, va: float, domain: EpochDomain
     outer_inactive only the Delta-ball is tested, and ||u|| is never
     formed: the solver's per-step shortcut, which EpochDomain derives and
     bounds for the carried square's drift. BOTH is returned when
-    both constraints are active, and also when v_sq, ||u||^2 or the OUTER
-    point's square is not finite or is negative (a cancellation): the
-    caller then projects the explicit v with _project_two_balls, which
-    owns the circle point, the rescaled norm and the non-finite check.
+    both constraints are active, and also when v_sq or ||u||^2 is not
+    finite or is negative (a cancellation): the caller then projects the
+    explicit v with _project_two_balls, which owns the circle point, the
+    rescaled norm and the non-finite check. A negative square of the OUTER
+    point is clamped at 0 instead: it rounds negative only when ||p||^2
+    lies within its terms' rounding of 0 (in late epochs of a boundary
+    optimum the point is ~1e-10 long while the terms are ~1e-5), far
+    inside the Delta-ball, so the step stays OUTER and costs the caller no
+    explicit projection.
     """
     delta = domain.inner_radius
     if not 0.0 <= v_sq < math.inf:
@@ -283,7 +295,8 @@ def _two_ball_coefficients(v_sq: float, va: float, domain: EpochDomain
     if u_norm > R:
         k = R / u_norm
         k_a = k - 1.0
-        p_sq = k * k * v_sq + 2.0 * k * k_a * va + k_a * k_a * a_sq
-        if p_sq >= 0.0 and math.sqrt(p_sq) <= delta:
+        # A negative ||p||^2 is a cancellation: p ~ 0, whose square is 0.
+        p_sq = max(k * k * v_sq + 2.0 * k * k_a * va + k_a * k_a * a_sq, 0.0)
+        if math.sqrt(p_sq) <= delta:
             return k, k_a, OUTER, p_sq
     return 1.0, 0.0, BOTH, v_sq

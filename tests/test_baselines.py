@@ -220,7 +220,7 @@ class TestSgdMatchesReference:
 class TestSgdScalarState:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_scalar_norm_tracks_the_explicit_one(self, kind, monkeypatch):
-        # Each checkpoint closes the lazy sum (core._subtract_rows) before
+        # Each checkpoint closes the lazy sum (_subtract_rows) before
         # it folds w = alpha z into z; there the ||w||^2 carried in scalars
         # must agree with the explicit w.w to an absolute 16 u stride M^2:
         # each step rounds about a dozen terms of its update of ||w||^2,

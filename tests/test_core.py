@@ -18,7 +18,7 @@ from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
                                 project_ball, project_epoch_domain)
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               ProblemInstance, _loss_derivative,
-                              full_objective, loss_grad,
+                              _loss_derivatives, full_objective, loss_grad,
                               mean_gradient)
 from mixedgrad.oracle import (INDEX_BLOCK, OracleCounters, SeededSampler,
                               sample_loss)
@@ -123,24 +123,31 @@ class TestVrGradient:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_solver_correction_matches_loss_grad_difference(self, kind,
                                                             monkeypatch):
-        # run_epoch's own correction c x_i, its margin split as
-        # w.x_i + anchor.x_i, against the loss_grad difference. A two-step
-        # epoch on one example with eta = 1, lam = 0 and anchor_grad = -w
-        # steps to w exactly (the correction is 0 at w = 0), and its second
-        # step takes the correction at w, from the derivatives recorded as
-        # run_epoch computes them.
+        # run_epoch's own correction c x_i against the loss_grad
+        # difference. A two-step epoch on one example with eta = 1,
+        # lam = 0 and anchor_grad = -w steps to w exactly (the correction
+        # is 0 at w = 0), and its second step takes the correction at w.
+        # Both steps are one block: D0, the anchor's derivative, is
+        # recorded from the block's array form (_loss_derivatives), D1 from
+        # the step's scalar form, which the array form matches bit for bit
+        # (step 1's margin is exactly a.x).
         #
-        # Bound, first order in u = 2^-53, per entry j (standard rounding
-        # model; numpy's exp within 2 ulp): the margins w.x + a.x (solver)
-        # and (w + a).x (loss_grad) each lie within (d + 1) u (S_w + S_a)
-        # of the exact one and a.x within d u S_a, where S_w = sum|w_k x_k|
-        # and S_a = sum|a_k x_k|. The derivative g' is L-Lipschitz
-        # (L = 2 least squares, 1/4 logistic) and evaluated to a relative
-        # kappa u (kappa = 1 and 10). Each difference and product adds u.
-        # So |c x_j - (g_wa - g_a)_j| <= u |x_j| [2 L (d + 1)(S_w + S_a)
-        # + 2 L d S_a + (2 kappa + 1)(|D1| + |D0|) + 3 |D1 - D0|], with
-        # D1, D0 the derivatives at w + a and a; the factor 1 + 1e-6 covers
-        # the second-order terms.
+        # The second step's margin is alpha (z0.x + kb.G_1) + beta g_k.x +
+        # gamma a.x with alpha = 1, beta = -1, gamma = 0, z0 = 0 and kb = 0
+        # (the first step added nothing to z), so it is exactly
+        # -(g_k.x) + a.x, both dots taken from the block's product
+        # XB [z, g_k, a]. Bound, first order in u = 2^-53, per entry j
+        # (standard rounding model, which holds for a dot product summed in
+        # any order, so for a gemm's; numpy's exp within 2 ulp): the
+        # margins -(g_k.x) + a.x (solver) and (w + a).x (loss_grad) each
+        # lie within (d + 1) u (S_w + S_a) of the exact one and a.x within
+        # d u S_a, where S_w = sum|w_k x_k| and S_a = sum|a_k x_k|. The
+        # derivative g' is L-Lipschitz (L = 2 least squares, 1/4 logistic)
+        # and evaluated to a relative kappa u (kappa = 1 and 10). Each
+        # difference and product adds u. So |c x_j - (g_wa - g_a)_j| <=
+        # u |x_j| [2 L (d + 1)(S_w + S_a) + 2 L d S_a + (2 kappa + 1)(|D1|
+        # + |D0|) + 3 |D1 - D0|], with D1, D0 the derivatives at w + a and
+        # a; the factor 1 + 1e-6 covers the second-order terms.
         L, kappa = (2.0, 1) if kind == LEAST_SQUARES else (0.25, 10)
         u = 2.0 ** -53
         rng = np.random.default_rng(8)
@@ -149,12 +156,17 @@ class TestVrGradient:
              else np.where(rng.standard_normal(30) >= 0, 1.0, -1.0))
         inst = ProblemInstance(Dataset(X, y), kind, 100.0)
         d = inst.d
-        derivatives = []
+        anchor_derivatives, derivatives = [], []
+
+        def recorded_block(*args):
+            anchor_derivatives.append(_loss_derivatives(*args))
+            return anchor_derivatives[-1]
 
         def recorded(*args):
             derivatives.append(_loss_derivative(*args))
             return derivatives[-1]
 
+        monkeypatch.setattr(core, "_loss_derivatives", recorded_block)
         monkeypatch.setattr(core, "_loss_derivative", recorded)
         for scale in (1e-8, 1e-3, 1.0):
             anchor = rng.standard_normal(d)
@@ -163,10 +175,12 @@ class TestVrGradient:
             for i in range(inst.n):
                 sampler = SimpleNamespace(draw_block=lambda n, k, i=i: [i] * k)
                 run_epoch(inst, state, sampler, OracleCounters())
-                # The anchor's derivative, on the row's first draw, then
-                # one derivative per step.
-                D0, D1 = derivatives[-3], derivatives[-1]
-                assert derivatives[-2] == D0      # step 1: correction 0
+                # One block of two steps: one array of the two steps'
+                # anchor derivatives, then one derivative per step.
+                block = anchor_derivatives[-1]
+                assert block.shape == (2,)
+                assert derivatives[-2] == block[0]   # step 1: correction 0
+                D0, D1 = float(block[1]), derivatives[-1]
                 x = X[i]
                 got = (D1 - D0) * x
                 want = loss_grad(inst, i, w + anchor) - loss_grad(inst, i,
@@ -177,6 +191,7 @@ class TestVrGradient:
                     + (2 * kappa + 1) * (abs(D1) + abs(D0))
                     + 3 * abs(D1 - D0))
                 assert np.all(np.abs(got - want) <= bound * (1 + 1e-6))
+            assert len(anchor_derivatives) == len(derivatives) / 2
 
     def test_unbiasedness(self):
         inst = random_instance(n=20, seed=11)
@@ -310,8 +325,9 @@ class TestRunEpoch:
 
 
     def test_memory_stays_linear_in_n(self):
-        # The anchor cache holds one derivative per example, not one
-        # gradient row: X here is 8 MB, the epoch's peak well under 2 MB.
+        # An epoch holds one block of rows and its Gram matrix at a time,
+        # never a per-example array: X here is 8 MB, the epoch's peak well
+        # under 2 MB.
         inst = gen_synthetic(0, 20000, 50, 0.5, LEAST_SQUARES, 1.0)
         anchor = np.full(50, 0.01)
         lam = 0.05 * inst.smoothness
@@ -327,7 +343,7 @@ class TestRunEpoch:
         assert peak < 2 * 2**20
 
     def test_memory_of_a_short_epoch_stays_below_its_rows(self):
-        # A 32-step epoch on the same 20,000 x 50 instance caches only the
+        # A 32-step epoch on the same 20,000 x 50 instance gathers only the
         # rows it draws: no per-example array of n entries (160 KB each)
         # and no pass over X.
         inst = gen_synthetic(0, 20000, 50, 0.5, LEAST_SQUARES, 1.0)
@@ -411,7 +427,9 @@ def epoch_rounding_bound(inst, state, stride=100):
       scales by at most 1 and moves the anchor's coefficient by less than
       1), and each rounds to a relative u; the factor 64 covers the dozen
       roundings per step of the form and of the reference, each on a term
-      of at most stride M;
+      of at most stride M; run_epoch's margin z.x_i, z0.x_i + kb.G_l in a
+      block, sums the same at most stride additions to z as a sequence of
+      axpys and a dot would, one rounding per term;
     - the scalar ||v||^2 and v.anchor drift by at most the same relative
       amount of M^2 over those steps, and a projection's scale
       radius / ||v|| turns a drift of the square into a move of the point
@@ -428,22 +446,28 @@ def epoch_rounding_bound(inst, state, stride=100):
 
 
 def assert_matches_reference(inst, state):
-    """run_epoch and reference_epoch agree: the mean within
-    epoch_rounding_bound, counters, sampler position and projection
-    branches exactly; the largest step's squared norm, a scalar expansion
-    in run_epoch, to a relative 1e-12. Returns the branch counts."""
+    """run_epoch, at each checkpoint_stride of 1 (one-step blocks), 7
+    (blocks that do not divide the epoch) and 100 (the default), and
+    reference_epoch agree: the mean within epoch_rounding_bound for that
+    stride, counters, sampler position and projection branches exactly;
+    the largest step's squared norm, a scalar expansion in run_epoch, to a
+    relative 1e-12. Returns the branch counts."""
     assert state.eta * (state.lam + inst.smoothness) <= 2
-    s_run, s_ref = SeededSampler(3), SeededSampler(3)
-    c_run, c_ref = OracleCounters(), OracleCounters()
-    mean, max_sq, projections = run_epoch(inst, state, s_run, c_run)
+    s_ref, c_ref = SeededSampler(3), OracleCounters()
     ref_mean, ref_max_sq, ref_projections = reference_epoch(
         inst, state, s_ref, c_ref)
-    np.testing.assert_allclose(mean, ref_mean, rtol=0,
-                               atol=epoch_rounding_bound(inst, state))
-    assert max_sq == pytest.approx(ref_max_sq, rel=1e-12, abs=0.0)
-    assert c_run == c_ref
-    assert s_run.draw(inst.n) == s_ref.draw(inst.n)
-    assert projections == ref_projections
+    ref_next = s_ref.draw(inst.n)
+    for stride in (1, 7, 100):
+        s_run, c_run = SeededSampler(3), OracleCounters()
+        mean, max_sq, projections = run_epoch(inst, state, s_run, c_run,
+                                              checkpoint_stride=stride)
+        np.testing.assert_allclose(
+            mean, ref_mean, rtol=0,
+            atol=epoch_rounding_bound(inst, state, stride))
+        assert max_sq == pytest.approx(ref_max_sq, rel=1e-12, abs=0.0)
+        assert c_run == c_ref
+        assert s_run.draw(inst.n) == ref_next
+        assert projections == ref_projections
     return projections
 
 

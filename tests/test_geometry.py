@@ -140,8 +140,13 @@ class TestShapes:
          r"w must be a non-empty 1-D array, got shape ()"),
         (lambda: project_ball(np.zeros((2, 2)), 1.0),
          r"w must be a non-empty 1-D array, got shape (2, 2)"),
+        (lambda: EpochDomain([0.5, 0.0], 1.0, 0.5).contains(np.array([0.1])),
+         r"w has shape (1,) but the domain's anchor has shape (2,)"),
+        (lambda: EpochDomain([0.5, 0.0], 1.0, 0.5).contains(np.zeros((3, 2))),
+         r"w has shape (3, 2) but the domain's anchor has shape (2,)"),
     ], ids=["anchor-0d", "anchor-empty", "domain-certified",
-            "domain-broadcast", "ball-center", "ball-0d", "ball-2d"])
+            "domain-broadcast", "ball-center", "ball-0d", "ball-2d",
+            "contains-broadcast", "contains-2d"])
     def test_mismatched_shape_is_rejected(self, call, message):
         # The constructor and the public wrappers check shapes and name
         # them; unchecked, these calls broadcast, return the point
@@ -158,6 +163,15 @@ class TestEpochDomain:
     def test_origin_always_feasible(self):
         dom = EpochDomain(np.array([0.8, 0.0]), 1.0, 0.5)
         assert dom.contains(np.zeros(2))
+
+    def test_compares_and_hashes_by_identity(self):
+        # The anchor is an array, so field-wise equality would ask numpy
+        # for an array's truth value; domains compare as objects.
+        dom = EpochDomain(np.array([0.5, 0.0]), 1.0, 0.5)
+        twin = EpochDomain(np.array([0.5, 0.0]), 1.0, 0.5)
+        assert (dom == dom) is True and (dom == twin) is False
+        assert (dom != twin) is True
+        assert len({dom, twin, dom}) == 2
 
 
 class TestProjectEpochDomain:
@@ -531,6 +545,35 @@ class TestScalarKernel:
             assert np.linalg.norm(q) <= dom.inner_radius + tol
             assert np.linalg.norm(q + dom.anchor) <= dom.outer_radius + tol
             assert np.linalg.norm(w - q) <= np.linalg.norm(w - p) + tol
+
+    def test_negative_outer_square_is_clamped(self):
+        # v = 1e-6 a with ||a|| = R: the OUTER point u R/||u|| - a is
+        # ~1e-16 long, while the terms of its scalar square are ~1e-12, so
+        # the square often rounds negative. The kernel clamps it at 0 and
+        # still names OUTER, as the vector kernel does, and its point
+        # agrees with the vector kernel's to rounding.
+        rng = np.random.default_rng(0)
+        clamped = 0
+        for _ in range(200):
+            a = rng.standard_normal(3)
+            a /= np.linalg.norm(a)
+            if np.linalg.norm(a) > 1.0:
+                continue
+            dom = EpochDomain(a, 1.0, 0.25)
+            w = 1e-6 * a
+            w_sq, wa = float(w @ w), float(w @ a)
+            k = 1.0 / math.sqrt(w_sq + 2.0 * wa + dom.anchor_sq)
+            k_a = k - 1.0
+            raw = k * k * w_sq + 2.0 * k * k_a * wa + k_a * k_a * dom.anchor_sq
+            if raw >= 0.0:
+                continue
+            clamped += 1
+            p, branch = kernel(w, dom)
+            q, got, q_sq = scalar_kernel(w, dom)
+            assert branch == got == OUTER
+            assert q_sq == 0.0
+            self.assert_close(w, dom, q, q_sq, p)
+        assert clamped >= 10
 
     @pytest.mark.parametrize("delta", [0.5, 1.0])
     def test_concentric_inner_and_both_points_are_equal(self, delta):
