@@ -12,9 +12,10 @@ w = alpha z with ||w||^2 a Python float (the lazy scaling of Pegasos), so
 a step is one dot, one axpy and scalar updates, and a projection onto the
 R-ball only rescales alpha; a step the scalars cannot decide is taken on
 the explicit point with the ball kernel. Its average is run_epoch's lazy
-sum (averaged SGD, Xu, arXiv:1107.2490), closed at each checkpoint by
-_subtract_rows. GD and NAG run core._projected_gradient with the ball
-kernel, one call per iterate.
+sum (averaged SGD, Xu, arXiv:1107.2490), and its steps run in
+run_epoch's blocks, each closing the lazy sum with one product. GD and
+NAG run core._projected_gradient with the ball kernel, one call per
+iterate.
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarr
                              counters.full_calls, obj, err))
 
 
-def _subtract_rows(total: np.ndarray, X: np.ndarray, drawn: np.ndarray,
-                   q: np.ndarray) -> None:
-    """total -= sum_j q_j X[drawn_j], in place: the closing term of
-    run_sgd's lazy sum at a checkpoint, one gather and one matvec per block
-    of rows, so no temporary exceeds ROW_BLOCK entries."""
-    block = max(1, ROW_BLOCK // X.shape[1])
-    for start in range(0, len(drawn), block):
-        total -= q[start:start + block] @ X[drawn[start:start + block]]
-
-
 @np.errstate(over="ignore")
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             reference_value: float | None = None) -> SolverResult:
@@ -99,16 +90,19 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     finite or is negative, or whose projection would take alpha below
     core.COEFFICIENT_RANGE, forms v and projects it with the ball kernel
     (geometry._project_ball), whose ValueError for a non-finite v raises
-    DivergenceError; the form restarts there at w = z.
+    DivergenceError with the stochastic counter at the steps taken; the
+    form restarts there at w = z.
 
-    The average is core.run_epoch's lazy sum: a restart or a checkpoint
-    adds A z to a running sum, A the sum of alpha since the last one, and
-    each axpy z += k x_i adds A k to its row's coefficient q_i. At each
-    checkpoint the sum is closed with _subtract_rows (minus
-    sum_j q_j x_j over the rows drawn since the last checkpoint, which are
-    then cleared, so the coefficients held never exceed checkpoint_stride)
-    and the form is folded, z <- w, alpha = 1, with ||w||^2 recomputed from
-    z. numpy's overflow warning is silenced once for the whole run."""
+    The steps run in blocks, as core.run_epoch's do: each ends at the next
+    checkpoint or at T, has at most ROW_BLOCK // d steps, draws its indices
+    in one oracle.sample_losses call and gathers its rows XB once. The
+    average is run_epoch's lazy sum: a restart or a checkpoint adds A z to
+    a running sum, A the sum of alpha since the last one, and each axpy
+    z += k x_i stores A k as the block's coefficient qb_l. The block ends
+    with total -= qb XB: sum_j q_j x_j is linear, so each term may be
+    subtracted at any time before the point is read. At each checkpoint
+    the form is folded, z <- w, alpha = 1, with ||w||^2 recomputed from z.
+    numpy's overflow warning is silenced once for the whole run."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
     R = instance.domain_radius
@@ -122,44 +116,51 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     labels, x_sq = instance._labels, instance._row_sq
     kind = instance.loss_kind
     low = COEFFICIENT_RANGE[0]
+    T, stride = config.iterations, config.checkpoint_stride
+    block = max(1, ROW_BLOCK // instance.d)
     z = np.zeros(instance.d)
     alpha, w_sq = 1.0, 0.0     # w = alpha z, ||w||^2
     total = z.copy()           # running sum of the iterates
     A = 0.0                    # alpha summed since total grew
-    q = {}                     # i -> q_i, rows drawn since the last checkpoint
-    indices = sample_losses(sampler, counters, instance.n, config.iterations)
-    for t, i in enumerate(indices, 1):
-        # loss_grad written out.
-        x = X[i]
-        wx = alpha * float(z.dot(x))
-        m = -(c / math.sqrt(t)) * _loss_derivative(labels[i], wx, kind)
-        v_sq = w_sq + 2.0 * m * wx + m * m * x_sq[i]
-        scale = 0.0            # a square that is not finite or is negative
-        if 0.0 <= v_sq < math.inf:
-            v_norm = math.sqrt(v_sq)
-            scale = 1.0 if v_norm <= R else R / v_norm
-        if alpha * scale >= low:
-            k = m / alpha
-            z += k * x
-            q[i] = q.get(i, 0.0) + A * k
-            alpha *= scale
-            w_sq = scale * scale * v_sq
-        else:
+    t = 0                      # steps taken
+    while t < T:
+        span = min(block, stride - t % stride, T - t)
+        idx = sample_losses(sampler, counters, instance.n, span)
+        XB = X[idx]
+        qb = np.zeros(span)    # the lazy sum's A k, step by step
+        for l, (i, x) in enumerate(zip(idx, XB)):
+            # loss_grad written out.
+            wx = alpha * float(z.dot(x))
+            eta = c / math.sqrt(t + l + 1)
+            m = -eta * _loss_derivative(labels[i], wx, kind)
+            v_sq = w_sq + 2.0 * m * wx + m * m * x_sq[i]
+            scale = 0.0        # a square that is not finite or is negative
+            if 0.0 <= v_sq < math.inf:
+                v_norm = math.sqrt(v_sq)
+                scale = 1.0 if v_norm <= R else R / v_norm
+            if alpha * scale >= low:
+                k = m / alpha
+                z += k * x
+                qb[l] = A * k
+                alpha *= scale
+                w_sq = scale * scale * v_sq
+            else:
+                total += z * A
+                A = 0.0
+                try:
+                    z = _project_ball(z * alpha + m * x, R)
+                except ValueError:
+                    counters.stochastic_calls = t + l + 1
+                    raise DivergenceError(
+                        f"non-finite iterate at step {t + l + 1}", counters,
+                        trace) from None
+                alpha, w_sq = 1.0, float(z.dot(z))
+            A += alpha
+        t += span
+        total -= qb @ XB
+        if t % stride == 0 or t == T:
             total += z * A
             A = 0.0
-            try:
-                z = _project_ball(z * alpha + m * x, R)
-            except ValueError:
-                raise DivergenceError(f"non-finite iterate at step {t}",
-                                      counters, trace) from None
-            alpha, w_sq = 1.0, float(z.dot(z))
-        A += alpha
-        if t % config.checkpoint_stride == 0 or t == config.iterations:
-            total += z * A
-            A = 0.0
-            _subtract_rows(total, X, np.fromiter(q, np.intp, len(q)),
-                           np.fromiter(q.values(), float, len(q)))
-            q.clear()
             z *= alpha
             alpha, w_sq = 1.0, float(z.dot(z))
             point = total / (t + 1.0)

@@ -231,8 +231,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     the largest squared norm of (gradient correction + lam * w) seen, a
     diagnostic for the bounded-step property, and the steps that left the
     projection fast path, counted by branch. Checkpoints are appended to
-    the trace every checkpoint_stride steps; their objective evaluations
-    do not touch the oracle counters.
+    the trace every checkpoint_stride steps before step inner_iters, where
+    run's epoch-end record, with the same counters, stands for one; their
+    objective evaluations do not touch the oracle counters.
 
     Each step is w <- P_domain(v), v = w (1 - eta lam) - eta anchor_grad -
     (eta c) x_i, where c x_i = grad g_i(w + anchor) - grad g_i(anchor), c
@@ -256,10 +257,11 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
 
     The steps run in blocks, each ending at the next checkpoint or the
     epoch's end, of at most min(ROW_BLOCK // d, isqrt(ROW_BLOCK)) steps, so
-    no temporary exceeds ROW_BLOCK entries. A block draws its indices and
-    gathers its rows XB once. One product XB [z, g_k, anchor] gives each
-    step's z.x_i at the block's start, g_k.x_i and anchor.x_i, and
-    losses._loss_derivatives the anchor loss derivatives; the Gram matrix
+    no temporary exceeds ROW_BLOCK entries. A block draws its indices in
+    one oracle.sample_losses call and gathers its rows XB once. One product
+    XB [z, g_k, anchor] gives each step's z.x_i at the block's start,
+    g_k.x_i and anchor.x_i, and losses._loss_derivatives the anchor loss
+    derivatives; the Gram matrix
     G = XB XB^T gives step l's z.x_i as z0.x_i + kb.G_l, kb holding the
     block's additions k (zero past step l). z += kb XB once, when the block
     ends or before an explicit step, which then takes z.x_i for the rest
@@ -310,12 +312,10 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     max_step_sq = 0.0
     branches = [0, 0, 0, 0]    # steps by projection branch (geometry's indices)
     calls = counters.stochastic_calls
-    indices = sample_losses(sampler, counters, instance.n, T)
     t = 0                      # steps taken
     while t < T:
-        idx = list(itertools.islice(
-            indices, min(block, checkpoint_stride - t % checkpoint_stride,
-                         T - t)))
+        span = min(block, checkpoint_stride - t % checkpoint_stride, T - t)
+        idx = sample_losses(sampler, counters, instance.n, span)
         XB = X[idx]
         zga[:, 0] = z
         margins = XB @ zga
@@ -382,7 +382,8 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
             z = combine(alpha, beta, gamma)
             alpha, beta, gamma = 1.0, 0.0, 0.0
             w_sq, wg, wa = _products(z, g_k, anchor)
-            if trace is not None:
+            # The epoch-end record (step T + 1) stands for a checkpoint at T.
+            if trace is not None and t < T:
                 obj = full_objective(instance, z + anchor)
                 err = (obj - reference_value if reference_value is not None
                        else math.nan)

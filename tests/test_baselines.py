@@ -35,7 +35,7 @@ class TestSgd:
     def test_single_unrolled_step(self):
         inst = random_instance(seed=4)
         seed = 77
-        i1 = SeededSampler(seed).draw(inst.n)
+        i1 = SeededSampler(seed).draw_block(inst.n, 1)[0]
         expected = project_ball(-loss_grad(inst, i1, np.zeros(4)),
                                 inst.domain_radius)
         cfg = BaselineConfig("sgd", 1, step_scale=1.0, checkpoint_stride=1)
@@ -139,17 +139,21 @@ class TestSgdMatchesReference:
         # With R = 0.2 both the R-ball projection and the fast path run
         # hundreds of times on each loss. run_sgd holds w = alpha z and
         # ||w||^2 in scalars, so the points agree within
-        # sgd_rounding_bound, not bit for bit; the counters exactly.
+        # sgd_rounding_bound, not bit for bit; the counters exactly. The
+        # strides give one-step blocks (1), blocks that do not divide the
+        # run (7) and blocks that do (50).
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
-        cfg = BaselineConfig("sgd", 600, step_scale=0.5, checkpoint_stride=50)
-        assert cfg.step_scale * inst.smoothness <= 2
-        c_ref = OracleCounters()
-        point, _, c_run, _ = run_sgd(inst, cfg, 9)
-        ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
-        assert 0 < projected < cfg.iterations
-        np.testing.assert_allclose(point, ref_point, rtol=0,
-                                   atol=sgd_rounding_bound(inst, cfg))
-        assert c_run == c_ref == OracleCounters(cfg.iterations, 0)
+        for stride in (1, 7, 50):
+            cfg = BaselineConfig("sgd", 600, step_scale=0.5,
+                                 checkpoint_stride=stride)
+            assert cfg.step_scale * inst.smoothness <= 2
+            c_ref = OracleCounters()
+            point, _, c_run, _ = run_sgd(inst, cfg, 9)
+            ref_point, projected = reference_sgd(inst, cfg, 9, c_ref)
+            assert 0 < projected < cfg.iterations
+            np.testing.assert_allclose(point, ref_point, rtol=0,
+                                       atol=sgd_rounding_bound(inst, cfg))
+            assert c_run == c_ref == OracleCounters(cfg.iterations, 0)
 
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_divergence_at_first_step(self, kind):
@@ -169,7 +173,9 @@ class TestSgdMatchesReference:
     def test_non_finite_step_diverges_with_counters(self, entry,
                                                     monkeypatch):
         # The second step's loss derivative is -entry, which puts entry
-        # into both coordinates of v (x_i is positive).
+        # into both coordinates of v (x_i is positive). At stride 1 each
+        # block is one step; at stride 100 the run is one block of 5 drawn
+        # indices, and the counter must still stop at the steps taken.
         calls = []
 
         def derivative(y, margin, kind):
@@ -180,14 +186,17 @@ class TestSgdMatchesReference:
         monkeypatch.setattr(mixedgrad.baselines, "_loss_derivative",
                             derivative)
         inst = make_instance([[1.0, 0.5]], [1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergenceError,
-                               match="^non-finite iterate at step 2$") as exc:
-                run_sgd(inst, BaselineConfig("sgd", 5, checkpoint_stride=1),
-                        0)
-        assert exc.value.counters == OracleCounters(2, 0)
-        assert [r.step for r in exc.value.trace] == [1]
+        for stride, steps in ((1, [1]), (100, [])):
+            calls.clear()
+            cfg = BaselineConfig("sgd", 5, checkpoint_stride=stride)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                        DivergenceError,
+                        match="^non-finite iterate at step 2$") as exc:
+                    run_sgd(inst, cfg, 0)
+            assert exc.value.counters == OracleCounters(2, 0)
+            assert [r.step for r in exc.value.trace] == steps
 
     def test_step_whose_square_overflows_raises_no_warning(self):
         # After one step the point is (0 + w_1) / 2, with w_1 on the sphere.
@@ -220,28 +229,27 @@ class TestSgdMatchesReference:
 class TestSgdScalarState:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_scalar_norm_tracks_the_explicit_one(self, kind, monkeypatch):
-        # Each checkpoint closes the lazy sum (_subtract_rows) before
-        # it folds w = alpha z into z; there the ||w||^2 carried in scalars
-        # must agree with the explicit w.w to an absolute 16 u stride M^2:
-        # each step rounds about a dozen terms of its update of ||w||^2,
-        # each at most M^2 (step_term_bound), and scales the error it
-        # inherits by at most 1 (a projection), over at most stride steps
-        # since the last fold.
+        # Before every step (each call of the loss derivative) the ||w||^2
+        # carried in scalars must agree with the explicit alpha^2 z.z to an
+        # absolute 16 u stride M^2: each step rounds about a dozen terms of
+        # its update of ||w||^2, each at most M^2 (step_term_bound), and
+        # scales the error it inherits by at most 1 (a projection), over at
+        # most stride steps since the last fold.
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
         cfg = BaselineConfig("sgd", 600, step_scale=0.5, checkpoint_stride=50)
         M = step_term_bound(inst, cfg)
         bound = 16 * 2.0 ** -53 * cfg.checkpoint_stride * M * M
-        subtract_rows, gaps = mixedgrad.baselines._subtract_rows, []
+        gaps = []
 
         def checked(*args):
             state = sys._getframe(1).f_locals
-            w = state["z"] * state["alpha"]
-            gaps.append(abs(state["w_sq"] - float(w.dot(w))))
-            return subtract_rows(*args)
+            alpha, z = state["alpha"], state["z"]
+            gaps.append(abs(state["w_sq"] - alpha * alpha * float(z.dot(z))))
+            return _loss_derivative(*args)
 
-        monkeypatch.setattr(mixedgrad.baselines, "_subtract_rows", checked)
-        trace = run_sgd(inst, cfg, 9).trace
-        assert len(gaps) == len(trace) == cfg.iterations // 50
+        monkeypatch.setattr(mixedgrad.baselines, "_loss_derivative", checked)
+        run_sgd(inst, cfg, 9)
+        assert len(gaps) == cfg.iterations
         assert all(gap <= bound for gap in gaps)
 
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])

@@ -46,6 +46,22 @@ def test_run_and_fit_end_to_end(tmp_path, capsys):
     assert "slope=" in capsys.readouterr().out
 
 
+def test_fit_takes_a_mixedgrad_trace_whose_stride_divides_each_epoch(
+        tmp_path, capsys):
+    # Stride 8 divides every epoch (8, 32, 128, 512 steps), so a checkpoint
+    # falls on each epoch's last step, where the epoch-end record has the
+    # same counters; bench fit needs strictly increasing stoch_calls.
+    out = tmp_path / "results"
+    rc = main(["run", "--seed", "0", "--epochs", "4",
+               "--solver", "mixedgrad:t1=8,checkpoint_stride=8",
+               "--n", "30", "--d", "4", "--loss", "ls", "--out", str(out)])
+    assert rc == 0
+    rc = main(["fit", "--trace", str(out / "trace_mixedgrad_seed0.csv"),
+               "--skip-head", "1"])
+    assert rc == 0
+    assert "slope=" in capsys.readouterr().out
+
+
 def test_run_from_csv_dataset(tmp_path):
     data = tmp_path / "data.csv"
     main(["gen", "--seed", "4", "--n", "20", "--d", "3", "--out", str(data)])

@@ -3,8 +3,8 @@ import pytest
 
 from mixedgrad.losses import (LEAST_SQUARES, Dataset, ProblemInstance,
                               loss_grad)
-from mixedgrad.oracle import (INDEX_BLOCK, OracleCounters, SeededSampler,
-                              full_grad, sample_loss, sample_losses)
+from mixedgrad.oracle import (OracleCounters, SeededSampler, full_grad,
+                              sample_loss, sample_losses)
 
 
 def make_instance(n=5, d=3, seed=0):
@@ -43,31 +43,25 @@ class TestSampleLoss:
         with pytest.raises(ValueError):
             sample_loss(SeededSampler(0), OracleCounters(), 0)
         with pytest.raises(ValueError):
-            next(sample_losses(SeededSampler(0), OracleCounters(), 0, 5))
+            sample_losses(SeededSampler(0), OracleCounters(), 0, 5)
 
 
 class TestSampleLosses:
     @pytest.mark.parametrize("n", [1, 200, 20000])
     def test_matches_single_draws_across_blocks(self, n):
-        # A stream longer than one block, then a small one, must reproduce
-        # the single-draw sequence and leave both samplers in step.
+        # Blocks of every size the solvers draw (one step, a short span, a
+        # full run_epoch block, more than any block) must reproduce the
+        # single-draw sequence, count every index, and leave both samplers
+        # in step.
         blocked, single = SeededSampler(11), SeededSampler(11)
         cb, cs = OracleCounters(), OracleCounters()
-        for calls in (INDEX_BLOCK + 905, 3):
-            got = list(sample_losses(blocked, cb, n, calls))
-            want = [sample_loss(single, cs, n) for _ in range(calls)]
+        for k in (1, 7, 181, 5001):
+            got = sample_losses(blocked, cb, n, k)
+            want = [sample_loss(single, cs, n) for _ in range(k)]
             assert got == want
-            assert cb.stochastic_calls == cs.stochastic_calls
-        assert blocked.draw(n) == single.draw(n)
-
-    def test_counts_each_index_as_it_is_yielded(self):
-        c = OracleCounters()
-        stream = sample_losses(SeededSampler(0), c, 10, 2 * INDEX_BLOCK)
-        for t, _ in enumerate(stream, 1):
-            assert c.stochastic_calls == t
-            if t == INDEX_BLOCK + 1:
-                break
-        assert c.stochastic_calls == INDEX_BLOCK + 1
+            assert cb == cs
+        assert cb.stochastic_calls == 1 + 7 + 181 + 5001
+        assert blocked.draw_block(n, 1) == single.draw_block(n, 1)
 
 
 class TestFullGrad:
