@@ -13,9 +13,9 @@ a step is one dot, one axpy and scalar updates, and a projection onto the
 R-ball only rescales alpha; a step the scalars cannot decide is taken on
 the explicit point with the ball kernel. Its average is run_epoch's lazy
 sum (averaged SGD, Xu, arXiv:1107.2490), and its steps run in
-run_epoch's blocks, each closing the lazy sum with one product. GD and
-NAG run core._projected_gradient with the ball kernel, one call per
-iterate.
+run_epoch's blocks, each ending with one product that closes the lazy sum
+and a fold of the form. GD and NAG run core._projected_gradient with the
+ball kernel, one call per iterate.
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from itertools import islice
 import numpy as np
 
 from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult,
-                   TraceRecord, _check_counts, _check_positive,
+                   TraceRecord, _check_counts, _check_positive, _checkpoint,
                    _projected_gradient)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.project_ball by name.
 from .geometry import project_ball  # noqa: F401
-from .losses import (ROW_BLOCK, ProblemInstance, _loss_derivative,
-                     full_objective)
-# loss_grad stays importable from here: perfbench/tracer.py wraps
+from .losses import ROW_BLOCK, ProblemInstance, _loss_derivative
+# full_objective and loss_grad stay importable from here:
+# perfbench/tracer.py wraps mixedgrad.baselines.full_objective and
 # mixedgrad.baselines.loss_grad by name.
-from .losses import loss_grad  # noqa: F401
+from .losses import full_objective, loss_grad  # noqa: F401
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 # The single-call sampler stays importable from here: perfbench/tracer.py
 # wraps mixedgrad.baselines.sample_loss by name.
@@ -64,15 +64,6 @@ class BaselineConfig:
             _check_positive("step_scale", self.step_scale)
 
 
-def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance, w: np.ndarray,
-                t: int, counters: OracleCounters,
-                reference_value: float | None):
-    obj = full_objective(instance, w)
-    err = obj - reference_value if reference_value is not None else math.nan
-    trace.append(TraceRecord(0, t, counters.stochastic_calls,
-                             counters.full_calls, obj, err))
-
-
 @np.errstate(over="ignore")
 def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             reference_value: float | None = None) -> SolverResult:
@@ -96,13 +87,15 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     The steps run in blocks, as core.run_epoch's do: each ends at the next
     checkpoint or at T, has at most ROW_BLOCK // d steps, draws its indices
     in one oracle.sample_losses call and gathers its rows XB once. The
-    average is run_epoch's lazy sum: a restart or a checkpoint adds A z to
+    average is run_epoch's lazy sum: a restart or a block end adds A z to
     a running sum, A the sum of alpha since the last one, and each axpy
-    z += k x_i stores A k as the block's coefficient qb_l. The block ends
-    with total -= qb XB: sum_j q_j x_j is linear, so each term may be
-    subtracted at any time before the point is read. At each checkpoint
-    the form is folded, z <- w, alpha = 1, with ||w||^2 recomputed from z.
-    numpy's overflow warning is silenced once for the whole run."""
+    z += k x_i stores A k as the block's coefficient qb_l. Every block
+    ends the same way: total -= qb XB (sum_j q_j x_j is linear, so each
+    term may be subtracted at any time before the point is read), total
+    += A z, and a fold of the form, z <- w, alpha = 1, with ||w||^2
+    recomputed from z, so no scalar form outlives its block; a checkpoint
+    only decides whether the point is recorded there. numpy's overflow
+    warning is silenced once for the whole run."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
     R = instance.domain_radius
@@ -158,13 +151,14 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
             A += alpha
         t += span
         total -= qb @ XB
+        total += z * A
+        A = 0.0
+        z *= alpha
+        alpha, w_sq = 1.0, float(z.dot(z))
         if t % stride == 0 or t == T:
-            total += z * A
-            A = 0.0
-            z *= alpha
-            alpha, w_sq = 1.0, float(z.dot(z))
             point = total / (t + 1.0)
-            _checkpoint(trace, instance, point, t, counters, reference_value)
+            _checkpoint(trace, instance, point, 0, t, counters,
+                        reference_value)
     return SolverResult(point, trace, counters)  # as checkpointed at step T
 
 
@@ -188,7 +182,8 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
     try:
         for t, w in enumerate(islice(iterates, config.iterations), 1):
             if t % config.checkpoint_stride == 0 or t == config.iterations:
-                _checkpoint(trace, instance, w, t, counters, reference_value)
+                _checkpoint(trace, instance, w, 0, t, counters,
+                            reference_value)
     except DivergenceError as exc:
         exc.counters, exc.trace = counters, trace
         raise

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -71,7 +72,7 @@ def _build_solver(spec_text: str, args, instance) -> SolverConfig:
         t1 = kv.pop("t1", args.t1)
         # eta1 is derived from t1, so t1 is checked first.
         _check_count("t1", t1)
-        eta1 = 1.0 / (2.0 * beta * (3.0 * t1) ** 0.5)
+        eta1 = 1.0 / (2.0 * beta * math.sqrt(3.0 * t1))
         if not eta1 > 0 and "eta1" not in kv:
             raise ValueError(f"the default eta1 = 1/(2 beta sqrt(3 t1)) is "
                              f"0 at beta = {beta:g}, t1 = {t1}; rescale the "

@@ -17,15 +17,15 @@ al., Math. Prog. 2011), with ||w||^2, w.g_k and w.anchor kept as Python
 floats, and its projection is geometry._two_ball_coefficients on ||v||^2
 and v.anchor. A step that kernel cannot decide (both balls active, or a
 square that is not finite or is negative) is taken on the explicit point
-with geometry._project_two_balls. The steps up to each checkpoint run as
-one block: the block's rows are gathered once, one product gives their
-anchor margins and their dots with g_k and z, and their Gram matrix gives
-each step's z.x_i, so a step is one dot over the block and scalar
+with geometry._project_two_balls. The steps run in short blocks that end
+at each checkpoint: the block's rows are gathered once, one product gives
+their anchor margins and their dots with g_k and z, and their Gram matrix
+gives each step's z.x_i, so a step is one dot over the block and scalar
 updates, and z and the epoch average (the lazy sum of averaged SGD, Xu,
-arXiv:1107.2490) are updated once per block. Each epoch's summary counts
-the steps that left the fast path, by projection branch, and records
-whether its Delta-ball was certified inside the R-ball
-(EpochDomain.outer_inactive).
+arXiv:1107.2490) are updated, and the form folded, once per block. Each
+epoch's summary counts the steps that left the fast path, by projection
+branch, and records whether its Delta-ball was certified inside the
+R-ball (EpochDomain.outer_inactive).
 """
 
 from __future__ import annotations
@@ -200,6 +200,20 @@ class SolverResult(NamedTuple):
     epoch_summaries: tuple[EpochSummary, ...] = ()
 
 
+def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance,
+                point: np.ndarray, epoch: int, step: int,
+                counters: OracleCounters, reference_value: float | None
+                ) -> float:
+    """Append point's trace record to the trace and return its objective,
+    whose evaluation does not touch the oracle counters. Every solver
+    writes its records here."""
+    obj = full_objective(instance, point)
+    err = obj - reference_value if reference_value is not None else math.nan
+    trace.append(TraceRecord(epoch, step, counters.stochastic_calls,
+                             counters.full_calls, obj, err))
+    return obj
+
+
 def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
                     counters: OracleCounters) -> np.ndarray:
     """lam * anchor + averaged gradient at the anchor (one full-oracle call)."""
@@ -250,10 +264,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     COEFFICIENT_RANGE, forms v and projects it with
     geometry._project_two_balls, whose branch is the one counted, and
     recomputes the three products from the point it returns; a NaN or
-    infinite v makes that kernel raise, which raises DivergenceError. Every
-    checkpoint_stride steps the form is folded, z <- w, and the three
-    products recomputed from it, so the scalar ||w||^2 never drifts for
-    more than checkpoint_stride steps; the checkpoint evaluates w there.
+    infinite v makes that kernel raise, which raises DivergenceError.
 
     The steps run in blocks, each ending at the next checkpoint or the
     epoch's end, of at most min(ROW_BLOCK // d, isqrt(ROW_BLOCK)) steps, so
@@ -261,18 +272,23 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     one oracle.sample_losses call and gathers its rows XB once. One product
     XB [z, g_k, anchor] gives each step's z.x_i at the block's start,
     g_k.x_i and anchor.x_i, and losses._loss_derivatives the anchor loss
-    derivatives; the Gram matrix
-    G = XB XB^T gives step l's z.x_i as z0.x_i + kb.G_l, kb holding the
-    block's additions k (zero past step l). z += kb XB once, when the block
-    ends or before an explicit step, which then takes z.x_i for the rest
-    of the block from one XB z; G stays valid.
+    derivatives; the Gram matrix G = XB XB^T gives step l's z.x_i as
+    z0.x_i + kb.G_l, kb holding the block's additions k (zero past step
+    l). z += kb XB once, when the block ends or before an explicit step,
+    which then takes z.x_i for the rest of the block from one XB z; G
+    stays valid. Every block ends by closing the lazy sum (below) and,
+    unless the epoch ends there, folding the form: z <- w, the
+    coefficients reset and the three products recomputed from z. So no
+    scalar form outlives its block, and the carried ||w||^2 never drifts
+    for more than one block, whatever checkpoint_stride is; a checkpoint
+    only decides whether a record of the folded w is written.
 
-    The average is the lazy sum of averaged SGD. A fold or an explicit step
-    adds A z + B g_k + C anchor to a running sum, A, B and C being the sums
-    of alpha, beta and gamma since the last one, and restarts them; each
-    addition k x_i to z adds A k to the block's coefficient qb_l. The
-    iterates' sum is the running sum plus A z + B g_k + C anchor minus
-    every qb XB, each closed with the block's z += kb XB. An epoch keeps no
+    The average is the lazy sum of averaged SGD. A block end or an explicit
+    step adds A z + B g_k + C anchor to a running sum, A, B and C being the
+    sums of alpha, beta and gamma since the last one, and restarts them.
+    Each addition k x_i to z adds A k to the block's coefficient qb_l, and
+    the block's end subtracts qb XB after its z += kb XB, so at the epoch's
+    end the running sum is the iterates' sum. An epoch keeps no
     state per row and makes no pass over X; the labels and ||x_i||^2 are
     the instance's, built once. The bounded-step diagnostic is the scalar
     c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2. At w = 0 the margin
@@ -376,21 +392,17 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
         t += len(idx)
         z += kb @ XB
         total -= qb @ XB
-        if t % checkpoint_stride == 0:
-            total += combine(A, B, C)
-            A = B = C = 0.0
+        total += combine(A, B, C)
+        A = B = C = 0.0
+        # No fold ends the epoch, and run's epoch-end record (step T + 1)
+        # stands for a checkpoint at T.
+        if t < T:
             z = combine(alpha, beta, gamma)
             alpha, beta, gamma = 1.0, 0.0, 0.0
             w_sq, wg, wa = _products(z, g_k, anchor)
-            # The epoch-end record (step T + 1) stands for a checkpoint at T.
-            if trace is not None and t < T:
-                obj = full_objective(instance, z + anchor)
-                err = (obj - reference_value if reference_value is not None
-                       else math.nan)
-                trace.append(TraceRecord(state.epoch_index, t,
-                                         counters.stochastic_calls,
-                                         counters.full_calls, obj, err))
-    total += combine(A, B, C)
+            if trace is not None and t % checkpoint_stride == 0:
+                _checkpoint(trace, instance, z + anchor, state.epoch_index, t,
+                            counters, reference_value)
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])
     return total / (T + 1.0), float(max_step_sq), projections
@@ -534,11 +546,9 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
                     f"anchor left the feasible ball after epoch "
                     f"{state.epoch_index}", counters, trace)
             next_state.anchor = project_ball(next_state.anchor, R)
-        obj = full_objective(instance, next_state.anchor)
-        err = obj - reference_value if reference_value is not None else math.nan
-        trace.append(TraceRecord(state.epoch_index, state.inner_iters + 1,
-                                 counters.stochastic_calls, counters.full_calls,
-                                 obj, err))
+        obj = _checkpoint(trace, instance, next_state.anchor,
+                          state.epoch_index, state.inner_iters + 1, counters,
+                          reference_value)
         summaries.append(EpochSummary(
             epoch=state.epoch_index, delta=state.delta, lam=state.lam,
             eta=state.eta, inner_iters=state.inner_iters,

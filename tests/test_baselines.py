@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mixedgrad.baselines
+import mixedgrad.core
 from mixedgrad.baselines import (BaselineConfig, run_gd, run_nag, run_sgd)
 from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import DivergenceError
@@ -313,9 +314,10 @@ class TestSgdScalarState:
         # 32 steps on the 20,000 x 50 large-n shape hold O(d) vectors and
         # one coefficient per row drawn: no array of n entries (160 KB).
         # The checkpoint objective, one matvec over X by design, is
-        # replaced so that only the step loop and the lazy sum are counted.
+        # replaced where the one trace writer, core._checkpoint, looks it
+        # up, so that only the step loop and the lazy sum are counted.
         inst = gen_synthetic(0, 20000, 50, 0.5, LEAST_SQUARES, 1.0)
-        monkeypatch.setattr(mixedgrad.baselines, "full_objective",
+        monkeypatch.setattr(mixedgrad.core, "full_objective",
                             lambda instance, w: 0.0)
         tracemalloc.start()
         try:

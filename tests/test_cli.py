@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mixedgrad.bench
+import mixedgrad.cli
 from mixedgrad.bench import (ReferenceSolveError, gen_synthetic,
                              write_trace_csv)
 from mixedgrad.cli import main
@@ -220,6 +221,27 @@ def test_t1_and_gamma_flags_without_theory_mode(flags, calls, tmp_path):
     with open(out / "summary.csv") as f:
         rows = list(csv.DictReader(f))
     assert int(rows[0]["stoch_calls"]) == calls
+
+
+def test_default_eta1_is_theory_params_formula_to_the_bit(tmp_path,
+                                                          monkeypatch):
+    # eta1 = 1/(2 beta sqrt(3 t1)) with math.sqrt, as in
+    # core.theory_params. At t1 = 2609 and beta = 2 (least squares, one
+    # row of norm 1), (3 t1) ** 0.5 gives 0.002825805992426818 instead.
+    data = tmp_path / "data.csv"
+    data.write_text("y,x1\n1.0,1.0\n")
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        return {"reference_value": 0.0, "traces": [], "summary": ""}
+
+    monkeypatch.setattr(mixedgrad.cli, "run_experiment", capture)
+    rc = main(["run", "--csv", str(data), "--t1", "2609", "--out",
+               str(tmp_path / "results")])
+    assert rc == 0
+    assert specs[0].instance.smoothness == 2.0
+    assert specs[0].solvers[0].eta1 == 0.0028258059924268176
 
 
 @pytest.mark.parametrize("flags, shown", [

@@ -678,28 +678,34 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_scalar_norm_tracks_the_explicit_one(self, kind, monkeypatch):
-        # At every fold of the scalar form that follows a scalar step (each
-        # checkpoint whose step the scalar kernel took) run_epoch
-        # recomputes w.w from the vector; the ||w||^2 it carried in
-        # scalars, the square the scalar kernel last returned, must agree
-        # with it to an absolute 16 u stride S^2. A step taken on the
-        # explicit point drops the carried square and takes w.w from the
-        # vector, so the fold it makes, and a checkpoint at the same step,
-        # have nothing to compare. Each step rounds about a dozen terms of
-        # its update of ||w||^2, each at most S^2, and scales the error it
-        # inherits by at most 1 (a shrink and a projection), over at most
-        # stride steps since the last fold; S = Delta + ||anchor|| +
-        # eta ||g_k|| + eta L Delta max||x_i||^2 bounds every vector term of
-        # a step (epoch 1's Delta and eta, which only halve). Relative
-        # agreement cannot hold: late logistic iterates have ||w||^2 near
-        # 1e-20.
+        # Every block but an epoch's last ends with a fold of the scalar form,
+        # whatever the stride, and a block is at most 181 steps
+        # (min(ROW_BLOCK // d, isqrt(ROW_BLOCK)) at d = 20), so some fold or
+        # epoch end comes at least every 181 steps: at stride 100 the folds
+        # are the checkpoints, at stride 10^4 most are not. At a fold
+        # run_epoch recomputes w.w from the vector; when the fold follows a
+        # scalar step, the ||w||^2 carried in scalars, the square the scalar
+        # kernel last returned, must agree with it to an absolute
+        # 16 u n S^2, n = min(stride, 181). A step taken on the explicit
+        # point drops the carried square and takes w.w from the vector, so
+        # its own w.w, and a fold with no scalar step since, have nothing to
+        # compare. Each step rounds about a dozen terms of its update of
+        # ||w||^2, each at most S^2, and scales the error it inherits by at
+        # most 1 (a shrink and a projection), over at most n steps since the
+        # last fold; S = Delta + ||anchor|| + eta ||g_k|| + eta L Delta
+        # max||x_i||^2 bounds every vector term of a step (epoch 1's Delta
+        # and eta, which only halve). Relative agreement cannot hold: late
+        # logistic iterates have ||w||^2 near 1e-20.
         inst = gen_synthetic(0, 200, 20, 0.0, kind, 1.0)
         beta = inst.smoothness
-        cfg = MixedGradConfig(eta1=0.5 / beta, delta1=1.0, t1=32, epochs=6,
-                              lambda1=0.05 * beta)
         L = 2.0 if kind == LEAST_SQUARES else 0.25
-        eta, delta, u = cfg.eta1, cfg.delta1, 2.0 ** -53
-        carried, explicit, gaps = [None], [0], []
+        eta, delta, u = 0.5 / beta, 1.0, 2.0 ** -53
+        block = 181
+
+        def draw(*args):
+            idx = sample_losses(*args)
+            drawn[0] += len(idx)
+            return idx
 
         def scalar(*args):
             out = coefficients(*args)
@@ -713,24 +719,39 @@ class TestRun:
 
         def checked(w, g_k, anchor):
             out = products(w, g_k, anchor)
+            at.append(drawn[0])
             if carried[0] is not None:
                 S = (delta + np.linalg.norm(anchor) + eta * np.linalg.norm(g_k)
                      + eta * L * delta * max(inst._row_sq))
                 gaps.append((abs(carried[0] - out[0]),
-                             16 * u * cfg.checkpoint_stride * S * S))
+                             16 * u * min(stride, block) * S * S))
             carried[0] = None
             return out
 
+        sample_losses = core.sample_losses
         coefficients = core._two_ball_coefficients
         project = core._project_two_balls
         products = core._products
+        monkeypatch.setattr(core, "sample_losses", draw)
         monkeypatch.setattr(core, "_two_ball_coefficients", scalar)
         monkeypatch.setattr(core, "_project_two_balls", vector)
         monkeypatch.setattr(core, "_products", checked)
-        res = run(inst, cfg, seed=0)
-        checkpoints = len(res.trace) - cfg.epochs
-        assert checkpoints - explicit[0] <= len(gaps) <= checkpoints
-        assert all(gap <= bound for gap, bound in gaps)
+        for stride in (100, 10 ** 4):
+            carried, explicit, gaps = [None], [0], []
+            drawn, at = [0], []    # steps drawn; the step of each w.w
+            cfg = MixedGradConfig(eta1=eta, delta1=delta, t1=32, epochs=6,
+                                  lambda1=0.05 * beta,
+                                  checkpoint_stride=stride)
+            res = run(inst, cfg, seed=0)
+            ends = itertools.accumulate(cfg.t1 * 4 ** k
+                                        for k in range(cfg.epochs))
+            marks = sorted({0, *ends, *at})
+            assert max(b - a for a, b in zip(marks, marks[1:])) <= block
+            folds = len(at) - explicit[0]
+            if stride <= block:
+                assert folds == len(res.trace) - cfg.epochs  # checkpoints
+            assert folds - explicit[0] <= len(gaps) <= folds
+            assert all(gap <= bound for gap, bound in gaps)
 
     def test_trace_counters_nondecreasing(self):
         # Stochastic counts must strictly increase, as bench fit's x values
