@@ -72,24 +72,25 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     as their running sum over their count.
 
     Step t is w <- P_R(v), v = w + m x_i, with m = -eta_t g, eta_t =
-    c/sqrt(t) and g the loss derivative at the margin w.x_i (the labels
-    come from the instance's per-example list). The iterate is held as
-    w = alpha z with ||w||^2 a Python float, so a step is one dot, z.x_i,
-    one axpy, z += (m / alpha) x_i, and scalar updates: ||v||^2 =
-    ||w||^2 + 2 m (w.x_i) + m^2 ||x_i||^2 decides the R-ball test, and a
-    projection only scales alpha by R / ||v||. A step whose square is not
-    finite or is negative, or whose projection would take alpha below
-    core.COEFFICIENT_RANGE, forms v and projects it with the ball kernel
-    (geometry._project_ball), whose ValueError for a non-finite v raises
-    DivergenceError with the stochastic counter at the steps taken; the
-    form restarts there at w = z.
+    c/sqrt(t) and g the loss derivative at the margin w.x_i. The iterate
+    is held as w = alpha z with ||w||^2 a Python float, so a step is one
+    dot, z.x_i, one axpy, z += (m / alpha) x_i, and scalar updates:
+    ||v||^2 = ||w||^2 + 2 m (w.x_i) + m^2 ||x_i||^2 decides the R-ball
+    test, and a projection only scales alpha by R / ||v||. A step whose
+    square is not finite or is negative, or whose projection would take
+    alpha below core.COEFFICIENT_RANGE, forms v and projects it with the
+    ball kernel (geometry._project_ball), whose ValueError for a
+    non-finite v raises DivergenceError with the stochastic counter at the
+    steps taken; the form restarts there at w = z.
 
     The steps run in blocks, as core.run_epoch's do: each ends at the next
-    checkpoint or at T, has at most ROW_BLOCK // d steps, draws its indices
-    in one oracle.sample_losses call and gathers its rows XB once. The
-    average is run_epoch's lazy sum: a restart or a block end adds A z to
-    a running sum, A the sum of alpha since the last one, and each axpy
-    z += k x_i stores A k as the block's coefficient qb_l. Every block
+    checkpoint or at T, has at most ROW_BLOCK // d steps, draws its index
+    array in one oracle.sample_losses call and gathers with it, once, its
+    rows XB, labels and ||x_i||^2 (instance._row_sq); the steps take the
+    labels and ||x_i||^2 in order, as lists of floats. The average is
+    run_epoch's lazy sum: a restart or a block end adds A z to a running
+    sum, A the sum of alpha since the last one, and each axpy z += k x_i
+    stores A k as the block's coefficient qb_l. Every block
     ends the same way: total -= qb XB (sum_j q_j x_j is linear, so each
     term may be subtracted at any time before the point is read), total
     += A z, and a fold of the form, z <- w, alpha = 1, with ||w||^2
@@ -105,8 +106,8 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     counters = OracleCounters()
     sampler = SeededSampler(seed)
     trace: list[TraceRecord] = []
-    X = instance.dataset.features
-    labels, x_sq = instance._labels, instance._row_sq
+    X, labels = instance.dataset.features, instance.dataset.labels
+    x_sq = instance._row_sq
     kind = instance.loss_kind
     low = COEFFICIENT_RANGE[0]
     T, stride = config.iterations, config.checkpoint_stride
@@ -121,12 +122,13 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         idx = sample_losses(sampler, counters, instance.n, span)
         XB = X[idx]
         qb = np.zeros(span)    # the lazy sum's A k, step by step
-        for l, (i, x) in enumerate(zip(idx, XB)):
+        for l, (x, y, xx) in enumerate(
+                zip(XB, labels[idx].tolist(), x_sq[idx].tolist())):
             # loss_grad written out.
             wx = alpha * float(z.dot(x))
             eta = c / math.sqrt(t + l + 1)
-            m = -eta * _loss_derivative(labels[i], wx, kind)
-            v_sq = w_sq + 2.0 * m * wx + m * m * x_sq[i]
+            m = -eta * _loss_derivative(y, wx, kind)
+            v_sq = w_sq + 2.0 * m * wx + m * m * xx
             scale = 0.0        # a square that is not finite or is negative
             if 0.0 <= v_sq < math.inf:
                 v_norm = math.sqrt(v_sq)

@@ -29,6 +29,7 @@ from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
 
 TRACE_COLUMNS = ["solver", "seed", "epoch", "step", "stoch_calls",
                  "full_calls", "objective", "error", "status"]
+_TRACE_TYPES = [str, int, int, int, int, int, float, float, str]
 SUMMARY_COLUMNS = ["solver", "seed", "final_error", "stoch_calls",
                    "full_calls", "wall_ms"]
 
@@ -126,7 +127,8 @@ def fit_slope(records, x_field: str, error_field: str,
     Accepts TraceRecord objects or mappings (e.g. parsed CSV rows). The
     first skip_head records are dropped. Points at or below the error floor
     are excluded and counted as clipped. Requires >= 4 usable points with
-    strictly increasing x; a missing field raises ValueError.
+    positive, finite and strictly increasing x; a missing field, an error
+    of +inf or a nonpositive one raises ValueError.
     """
     def get(rec, name):
         try:
@@ -141,8 +143,14 @@ def fit_slope(records, x_field: str, error_field: str,
     pts = pts[skip_head:]
     if any(e <= 0 for _, e in pts if not math.isnan(e)):
         raise ValueError("nonpositive error values; reference optimum too loose")
+    if any(e == math.inf for _, e in pts):
+        raise ValueError("infinite error values; the objective overflowed")
     usable = [(x, e) for x, e in pts if not math.isnan(e) and e > ERROR_FLOOR]
     n_clipped = len(pts) - len(usable)
+    bad = [x for x, _ in usable if not 0 < x < math.inf]
+    if bad:
+        raise ValueError(f"x values must be positive and finite to take "
+                         f"their log, got {bad[0]}")
     if len(usable) < 4:
         raise ValueError(f"need >= 4 usable points, got {len(usable)}")
     xs = np.array([x for x, _ in usable])
@@ -223,26 +231,26 @@ def write_trace_csv(path, solver: str, seed: int,
 
 def read_trace_csv(path) -> list[dict]:
     """Parse a trace CSV back into typed row dicts (round-trips emit).
-    A file without the trace header raises ValueError."""
-    rows = []
+    A file without the trace header, or a row of the wrong length or with
+    a field of the wrong type, raises ValueError naming the row."""
+    records = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != TRACE_COLUMNS:
+        reader = csv.reader(f)
+        if next(reader, None) != TRACE_COLUMNS:
             raise ValueError(f"{path} is not a trace CSV: its header must "
                              f"be {','.join(TRACE_COLUMNS)}")
-        for row in reader:
-            rows.append({
-                "solver": row["solver"],
-                "seed": int(row["seed"]),
-                "epoch": int(row["epoch"]),
-                "step": int(row["step"]),
-                "stoch_calls": int(row["stoch_calls"]),
-                "full_calls": int(row["full_calls"]),
-                "objective": float(row["objective"]),
-                "error": float(row["error"]),
-                "status": row["status"],
-            })
-    return rows
+        for k, row in enumerate(filter(None, reader), 1):  # no blank rows
+            if len(row) != len(TRACE_COLUMNS):
+                raise ValueError(f"trace CSV {path}: data row {k} has "
+                                 f"{len(row)} fields, expected "
+                                 f"{len(TRACE_COLUMNS)}")
+            try:
+                records.append({name: kind(value) for name, kind, value
+                                in zip(TRACE_COLUMNS, _TRACE_TYPES, row)})
+            except ValueError as exc:
+                raise ValueError(f"trace CSV {path}: data row {k}: "
+                                 f"{exc}") from None
+    return records
 
 
 def _run_one(instance: ProblemInstance, config: SolverConfig, seed: int,

@@ -129,7 +129,9 @@ def theory_params(beta: float, radius: float, failure_prob: float,
 
 @dataclass
 class EpochState:
-    """Mutable per-epoch quantities of the solver."""
+    """Mutable per-epoch quantities of the solver. The anchor gradient is
+    not one of them: run computes it at each epoch's start and passes it
+    to run_epoch."""
 
     epoch_index: int           # k, starting at 1
     anchor: np.ndarray         # running solution the epoch recenters on
@@ -137,7 +139,6 @@ class EpochState:
     lam: float                 # regularization weight
     eta: float                 # step size
     inner_iters: int           # number of stochastic steps this epoch
-    anchor_grad: np.ndarray | None = None  # lam*anchor + mean gradient
 
 
 @dataclass
@@ -233,13 +234,14 @@ def _products(w: np.ndarray, g_k: np.ndarray, anchor: np.ndarray
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def run_epoch(instance: ProblemInstance, state: EpochState,
+def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
               sampler: SeededSampler, counters: OracleCounters,
               trace: list[TraceRecord] | None = None,
               checkpoint_stride: int = 100,
               reference_value: float | None = None
               ) -> tuple[np.ndarray, float, ProjectionCounts]:
-    """One epoch of inner stochastic steps starting from 0.
+    """One epoch of inner stochastic steps starting from 0, with g_k the
+    anchor gradient (anchor_gradient at state.anchor and state.lam).
 
     Returns the sum of the inner_iters + 1 iterates over inner_iters + 1,
     the largest squared norm of (gradient correction + lam * w) seen, a
@@ -249,13 +251,13 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     run's epoch-end record, with the same counters, stands for one; their
     objective evaluations do not touch the oracle counters.
 
-    Each step is w <- P_domain(v), v = w (1 - eta lam) - eta anchor_grad -
+    Each step is w <- P_domain(v), v = w (1 - eta lam) - eta g_k -
     (eta c) x_i, where c x_i = grad g_i(w + anchor) - grad g_i(anchor), c
     the difference of the loss derivatives at the margins w.x_i + anchor.x_i
     and anchor.x_i. The iterate is held as w = alpha z + beta g_k +
-    gamma anchor (g_k the anchor gradient), with ||w||^2, w.g_k and
-    w.anchor as Python floats. v and every projection branch but BOTH are
-    in the span of w, g_k, x_i and anchor, so a step updates
+    gamma anchor, with ||w||^2, w.g_k and w.anchor as Python floats. v
+    and every projection branch but BOTH are in the span of w, g_k, x_i
+    and anchor, so a step updates
     (alpha, beta, gamma) and the three products in scalars and adds
     k x_i to z, k = -eta c / ((1 - eta lam) alpha). The projection is
     geometry._two_ball_coefficients on ||v||^2 and v.anchor. A step it
@@ -268,8 +270,10 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
 
     The steps run in blocks, each ending at the next checkpoint or the
     epoch's end, of at most min(ROW_BLOCK // d, isqrt(ROW_BLOCK)) steps, so
-    no temporary exceeds ROW_BLOCK entries. A block draws its indices in
-    one oracle.sample_losses call and gathers its rows XB once. One product
+    no temporary exceeds ROW_BLOCK entries. A block draws its index array
+    in one oracle.sample_losses call and gathers with it, once, its rows
+    XB, labels and ||x_i||^2 (instance._row_sq); the steps take the labels
+    and ||x_i||^2 in order, as lists of floats. One product
     XB [z, g_k, anchor] gives each step's z.x_i at the block's start,
     g_k.x_i and anchor.x_i, and losses._loss_derivatives the anchor loss
     derivatives; the Gram matrix G = XB XB^T gives step l's z.x_i as
@@ -288,24 +292,20 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     sums of alpha, beta and gamma since the last one, and restarts them.
     Each addition k x_i to z adds A k to the block's coefficient qb_l, and
     the block's end subtracts qb XB after its z += kb XB, so at the epoch's
-    end the running sum is the iterates' sum. An epoch keeps no
-    state per row and makes no pass over X; the labels and ||x_i||^2 are
-    the instance's, built once. The bounded-step diagnostic is the scalar
-    c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2. At w = 0 the margin
-    w.x_i is 0.0, so the correction and the diagnostic are exactly 0. An
-    infinite eta or lam makes 0 * inf on the first step, and a huge one
-    can overflow v: numpy's warnings for them are silenced. A
+    end the running sum is the iterates' sum. An epoch keeps no state per
+    row and makes no pass over X. The bounded-step diagnostic is the
+    scalar c^2 ||x_i||^2 + 2 c lam (w.x_i) + lam^2 ||w||^2. At w = 0 the
+    margin w.x_i is 0.0, so the correction and the diagnostic are exactly
+    0. An infinite eta or lam makes 0 * inf on the first step, and a huge
+    one can overflow v: numpy's warnings for them are silenced. A
     DivergenceError leaves the stochastic counter at the steps taken.
     """
     anchor = state.anchor
-    g_k = state.anchor_grad
-    if g_k is None:
-        raise ValueError("epoch state is missing the anchor gradient")
     T = state.inner_iters
     lam, eta = state.lam, state.eta
     domain = EpochDomain(anchor, instance.domain_radius, state.delta)
     X, labels = instance.dataset.features, instance.dataset.labels
-    y, x_sq = instance._labels, instance._row_sq
+    x_sq = instance._row_sq
     kind = instance.loss_kind
     shrink = 1.0 - eta * lam
     two_lam, lam_sq = 2.0 * lam, lam * lam
@@ -332,20 +332,18 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
     while t < T:
         span = min(block, checkpoint_stride - t % checkpoint_stride, T - t)
         idx = sample_losses(sampler, counters, instance.n, span)
-        XB = X[idx]
+        XB, yB = X[idx], labels[idx]
         zga[:, 0] = z
         margins = XB @ zga
         zx0, gxs, axs = margins.T.tolist()
-        d_anchors = _loss_derivatives(labels[idx], margins[:, 2],
-                                      kind).tolist()
+        d_anchors = _loss_derivatives(yB, margins[:, 2], kind).tolist()
         G = XB @ XB.T
-        kb = np.zeros(len(idx))    # z's additions k, step by step
-        qb = np.zeros(len(idx))    # the lazy sum's A k, step by step
-        for l, (i, G_l, gx, ax, d_anchor) in enumerate(
-                zip(idx, G, gxs, axs, d_anchors)):
+        kb = np.zeros(span)    # z's additions k, step by step
+        qb = np.zeros(span)    # the lazy sum's A k, step by step
+        for l, (y, xx, G_l, gx, ax, d_anchor) in enumerate(
+                zip(yB.tolist(), x_sq[idx].tolist(), G, gxs, axs, d_anchors)):
             wx = alpha * (zx0[l] + float(kb.dot(G_l))) + beta * gx + gamma * ax
-            c = _loss_derivative(y[i], wx + ax, kind) - d_anchor
-            xx = x_sq[i]
+            c = _loss_derivative(y, wx + ax, kind) - d_anchor
             # ||c * x_i + lam * w||^2, expanded into scalars.
             step_sq = c * c * xx + two_lam * c * wx + lam_sq * w_sq
             if step_sq > max_step_sq:
@@ -389,7 +387,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState,
             A += alpha
             B += beta
             C += gamma
-        t += len(idx)
+        t += span
         z += kb @ XB
         total -= qb @ XB
         total += combine(A, B, C)
@@ -424,7 +422,6 @@ def shrink_schedule(state: EpochState, w_tilde: np.ndarray,
         lam=state.lam / 2.0,
         eta=state.eta / 2.0,
         inner_iters=int(t1) * 4 ** k,
-        anchor_grad=None,
     )
 
 
@@ -532,9 +529,9 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
         inner_iters=config.t1,
     )
     for _ in range(config.epochs):
-        state.anchor_grad = anchor_gradient(instance, state.anchor, state.lam, counters)
+        g_k = anchor_gradient(instance, state.anchor, state.lam, counters)
         w_tilde, max_step_sq, projections = run_epoch(
-            instance, state, sampler, counters, trace,
+            instance, state, g_k, sampler, counters, trace,
             config.checkpoint_stride, reference_value)
         next_state = shrink_schedule(state, w_tilde, config.t1)
         # The new anchor is a convex combination of feasible points, so it

@@ -86,11 +86,10 @@ class ProblemInstance:
     loss_kind: str
     domain_radius: float
     smoothness: float = field(init=False)
-    # Per-example constants of the stochastic step loops (core.run_epoch,
-    # baselines.run_sgd), built once with beta: the labels and the squared
-    # row norms ||x_i||^2, as lists of floats, which index faster.
-    _labels: list[float] = field(init=False, repr=False, compare=False)
-    _row_sq: list[float] = field(init=False, repr=False, compare=False)
+    # The squared row norms ||x_i||^2, computed once with beta; the
+    # stochastic step loops (core.run_epoch, baselines.run_sgd) gather a
+    # block's entries with the block's indices, as they gather its rows.
+    _row_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -114,8 +113,7 @@ class ProblemInstance:
         _check_scale(self.dataset.labels, row_sq, self.loss_kind,
                      self.domain_radius)
         object.__setattr__(self, "smoothness", max(beta, SMOOTHNESS_FLOOR))
-        object.__setattr__(self, "_labels", self.dataset.labels.tolist())
-        object.__setattr__(self, "_row_sq", row_sq.tolist())
+        object.__setattr__(self, "_row_sq", row_sq)
 
     @property
     def n(self) -> int:

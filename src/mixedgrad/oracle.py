@@ -36,15 +36,17 @@ class SeededSampler:
         self.seed = int(seed)
         self._rng = np.random.Generator(np.random.Philox(self.seed))
 
-    def draw_block(self, n: int, k: int) -> list[int]:
-        """k indices in one call; the same sequence as k one-index calls."""
-        return self._rng.integers(n, size=k).tolist()
+    def draw_block(self, n: int, k: int) -> np.ndarray:
+        """k indices in one call, as the Generator's int64 array, which
+        gathers rows and labels directly; the same sequence as k one-index
+        calls."""
+        return self._rng.integers(n, size=k)
 
 
 def sample_losses(sampler: SeededSampler, counters: OracleCounters, n: int,
-                  k: int) -> list[int]:
-    """k stochastic-oracle calls: k uniform indices into {0, ..., n-1},
-    drawn in one block and counted at once.
+                  k: int) -> np.ndarray:
+    """k stochastic-oracle calls: an array of k uniform indices into
+    {0, ..., n-1}, drawn in one block and counted at once.
 
     Each index grants access to that example's loss value and gradient.
     """
@@ -56,7 +58,7 @@ def sample_losses(sampler: SeededSampler, counters: OracleCounters, n: int,
 
 def sample_loss(sampler: SeededSampler, counters: OracleCounters, n: int) -> int:
     """One stochastic-oracle call: a uniform index into {0, ..., n-1}."""
-    return sample_losses(sampler, counters, n, 1)[0]
+    return int(sample_losses(sampler, counters, n, 1)[0])
 
 
 def full_grad(instance: ProblemInstance, w: np.ndarray,

@@ -6,7 +6,16 @@ import numpy as np
 
 from mixedgrad.core import _certified_minimum
 from mixedgrad.geometry import EpochDomain, _project_two_balls
-from mixedgrad.losses import ProblemInstance, mean_gradient, mean_smoothness
+from mixedgrad.losses import (LEAST_SQUARES, ProblemInstance, mean_gradient,
+                              mean_smoothness)
+
+
+def mean_curvature(inst):
+    """The smoothness of G written plainly, for n >= d:
+    c * lambda_max(X^T X) / n, with c = 2 (least squares) or 1/4."""
+    X = inst.dataset.features
+    c = 2.0 if inst.loss_kind == LEAST_SQUARES else 0.25
+    return c * float(np.linalg.eigvalsh(X.T @ X)[-1]) / inst.n
 
 
 def epoch_subproblem_optimum(instance: ProblemInstance, anchor: np.ndarray,

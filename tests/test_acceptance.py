@@ -129,10 +129,10 @@ class TestCriterion3VarianceReduction:
         # bitwise: a one-step epoch on example i has a zero correction and
         # steps to -eta * g. The sampler stub draws example i every time.
         eta = 0.01 / beta
-        state = EpochState(1, anchor, 1.0, lam, eta, 1, g)
+        state = EpochState(1, anchor, 1.0, lam, eta, 1)
         for i in range(inst.n):
             sampler = SimpleNamespace(draw_block=lambda n, k, i=i: [i] * k)
-            mean, max_step_sq, _ = run_epoch(inst, state, sampler,
+            mean, max_step_sq, _ = run_epoch(inst, state, g, sampler,
                                              OracleCounters())
             assert max_step_sq == 0.0
             assert np.array_equal(2 * mean, -(eta * g))

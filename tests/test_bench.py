@@ -17,6 +17,8 @@ from mixedgrad.oracle import OracleCounters
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               ProblemInstance, full_objective, mean_gradient)
 
+from helpers import mean_curvature
+
 
 class TestGenSynthetic:
     def test_deterministic_per_seed(self):
@@ -83,19 +85,21 @@ def test_blocked_normalization_is_bit_identical(seed, n, d, loss_kind):
     assert inst.dataset.features.tobytes() == X.tobytes()
     assert inst.dataset.labels.tobytes() == y.tobytes()
     row_sq = np.sum(X ** 2, axis=1)
-    assert inst._row_sq == row_sq.tolist()
+    assert inst._row_sq.tobytes() == row_sq.tobytes()
     curvature = 2.0 if loss_kind == LEAST_SQUARES else 0.25
     assert inst.smoothness == curvature * float(np.max(row_sq))
 
 
 def traced_peak(build):
-    """build() and the peak of tracemalloc's traced memory (numpy's buffers
-    included) above its level when build started, in bytes."""
+    """build(), and the peak of tracemalloc's traced memory (numpy's buffers
+    included) and the memory still traced once build has returned, both
+    above the level when build started, in bytes."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         result = build()
-        return result, tracemalloc.get_traced_memory()[1] - start
+        kept, peak = tracemalloc.get_traced_memory()
+        return result, peak - start, kept - start
     finally:
         tracemalloc.stop()
 
@@ -108,17 +112,20 @@ class TestSetUpMemory:
     X_BYTES = N * D * 8
 
     def test_gen_synthetic_peak(self):
-        inst, peak = traced_peak(lambda: gen_synthetic(
+        inst, peak, _ = traced_peak(lambda: gen_synthetic(
             0, self.N, self.D, 0.5, LEAST_SQUARES, 1.0))
         assert inst.dataset.features.nbytes == self.X_BYTES
         assert peak <= 1.5 * self.X_BYTES
 
     def test_problem_instance_peak(self):
+        # Once built, an instance keeps one float64 array of n entries
+        # besides its dataset: ||x_i||^2, 8 N bytes.
         dataset = gen_synthetic(0, self.N, self.D, 0.5, LEAST_SQUARES,
                                 1.0).dataset
-        _, peak = traced_peak(
+        _, peak, kept = traced_peak(
             lambda: ProblemInstance(dataset, LEAST_SQUARES, 1.0))
         assert peak <= 0.5 * self.X_BYTES
+        assert kept <= 16 * self.N
 
 
 class TestReferenceOptimum:
@@ -168,14 +175,6 @@ def residual(inst, w):
     eta = 1.0 / inst.smoothness
     return float(np.linalg.norm(
         w - project_ball(w - eta * mean_gradient(inst, w), R)))
-
-
-def mean_curvature(inst):
-    """The smoothness of G written plainly, for n >= d:
-    c * lambda_max(X^T X) / n, with c = 2 (least squares) or 1/4."""
-    X = inst.dataset.features
-    c = 2.0 if inst.loss_kind == LEAST_SQUARES else 0.25
-    return c * float(np.linalg.eigvalsh(X.T @ X)[-1]) / inst.n
 
 
 def reference_solve(inst, tolerance, max_iterations=10 ** 6):
@@ -298,10 +297,20 @@ class TestFitSlope:
         assert fit.n_points == 4
 
     def test_rejects_nonpositive_errors(self):
-        recs = power_law_records(1.0, -1.0, [1, 2, 4, 8])
-        recs[2]["error"] = -1e-3
-        with pytest.raises(ValueError):
-            fit_slope(recs, "x", "error")
+        # And the other points no log-log fit can take: an error of +inf,
+        # and a usable point whose x is not positive or not finite (at an
+        # end, so the x values still increase).
+        for k, name, value, message in [
+                (2, "error", -1e-3, "nonpositive error values"),
+                (2, "error", math.inf, "infinite error values"),
+                (0, "x", 0.0, "x values must be positive and finite"),
+                (0, "x", -1.0, "x values must be positive and finite"),
+                (0, "x", math.nan, "x values must be positive and finite"),
+                (3, "x", math.inf, "x values must be positive and finite")]:
+            recs = power_law_records(1.0, -1.0, [1, 2, 4, 8])
+            recs[k][name] = value
+            with pytest.raises(ValueError, match=message):
+                fit_slope(recs, "x", "error")
 
     def test_rejects_missing_field(self):
         recs = power_law_records(100.0, -1.0, [10, 20, 40, 80])

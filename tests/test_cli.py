@@ -446,6 +446,29 @@ def test_bad_fit_flags_are_an_argparse_error(flags, message, tmp_path,
     assert f"bench fit: error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row.rsplit(",", 1)[0], "data row 2 has 8 fields, expected 9"),
+    (lambda row: row + ",extra", "data row 2 has 10 fields, expected 9"),
+    (lambda row: row.replace(",0,", ",zero,", 1),
+     "data row 2: invalid literal for int() with base 10: 'zero'"),
+], ids=["short", "long", "non-integer"])
+def test_fit_on_a_malformed_trace_row_is_an_argparse_error(edit, message,
+                                                           tmp_path, capsys):
+    # Data row 2 loses its status field, gains a tenth field, or has a
+    # seed that is not an integer.
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, "gd", 0, [TraceRecord(1, t, 10 * t, 1, 1.0, 1.0 / t)
+                                    for t in range(1, 9)])
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--trace", str(path)])
+    assert exc.value.code == 2
+    assert (f"bench fit: error: trace CSV {path}: {message}"
+            in capsys.readouterr().err)
+
+
 def test_fit_on_a_csv_without_the_trace_header_is_an_argparse_error(
         tmp_path, capsys):
     data = tmp_path / "data.csv"

@@ -22,7 +22,7 @@ from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               mean_gradient)
 from mixedgrad.oracle import OracleCounters, SeededSampler, sample_loss
 
-from helpers import epoch_subproblem_optimum
+from helpers import epoch_subproblem_optimum, mean_curvature
 
 
 def make_instance(X, y, radius=1.0):
@@ -75,7 +75,7 @@ class TestVrGradient:
 
     def test_bitwise_anchor_determinism(self):
         # At w = 0 the correction is exactly 0, so a one-step epoch on
-        # example i steps to -eta * anchor_grad bit for bit, whatever i,
+        # example i steps to -eta * g_k bit for bit, whatever i,
         # the loss, the dimension and the anchor are.
         rng = np.random.default_rng(5)
         for kind in (LEAST_SQUARES, LOGISTIC):
@@ -88,12 +88,12 @@ class TestVrGradient:
                 for scale in (0.1, 1.0, 3.0):
                     anchor = scale * rng.standard_normal(d)
                     g_k = anchor_gradient(inst, anchor, 0.7, OracleCounters())
-                    state = EpochState(1, anchor, 100.0, 0.7, eta, 1, g_k)
+                    state = EpochState(1, anchor, 100.0, 0.7, eta, 1)
                     for i in range(inst.n):
                         # A sampler stub whose every draw is example i.
                         sampler = SimpleNamespace(
                             draw_block=lambda n, k, i=i: [i] * k)
-                        mean, max_sq, _ = run_epoch(inst, state, sampler,
+                        mean, max_sq, _ = run_epoch(inst, state, g_k, sampler,
                                                     OracleCounters())
                         assert max_sq == 0.0
                         assert np.array_equal(2 * mean, -(eta * g_k))
@@ -124,12 +124,12 @@ class TestVrGradient:
                                                             monkeypatch):
         # run_epoch's own correction c x_i against the loss_grad
         # difference. A two-step epoch on one example with eta = 1,
-        # lam = 0 and anchor_grad = -w steps to w exactly (the correction
-        # is 0 at w = 0), and its second step takes the correction at w.
-        # Both steps are one block: D0, the anchor's derivative, is
-        # recorded from the block's array form (_loss_derivatives), D1 from
-        # the step's scalar form, which the array form matches bit for bit
-        # (step 1's margin is exactly a.x).
+        # lam = 0 and anchor gradient g_k = -w steps to w exactly (the
+        # correction is 0 at w = 0), and its second step takes the
+        # correction at w. Both steps are one block: D0, the anchor's
+        # derivative, is recorded from the block's array form
+        # (_loss_derivatives), D1 from the step's scalar form, which the
+        # array form matches bit for bit (step 1's margin is exactly a.x).
         #
         # The second step's margin is alpha (z0.x + kb.G_1) + beta g_k.x +
         # gamma a.x with alpha = 1, beta = -1, gamma = 0, z0 = 0 and kb = 0
@@ -170,10 +170,10 @@ class TestVrGradient:
         for scale in (1e-8, 1e-3, 1.0):
             anchor = rng.standard_normal(d)
             w = scale * rng.standard_normal(d)
-            state = EpochState(1, anchor, 50.0, 0.0, 1.0, 2, -w)
+            state = EpochState(1, anchor, 50.0, 0.0, 1.0, 2)
             for i in range(inst.n):
                 sampler = SimpleNamespace(draw_block=lambda n, k, i=i: [i] * k)
-                run_epoch(inst, state, sampler, OracleCounters())
+                run_epoch(inst, state, -w, sampler, OracleCounters())
                 # One block of two steps: one array of the two steps'
                 # anchor derivatives, then one derivative per step.
                 block = anchor_derivatives[-1]
@@ -212,8 +212,8 @@ class TestInnerStep:
         inst = random_instance()
         anchor = np.array([0.2, -0.1, 0.05, 0.3])
         g_k = anchor_gradient(inst, anchor, 1.0, OracleCounters())
-        state = EpochState(1, anchor, 1.0, 1.0, 0.0, 100, g_k)
-        mean, max_sq, _ = run_epoch(inst, state, SeededSampler(0),
+        state = EpochState(1, anchor, 1.0, 1.0, 0.0, 100)
+        mean, max_sq, _ = run_epoch(inst, state, g_k, SeededSampler(0),
                                     OracleCounters())
         np.testing.assert_array_equal(mean, np.zeros(4))
         assert max_sq == 0.0
@@ -221,29 +221,29 @@ class TestInnerStep:
     def test_nonfinite_gradient_raises(self):
         inst = random_instance()
         g_k = np.array([np.nan, 0.0, 0.0, 0.0])
-        state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 50, g_k)
+        state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 50)
         c = OracleCounters()
         with pytest.raises(DivergenceError, match="epoch 1, step 1$"):
-            run_epoch(inst, state, SeededSampler(0), c)
+            run_epoch(inst, state, g_k, SeededSampler(0), c)
         assert c.stochastic_calls == 1
 
 
 class TestRunEpoch:
     def test_zero_inner_iters_averages_initial_zero(self):
         inst = random_instance()
-        state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 0,
-                           anchor_gradient(inst, np.zeros(4), 1.0,
-                                           OracleCounters()))
-        w_tilde, _, _ = run_epoch(inst, state, SeededSampler(0), OracleCounters())
+        g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
+        state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 0)
+        w_tilde, _, _ = run_epoch(inst, state, g_k, SeededSampler(0),
+                                  OracleCounters())
         np.testing.assert_array_equal(w_tilde, np.zeros(4))
 
     def test_huge_lambda_pins_average_near_zero(self):
         inst = random_instance()
         c = OracleCounters()
         lam = 1e6
-        state = EpochState(1, np.zeros(4), 1.0, lam, 1e-7, 200,
-                           np.zeros(4))
-        w_tilde, _, _ = run_epoch(inst, state, SeededSampler(1), c)
+        state = EpochState(1, np.zeros(4), 1.0, lam, 1e-7, 200)
+        w_tilde, _, _ = run_epoch(inst, state, np.zeros(4), SeededSampler(1),
+                                  c)
         assert np.linalg.norm(w_tilde) <= 1e-3
 
     def test_deterministic_quadratic_reaches_subproblem_optimum(self):
@@ -254,8 +254,8 @@ class TestRunEpoch:
         lam, eta, T, delta = 1.0, 0.1, 2000, 0.5
         c = OracleCounters()
         g_k = anchor_gradient(inst, np.zeros(1), lam, c)
-        state = EpochState(1, np.zeros(1), delta, lam, eta, T, g_k)
-        w_tilde, _, _ = run_epoch(inst, state, SeededSampler(0), c)
+        state = EpochState(1, np.zeros(1), delta, lam, eta, T)
+        w_tilde, _, _ = run_epoch(inst, state, g_k, SeededSampler(0), c)
         w_opt = min(2 * a / (lam + 2), delta)  # closed form, clamped
         assert abs(w_tilde[0] - w_opt) <= 10 * eta
         assert np.linalg.norm(w_tilde) <= delta + 1e-12
@@ -264,9 +264,9 @@ class TestRunEpoch:
         inst = random_instance()
         c = OracleCounters()
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, c)
-        state = EpochState(1, np.zeros(4), 1.0, 1.0, math.inf, 50, g_k)
+        state = EpochState(1, np.zeros(4), 1.0, 1.0, math.inf, 50)
         with pytest.raises(DivergenceError, match="epoch 1, step 1$"):
-            run_epoch(inst, state, SeededSampler(0), c)
+            run_epoch(inst, state, g_k, SeededSampler(0), c)
         assert c.stochastic_calls == 1
 
 
@@ -280,7 +280,7 @@ class TestRunEpoch:
         c = OracleCounters()
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, c)
         g_k[1] = entry
-        state = EpochState(1, np.zeros(4), delta, 1.0, 0.1, 50, g_k)
+        state = EpochState(1, np.zeros(4), delta, 1.0, 0.1, 50)
         assert EpochDomain(np.zeros(4), 1.0, delta).outer_inactive \
             == (delta < 1.0)
         trace = []
@@ -289,18 +289,18 @@ class TestRunEpoch:
             with pytest.raises(DivergenceError,
                                match="^non-finite iterate at epoch 1, "
                                      "step 1$") as exc:
-                run_epoch(inst, state, SeededSampler(0), c, trace)
+                run_epoch(inst, state, g_k, SeededSampler(0), c, trace)
         assert exc.value.counters is c and c == OracleCounters(1, 1)
         assert exc.value.trace is trace
 
     def test_step_whose_square_overflows_raises_no_warning(self):
         inst = random_instance()
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
-        state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30, g_k)
+        state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mean, _, projections = run_epoch(inst, state, SeededSampler(0),
-                                             OracleCounters())
+            mean, _, projections = run_epoch(
+                inst, state, g_k, SeededSampler(0), OracleCounters())
         assert projections == ProjectionCounts(30, 0, 0)
         assert np.linalg.norm(mean) > 0.1
 
@@ -312,12 +312,12 @@ class TestRunEpoch:
         # with the reference's operations, and the means agree bit for bit.
         inst = random_instance()
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
-        state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30, g_k)
+        state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30)
         with np.errstate(over="ignore"):
-            mean, _, projections = run_epoch(inst, state, SeededSampler(0),
-                                             OracleCounters())
+            mean, _, projections = run_epoch(
+                inst, state, g_k, SeededSampler(0), OracleCounters())
             ref_mean, _, ref_projections = reference_epoch(
-                inst, state, SeededSampler(0), OracleCounters())
+                inst, state, g_k, SeededSampler(0), OracleCounters())
         assert projections == ref_projections == ProjectionCounts(30, 0, 0)
         np.testing.assert_array_equal(mean, ref_mean)
         assert np.linalg.norm(mean) > 0.1
@@ -331,11 +331,10 @@ class TestRunEpoch:
         anchor = np.full(50, 0.01)
         lam = 0.05 * inst.smoothness
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
-        state = EpochState(1, anchor, 1.0, lam, 0.5 / inst.smoothness, 500,
-                           g_k)
+        state = EpochState(1, anchor, 1.0, lam, 0.5 / inst.smoothness, 500)
         tracemalloc.start()
         try:
-            run_epoch(inst, state, SeededSampler(0), OracleCounters())
+            run_epoch(inst, state, g_k, SeededSampler(0), OracleCounters())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -349,11 +348,10 @@ class TestRunEpoch:
         anchor = np.full(50, 0.01)
         lam = 0.05 * inst.smoothness
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
-        state = EpochState(1, anchor, 1.0, lam, 0.5 / inst.smoothness, 32,
-                           g_k)
+        state = EpochState(1, anchor, 1.0, lam, 0.5 / inst.smoothness, 32)
         tracemalloc.start()
         try:
-            run_epoch(inst, state, SeededSampler(0), OracleCounters())
+            run_epoch(inst, state, g_k, SeededSampler(0), OracleCounters())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -375,10 +373,10 @@ def projection_branch(v, domain):
     return BOTH
 
 
-def reference_epoch(inst, state, sampler, counters):
+def reference_epoch(inst, state, g_k, sampler, counters):
     """The epoch written plainly: per step one sample_loss call, the
     correction scalar c from two loss derivatives (the margin w.x_i +
-    anchor.x_i), the fused step w (1 - eta lam) - eta anchor_grad -
+    anchor.x_i), the fused step w (1 - eta lam) - eta g_k -
     (eta c) x_i and a project_epoch_domain call; the average is the
     iterates' sum over their count. Returns what run_epoch returns, with
     the largest ||c x_i + lam w||^2 taken from the vector, plus the
@@ -398,7 +396,7 @@ def reference_epoch(inst, state, sampler, counters):
              - _loss_derivative(y[i], a_margin, kind))
         step = c * x + lam * w
         max_step_sq = max(max_step_sq, float(step @ step))
-        v = w * (1.0 - eta * lam) - eta * state.anchor_grad - (eta * c) * x
+        v = w * (1.0 - eta * lam) - eta * g_k - (eta * c) * x
         branch = projection_branch(v, domain)
         if branch is not None:
             tally[branch] += 1
@@ -408,17 +406,17 @@ def reference_epoch(inst, state, sampler, counters):
             ProjectionCounts(*tally))
 
 
-def epoch_rounding_bound(inst, state, stride=100):
+def epoch_rounding_bound(inst, state, g_k, stride=100):
     """A bound on |run_epoch's mean - reference_epoch's mean|, entrywise.
 
     Both compute the same exact epoch; each step's map
     w -> P(w - eta (lam w + grad g_i(w + anchor) - grad g_i(anchor)) -
-    eta anchor_grad) is nonexpansive when eta (lam + beta) <= 2 (a gradient
+    eta g_k) is nonexpansive when eta (lam + beta) <= 2 (a gradient
     step on a convex (lam + beta)-smooth function, then a projection), so
     the local rounding errors of the steps add up, and the mean's error is
     at most T times one step's, e = 64 u stride M (1 + M / min(Delta, R)):
-    - M = max(Delta, ||anchor||, eta ||anchor_grad||, eta L Delta max||x_i||^2)
-      bounds every vector term of a step (w, anchor, eta anchor_grad,
+    - M = max(Delta, ||anchor||, eta ||g_k||, eta L Delta max||x_i||^2)
+      bounds every vector term of a step (w, anchor, eta g_k,
       eta c x_i, with |c| <= L |w.x_i| and L the loss derivative's
       Lipschitz constant, 2 or 1/4);
     - between two folds (at most stride steps) the coefficients of the
@@ -438,13 +436,12 @@ def epoch_rounding_bound(inst, state, stride=100):
     L = 2.0 if inst.loss_kind == LEAST_SQUARES else 0.25
     delta, eta = state.delta, state.eta
     M = max(delta, np.linalg.norm(state.anchor),
-            eta * np.linalg.norm(state.anchor_grad),
-            eta * L * delta * max(inst._row_sq))
+            eta * np.linalg.norm(g_k), eta * L * delta * inst._row_sq.max())
     step = 64 * u * stride * M * (1 + M / min(delta, inst.domain_radius))
     return state.inner_iters * step
 
 
-def assert_matches_reference(inst, state):
+def assert_matches_reference(inst, state, g_k):
     """run_epoch, at each checkpoint_stride of 1 (one-step blocks), 7
     (blocks that do not divide the epoch) and 100 (the default), and
     reference_epoch agree: the mean within epoch_rounding_bound for that
@@ -454,15 +451,15 @@ def assert_matches_reference(inst, state):
     assert state.eta * (state.lam + inst.smoothness) <= 2
     s_ref, c_ref = SeededSampler(3), OracleCounters()
     ref_mean, ref_max_sq, ref_projections = reference_epoch(
-        inst, state, s_ref, c_ref)
+        inst, state, g_k, s_ref, c_ref)
     ref_next = s_ref.draw_block(inst.n, 1)[0]
     for stride in (1, 7, 100):
         s_run, c_run = SeededSampler(3), OracleCounters()
-        mean, max_sq, projections = run_epoch(inst, state, s_run, c_run,
+        mean, max_sq, projections = run_epoch(inst, state, g_k, s_run, c_run,
                                               checkpoint_stride=stride)
         np.testing.assert_allclose(
             mean, ref_mean, rtol=0,
-            atol=epoch_rounding_bound(inst, state, stride))
+            atol=epoch_rounding_bound(inst, state, g_k, stride))
         assert max_sq == pytest.approx(ref_max_sq, rel=1e-12, abs=0.0)
         assert c_run == c_ref
         assert s_run.draw_block(inst.n, 1)[0] == ref_next
@@ -487,9 +484,8 @@ class TestRunEpochMatchesReference:
         anchor = np.array(anchor)
         lam = 0.1 * inst.smoothness
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
-        state = EpochState(1, anchor, delta, lam, 0.5 / inst.smoothness,
-                           4136, g_k)
-        projections = assert_matches_reference(inst, state)
+        state = EpochState(1, anchor, delta, lam, 0.5 / inst.smoothness, 4136)
+        projections = assert_matches_reference(inst, state, g_k)
         if radius < 1.0:
             assert min(projections.inner, projections.outer,
                        projections.both) > 0
@@ -511,9 +507,8 @@ class TestRunEpochMatchesReference:
         anchor *= 0.8 * min(radius, 1.0) / np.linalg.norm(anchor)
         lam = 0.1 * inst.smoothness
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
-        state = EpochState(1, anchor, delta, lam, 0.5 / inst.smoothness,
-                           4136, g_k)
-        projections = assert_matches_reference(inst, state)
+        state = EpochState(1, anchor, delta, lam, 0.5 / inst.smoothness, 4136)
+        projections = assert_matches_reference(inst, state, g_k)
         if radius < 1.0:
             assert projections.total > 0
         else:
@@ -535,9 +530,8 @@ class TestRunEpochMatchesReference:
         assert EpochDomain(anchor, 1.0, 0.3).outer_inactive
         lam = 0.1 * inst.smoothness
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
-        state = EpochState(1, anchor, 0.3, lam, 0.5 / inst.smoothness,
-                           4136, g_k)
-        projections = assert_matches_reference(inst, state)
+        state = EpochState(1, anchor, 0.3, lam, 0.5 / inst.smoothness, 4136)
+        projections = assert_matches_reference(inst, state, g_k)
         assert projections.inner >= 1_000
         assert projections.outer == projections.both == 0
         assert projections.total < state.inner_iters
@@ -552,22 +546,22 @@ class TestRunEpochMatchesReference:
         anchor = np.array([0.1, 0.2])
         lam, eta, delta, T = 0.3, 0.5 / inst.smoothness, 0.5, 50
         g_k = anchor_gradient(inst, anchor, lam, OracleCounters())
-        state = EpochState(1, anchor, delta, lam, eta, T, g_k)
-        assert_matches_reference(inst, state)
+        state = EpochState(1, anchor, delta, lam, eta, T)
+        assert_matches_reference(inst, state, g_k)
         domain = EpochDomain(anchor, inst.domain_radius, delta)
         w, gd_mean = np.zeros(2), np.zeros(2)
         for t in range(1, T + 1):
             grad = lam * (w + anchor) + loss_grad(inst, 0, w + anchor)
             w = project_epoch_domain(w - eta * grad, domain)
             gd_mean += (w - gd_mean) / (t + 1)
-        mean, _, _ = run_epoch(inst, state, SeededSampler(0),
+        mean, _, _ = run_epoch(inst, state, g_k, SeededSampler(0),
                                OracleCounters())
         np.testing.assert_allclose(mean, gd_mean, atol=1e-12)
 
 
 class TestShrinkSchedule:
     def test_geometric_sequences(self):
-        state = EpochState(1, np.zeros(2), 1.0, 8.0, 0.4, 10, np.zeros(2))
+        state = EpochState(1, np.zeros(2), 1.0, 8.0, 0.4, 10)
         s2 = shrink_schedule(state, np.zeros(2), 10)
         s3 = shrink_schedule(s2, np.zeros(2), 10)
         assert (s2.delta, s3.delta) == (0.5, 0.25)
@@ -579,7 +573,7 @@ class TestShrinkSchedule:
     @pytest.mark.parametrize("t1, epochs, budget", [
         (32, 7, 174_752), (32, 4, 2_720), (32, 6, 43_680)])
     def test_gamma_two_budgets_exact(self, t1, epochs, budget):
-        state = EpochState(1, np.zeros(1), 1.0, 1.0, 0.1, t1, np.zeros(1))
+        state = EpochState(1, np.zeros(1), 1.0, 1.0, 0.1, t1)
         total = state.inner_iters
         for _ in range(epochs - 1):
             state = shrink_schedule(state, np.zeros(1), t1)
@@ -590,14 +584,13 @@ class TestShrinkSchedule:
     def test_late_epoch_budget_is_exact(self, k, t1):
         # Integer arithmetic: no float overflow at k = 600 and no int64
         # wrap-around for a numpy t1 (32 * 4^31 = 2^67).
-        state = EpochState(k, np.zeros(1), 1.0, 1.0, 0.1, 1, np.zeros(1))
+        state = EpochState(k, np.zeros(1), 1.0, 1.0, 0.1, 1)
         s = shrink_schedule(state, np.zeros(1), t1)
         assert s.inner_iters == int(t1) * 4 ** k
         assert type(s.inner_iters) is int
 
     def test_anchor_shift(self):
-        state = EpochState(1, np.array([0.1, 0.2]), 1.0, 1.0, 0.1, 10,
-                           np.zeros(2))
+        state = EpochState(1, np.array([0.1, 0.2]), 1.0, 1.0, 0.1, 10)
         s2 = shrink_schedule(state, np.array([0.0, 0.0]), 10)
         np.testing.assert_array_equal(s2.anchor, state.anchor)
         s2 = shrink_schedule(state, np.array([0.05, -0.1]), 10)
@@ -722,7 +715,7 @@ class TestRun:
             at.append(drawn[0])
             if carried[0] is not None:
                 S = (delta + np.linalg.norm(anchor) + eta * np.linalg.norm(g_k)
-                     + eta * L * delta * max(inst._row_sq))
+                     + eta * L * delta * inst._row_sq.max())
                 gaps.append((abs(carried[0] - out[0]),
                              16 * u * min(stride, block) * S * S))
             carried[0] = None
@@ -909,14 +902,6 @@ class TestEpochSubproblem:
             w_star, bound_star = epoch_subproblem_optimum(*args)
             assert bound_star < 1e-8
             assert np.linalg.norm(w - w_star) <= bound + bound_star
-
-
-def mean_curvature(inst):
-    """The smoothness of G written plainly, for n >= d:
-    c * lambda_max(X^T X) / n, with c = 2 (least squares) or 1/4."""
-    X = inst.dataset.features
-    c = 2.0 if inst.loss_kind == LEAST_SQUARES else 0.25
-    return c * float(np.linalg.eigvalsh(X.T @ X)[-1]) / inst.n
 
 
 def reference_subproblem(inst, anchor, lam, inner_radius, tol=1e-12,

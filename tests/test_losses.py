@@ -300,13 +300,13 @@ class TestValidation:
             make_instance([[1.0]], [1.0], LEAST_SQUARES, radius=radius)
 
     def test_per_example_step_constants(self):
-        # The step loops' labels and ||x_i||^2, built once per instance and
-        # kept out of its repr.
-        ds = Dataset(np.array([[3.0, 4.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
-        inst = ProblemInstance(ds, LOGISTIC, 1.0)
-        assert inst._labels == [1.0, -1.0]
-        assert inst._row_sq == [25.0, 1.0]
-        assert "_labels" not in repr(inst) and "_row_sq" not in repr(inst)
+        # The step loops' ||x_i||^2: _row_norms_sq's array, bit for bit,
+        # computed once per instance and kept out of its repr.
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((7, 3))
+        inst = ProblemInstance(Dataset(X, X[:, 0]), LEAST_SQUARES, 1.0)
+        assert inst._row_sq.tobytes() == _row_norms_sq(X).tobytes()
+        assert "_row_sq" not in repr(inst)
 
     def test_smoothness_must_match_dataset(self):
         # beta is derived from the dataset; it cannot be passed in.
