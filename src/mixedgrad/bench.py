@@ -7,7 +7,6 @@ have a machine-precision optimum and slope measurements stay clean.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -24,8 +23,8 @@ from .geometry import _project_ball
 # mixedgrad.bench.project_ball by name.
 from .geometry import project_ball  # noqa: F401
 from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
-                     _check_radius, _row_norms_sq, full_objective,
-                     mean_gradient, mean_smoothness)
+                     _check_radius, _read_csv, _row_norms_sq, _write_csv,
+                     full_objective, mean_gradient, mean_smoothness)
 
 TRACE_COLUMNS = ["solver", "seed", "epoch", "step", "stoch_calls",
                  "full_calls", "objective", "error", "status"]
@@ -58,8 +57,9 @@ def gen_synthetic(seed: int, n: int, d: int, noise_sd: float,
     _check_seeds([seed])
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be nonnegative and finite, got "
+                         f"{noise_sd!r}")
     _check_radius(radius)
     rng = np.random.Generator(np.random.Philox(seed))
     X = rng.standard_normal((n, d))
@@ -219,38 +219,20 @@ class ExperimentSpec:
 def write_trace_csv(path, solver: str, seed: int,
                     trace: list[TraceRecord]) -> None:
     """One row per trace record, each with its own status."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace:
-            writer.writerow([solver, seed, rec.epoch, rec.step,
-                             rec.stoch_calls, rec.full_calls,
-                             repr(float(rec.objective)), repr(float(rec.error)),
-                             rec.status])
+    _write_csv(path, TRACE_COLUMNS,
+               ([solver, seed, rec.epoch, rec.step, rec.stoch_calls,
+                 rec.full_calls, repr(float(rec.objective)),
+                 repr(float(rec.error)), rec.status] for rec in trace))
 
 
 def read_trace_csv(path) -> list[dict]:
-    """Parse a trace CSV back into typed row dicts (round-trips emit).
-    A file without the trace header, or a row of the wrong length or with
-    a field of the wrong type, raises ValueError naming the row."""
-    records = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        if next(reader, None) != TRACE_COLUMNS:
-            raise ValueError(f"{path} is not a trace CSV: its header must "
-                             f"be {','.join(TRACE_COLUMNS)}")
-        for k, row in enumerate(filter(None, reader), 1):  # no blank rows
-            if len(row) != len(TRACE_COLUMNS):
-                raise ValueError(f"trace CSV {path}: data row {k} has "
-                                 f"{len(row)} fields, expected "
-                                 f"{len(TRACE_COLUMNS)}")
-            try:
-                records.append({name: kind(value) for name, kind, value
-                                in zip(TRACE_COLUMNS, _TRACE_TYPES, row)})
-            except ValueError as exc:
-                raise ValueError(f"trace CSV {path}: data row {k}: "
-                                 f"{exc}") from None
-    return records
+    """Parse a trace CSV back into typed row dicts (round-trips
+    write_trace_csv). A file without the trace header, or a row of the
+    wrong length or with a field of the wrong type, raises ValueError
+    naming the file and the row."""
+    return [dict(zip(TRACE_COLUMNS, row)) for row in
+            _read_csv(path, "trace CSV", lambda h: h == TRACE_COLUMNS,
+                      ",".join(TRACE_COLUMNS), _TRACE_TYPES)]
 
 
 def _run_one(instance: ProblemInstance, config: SolverConfig, seed: int,
@@ -303,9 +285,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                                  counters.stochastic_calls,
                                  counters.full_calls, f"{wall_ms:.3f}"])
     summary_path = spec.out_dir / "summary.csv"
-    with open(summary_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(summary_rows)
+    _write_csv(summary_path, SUMMARY_COLUMNS, summary_rows)
     return {"traces": trace_paths, "summary": summary_path,
             "reference_point": w_star, "reference_value": g_star}

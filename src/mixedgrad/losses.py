@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -280,31 +281,65 @@ def mean_smoothness(instance: ProblemInstance) -> float:
     return min(max(L, SMOOTHNESS_FLOOR), instance.smoothness)
 
 
-def save_dataset_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as CSV with header y,x1,...,xd."""
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV file: the header row, then the rows."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(dataset.d)])
-        for i in range(dataset.n):
-            writer.writerow([repr(float(dataset.labels[i]))]
-                            + [repr(float(v)) for v in dataset.features[i]])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by save_dataset_csv (header y,x1,...,xd).
-    An empty file or a row of the wrong length raises ValueError."""
+def _read_csv(path, what: str, header_ok, header_text: str,
+              kinds) -> list[list]:
+    """Read a CSV file whose header header_ok accepts, converting each field
+    of a data row with the kinds entry at its position; blank rows are
+    skipped. An empty file, a refused header, a row of the wrong length or
+    a field its kind rejects raises ValueError naming the file (and the
+    data row, counted from 1), with what as the file's description."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"dataset CSV {path} is empty")
-        if not header or header[0] != "y":
-            raise ValueError("dataset CSV must start with header y,x1,...,xd")
-        rows = [row for row in reader if row]
-    for k, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise ValueError(f"dataset CSV {path}: data row {k} has "
-                             f"{len(row)} fields, expected {len(header)}")
-    labels = np.array([float(r[0]) for r in rows])
-    features = np.array([[float(v) for v in r[1:]] for r in rows])
-    return Dataset(features, labels)
+            raise ValueError(f"{what} {path} is empty")
+        if not header_ok(header):
+            raise ValueError(f"{path} is not a {what}: its header must be "
+                             f"{header_text}")
+        rows = []
+        for k, row in enumerate(filter(None, reader), 1):
+            if len(row) != len(header):
+                raise ValueError(f"{what} {path}: data row {k} has "
+                                 f"{len(row)} fields, expected {len(header)}")
+            try:
+                rows.append([kind(value) for kind, value in zip(kinds, row)])
+            except ValueError as exc:
+                raise ValueError(f"{what} {path}: data row {k}: "
+                                 f"{exc}") from None
+    return rows
+
+
+def _finite_float(text: str) -> float:
+    """float(text), refusing nan and +-inf: a dataset CSV's field kind."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"entry {text!r} is not finite")
+    return value
+
+
+def save_dataset_csv(dataset: Dataset, path) -> None:
+    """Write a dataset as CSV with header y,x1,...,xd."""
+    _write_csv(path, ["y"] + [f"x{j + 1}" for j in range(dataset.d)],
+               ([repr(float(y))] + [repr(float(v)) for v in x]
+                for y, x in zip(dataset.labels, dataset.features)))
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Read a dataset written by save_dataset_csv (header y,x1,...,xd).
+    An empty file, one without data rows, a row of the wrong length or an
+    entry that is not a finite number raises ValueError naming the file,
+    and the data row where there is one."""
+    rows = _read_csv(path, "dataset CSV", lambda h: h[:1] == ["y"],
+                     "y,x1,...,xd", repeat(_finite_float))
+    if not rows:
+        raise ValueError(f"dataset CSV {path} has no data rows")
+    return Dataset(np.array([r[1:] for r in rows]),
+                   np.array([r[0] for r in rows]))

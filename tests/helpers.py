@@ -1,4 +1,5 @@
-"""Oracles that only the tests use, built on the library's internals."""
+"""Oracles and instance builders that only the tests use, built on the
+library's internals."""
 
 from __future__ import annotations
 
@@ -6,8 +7,23 @@ import numpy as np
 
 from mixedgrad.core import _certified_minimum
 from mixedgrad.geometry import EpochDomain, _project_two_balls
-from mixedgrad.losses import (LEAST_SQUARES, ProblemInstance, mean_gradient,
-                              mean_smoothness)
+from mixedgrad.losses import (LEAST_SQUARES, Dataset, ProblemInstance,
+                              mean_gradient, mean_smoothness)
+
+
+def make_instance(X, y, radius=1.0):
+    """A least-squares instance on the given features and labels."""
+    return ProblemInstance(Dataset(np.asarray(X, float),
+                                   np.asarray(y, float)),
+                           LEAST_SQUARES, radius)
+
+
+def random_instance(n, d=4, seed=0, radius=1.0):
+    """make_instance on n unit-norm Gaussian rows with Gaussian labels."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return make_instance(X, rng.standard_normal(n), radius)
 
 
 def mean_curvature(inst):

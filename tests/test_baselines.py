@@ -12,29 +12,17 @@ from mixedgrad.baselines import (BaselineConfig, run_gd, run_nag, run_sgd)
 from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import DivergenceError
 from mixedgrad.geometry import project_ball
-from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
-                              ProblemInstance, _loss_derivative,
+from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, _loss_derivative,
                               full_objective, loss_grad)
 from mixedgrad.oracle import (OracleCounters, SeededSampler, full_grad,
                               sample_loss)
 
-
-def make_instance(X, y, radius=1.0):
-    return ProblemInstance(Dataset(np.asarray(X, float),
-                                   np.asarray(y, float)),
-                           LEAST_SQUARES, radius)
-
-
-def random_instance(n=15, d=4, seed=0, radius=1.0):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return make_instance(X, rng.standard_normal(n), radius)
+from helpers import make_instance, random_instance
 
 
 class TestSgd:
     def test_single_unrolled_step(self):
-        inst = random_instance(seed=4)
+        inst = random_instance(15, seed=4)
         seed = 77
         i1 = SeededSampler(seed).draw_block(inst.n, 1)[0]
         expected = project_ball(-loss_grad(inst, i1, np.zeros(4)),
@@ -59,12 +47,12 @@ class TestSgd:
         np.testing.assert_array_equal(point, np.zeros(3))
 
     def test_counter_discipline(self):
-        inst = random_instance()
+        inst = random_instance(15)
         c = run_sgd(inst, BaselineConfig("sgd", 25), 0).counters
         assert c.stochastic_calls == 25 and c.full_calls == 0
 
     def test_iterates_stay_in_ball(self):
-        inst = random_instance(radius=0.5)
+        inst = random_instance(15, radius=0.5)
         cfg = BaselineConfig("sgd", 100, step_scale=5.0, checkpoint_stride=1)
         point = run_sgd(inst, cfg, 3).point
         assert np.linalg.norm(point) <= 0.5 + 1e-9
@@ -344,7 +332,7 @@ class TestGd:
         np.testing.assert_array_equal(point, np.zeros(3))
 
     def test_objective_nonincreasing_and_more_steps_help(self):
-        inst = random_instance(seed=6)
+        inst = random_instance(15, seed=6)
         cfg = BaselineConfig("gd", 50, checkpoint_stride=1)
         trace = run_gd(inst, cfg).trace
         objs = [r.objective for r in trace]
@@ -352,14 +340,14 @@ class TestGd:
         assert objs[49] <= objs[24]
 
     def test_counter_discipline(self):
-        inst = random_instance()
+        inst = random_instance(15)
         c = run_gd(inst, BaselineConfig("gd", 30)).counters
         assert c.full_calls == 30 and c.stochastic_calls == 0
 
 
 class TestNag:
     def test_first_step_equals_gd(self):
-        inst = random_instance(seed=8)
+        inst = random_instance(15, seed=8)
         p_gd = run_gd(inst, BaselineConfig("gd", 1)).point
         p_nag = run_nag(inst, BaselineConfig("nag", 1)).point
         assert np.linalg.norm(p_gd) > 0
@@ -380,7 +368,7 @@ class TestNag:
         assert err_nag <= err_gd + 1e-18
 
     def test_counter_discipline(self):
-        inst = random_instance()
+        inst = random_instance(15)
         c = run_nag(inst, BaselineConfig("nag", 30)).counters
         assert c.full_calls == 30 and c.stochastic_calls == 0
 
@@ -477,6 +465,6 @@ class TestConfig:
             BaselineConfig("sgd", 100, step_scale=value)
 
     def test_method_mismatch_rejected(self):
-        inst = random_instance()
+        inst = random_instance(15)
         with pytest.raises(ValueError):
             run_gd(inst, BaselineConfig("sgd", 10))

@@ -282,6 +282,8 @@ def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
      "domain_radius must be positive and finite, got nan"),
     ("run", ["--radius", "inf"],
      "domain_radius must be positive and finite, got inf"),
+    ("run", ["--noise", "nan"],
+     "noise_sd must be nonnegative and finite, got nan"),
 ])
 def test_bad_instance_flags_are_an_argparse_error(command, flags, message,
                                                   tmp_path, capsys):
@@ -298,6 +300,13 @@ def test_bad_instance_flags_are_an_argparse_error(command, flags, message,
     ("", "is empty"),
     ("y,x1,x2\n1.0,0.5,0.25\n2.0,0.5\n", "data row 2 has 2 fields, expected 3"),
     ("y,x1\n1.0,0.5,0.25\n", "data row 1 has 3 fields, expected 2"),
+    ("y,x1,x2\n1.0,0.5,0.25\n2.0,abc,0.5\n",
+     "data row 2: could not convert string to float: 'abc'"),
+    ("y,x1,x2\n", "has no data rows"),
+    ("y,x1,x2\n1.0,0.5,0.25\n2.0,nan,0.5\n",
+     "data row 2: entry 'nan' is not finite"),
+    ("\ny,x1\n1.0,0.5\n", "is not a dataset CSV: its header must be "
+     "y,x1,...,xd"),
 ])
 def test_bad_csv_is_an_argparse_error(content, message, tmp_path, capsys):
     data = tmp_path / "data.csv"
@@ -308,7 +317,8 @@ def test_bad_csv_is_an_argparse_error(content, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--csv", str(data), "--out", str(tmp_path / "results")])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(data) in err
     assert not (tmp_path / "results").exists()
 
 

@@ -22,32 +22,20 @@ from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               mean_gradient)
 from mixedgrad.oracle import OracleCounters, SeededSampler, sample_loss
 
-from helpers import epoch_subproblem_optimum, mean_curvature
-
-
-def make_instance(X, y, radius=1.0):
-    return ProblemInstance(Dataset(np.asarray(X, float),
-                                   np.asarray(y, float)),
-                           LEAST_SQUARES, radius)
-
-
-def random_instance(n=12, d=4, seed=0, radius=1.0):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return make_instance(X, rng.standard_normal(n), radius)
+from helpers import (epoch_subproblem_optimum, make_instance,
+                     mean_curvature, random_instance)
 
 
 class TestAnchorGradient:
     def test_zero_anchor(self):
-        inst = random_instance()
+        inst = random_instance(12)
         c = OracleCounters()
         g = anchor_gradient(inst, np.zeros(4), 3.0, c)
         np.testing.assert_array_equal(g, mean_gradient(inst, np.zeros(4)))
         assert c.full_calls == 1
 
     def test_zero_lambda(self):
-        inst = random_instance()
+        inst = random_instance(12)
         w_bar = np.full(4, 0.1)
         g = anchor_gradient(inst, w_bar, 0.0, OracleCounters())
         np.testing.assert_array_equal(g, mean_gradient(inst, w_bar))
@@ -209,7 +197,7 @@ class TestVrGradient:
 
 class TestInnerStep:
     def test_zero_step_size(self):
-        inst = random_instance()
+        inst = random_instance(12)
         anchor = np.array([0.2, -0.1, 0.05, 0.3])
         g_k = anchor_gradient(inst, anchor, 1.0, OracleCounters())
         state = EpochState(1, anchor, 1.0, 1.0, 0.0, 100)
@@ -219,7 +207,7 @@ class TestInnerStep:
         assert max_sq == 0.0
 
     def test_nonfinite_gradient_raises(self):
-        inst = random_instance()
+        inst = random_instance(12)
         g_k = np.array([np.nan, 0.0, 0.0, 0.0])
         state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 50)
         c = OracleCounters()
@@ -230,7 +218,7 @@ class TestInnerStep:
 
 class TestRunEpoch:
     def test_zero_inner_iters_averages_initial_zero(self):
-        inst = random_instance()
+        inst = random_instance(12)
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
         state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 0)
         w_tilde, _, _ = run_epoch(inst, state, g_k, SeededSampler(0),
@@ -238,7 +226,7 @@ class TestRunEpoch:
         np.testing.assert_array_equal(w_tilde, np.zeros(4))
 
     def test_huge_lambda_pins_average_near_zero(self):
-        inst = random_instance()
+        inst = random_instance(12)
         c = OracleCounters()
         lam = 1e6
         state = EpochState(1, np.zeros(4), 1.0, lam, 1e-7, 200)
@@ -261,7 +249,7 @@ class TestRunEpoch:
         assert np.linalg.norm(w_tilde) <= delta + 1e-12
 
     def test_infinite_step_diverges_at_first_step(self):
-        inst = random_instance()
+        inst = random_instance(12)
         c = OracleCounters()
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, c)
         state = EpochState(1, np.zeros(4), 1.0, 1.0, math.inf, 50)
@@ -276,7 +264,7 @@ class TestRunEpoch:
         # The anchor gradient's entry puts -entry into v at the first step
         # (the correction is 0 at w = 0), on a contained epoch (Delta =
         # 0.25) and on one that is not (Delta = R).
-        inst = random_instance()
+        inst = random_instance(12)
         c = OracleCounters()
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, c)
         g_k[1] = entry
@@ -294,7 +282,7 @@ class TestRunEpoch:
         assert exc.value.trace is trace
 
     def test_step_whose_square_overflows_raises_no_warning(self):
-        inst = random_instance()
+        inst = random_instance(12)
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
         state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30)
         with warnings.catch_warnings():
@@ -310,7 +298,7 @@ class TestRunEpoch:
         # puts it, instead of at the origin. The shrink 1 - eta lam leaves
         # COEFFICIENT_RANGE, so every step is taken on the explicit point,
         # with the reference's operations, and the means agree bit for bit.
-        inst = random_instance()
+        inst = random_instance(12)
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
         state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30)
         with np.errstate(over="ignore"):
@@ -843,7 +831,7 @@ class TestEpochSubproblem:
         assert bound < 1e-10
 
     def test_raises_at_iteration_cap(self):
-        inst = random_instance(seed=3)
+        inst = random_instance(12, seed=3)
         args = (inst, np.zeros(inst.d), 0.1, 0.5)
         w, _ = epoch_subproblem_optimum(*args)
         assert w.shape == (inst.d,)
@@ -878,7 +866,7 @@ class TestEpochSubproblem:
         assert str(exc.value).endswith(f"was {r[9]:.3g}")
 
     def test_rejects_nonpositive_iteration_cap(self):
-        inst = random_instance(seed=3)
+        inst = random_instance(12, seed=3)
         with pytest.raises(ValueError, match="max_iterations"):
             epoch_subproblem_optimum(inst, np.zeros(inst.d), 0.1, 0.5,
                                      max_iterations=0)
