@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult,
                    TraceRecord, _check_counts, _check_positive, _checkpoint,
-                   _projected_gradient)
+                   _flush, _projected_gradient)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.project_ball by name.
@@ -106,6 +106,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     counters = OracleCounters()
     sampler = SeededSampler(seed)
     trace: list[TraceRecord] = []
+    pending = []               # checkpoints whose objectives are owed
     X, labels = instance.dataset.features, instance.dataset.labels
     x_sq = instance._row_sq
     kind = instance.loss_kind
@@ -146,6 +147,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
                     z = _project_ball(z * alpha + m * x, R)
                 except ValueError:
                     counters.stochastic_calls = t + l + 1
+                    _flush(trace, pending, instance, reference_value)
                     raise DivergenceError(
                         f"non-finite iterate at step {t + l + 1}", counters,
                         trace) from None
@@ -159,8 +161,9 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         alpha, w_sq = 1.0, float(z.dot(z))
         if t % stride == 0 or t == T:
             point = total / (t + 1.0)
-            _checkpoint(trace, instance, point, 0, t, counters,
+            _checkpoint(trace, pending, instance, point, 0, t, counters,
                         reference_value)
+    _flush(trace, pending, instance, reference_value)
     return SolverResult(point, trace, counters)  # as checkpointed at step T
 
 
@@ -177,6 +180,7 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
     eta = (config.step_scale or 1.0) / instance.smoothness
     counters = OracleCounters()
     trace: list[TraceRecord] = []
+    pending = []               # checkpoints whose objectives are owed
     w = np.zeros(instance.d)
     iterates = _projected_gradient(lambda y: full_grad(instance, y, counters),
                                    lambda v: _project_ball(v, R), w, eta,
@@ -184,11 +188,13 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
     try:
         for t, w in enumerate(islice(iterates, config.iterations), 1):
             if t % config.checkpoint_stride == 0 or t == config.iterations:
-                _checkpoint(trace, instance, w, 0, t, counters,
+                _checkpoint(trace, pending, instance, w, 0, t, counters,
                             reference_value)
     except DivergenceError as exc:
+        _flush(trace, pending, instance, reference_value)
         exc.counters, exc.trace = counters, trace
         raise
+    _flush(trace, pending, instance, reference_value)
     return SolverResult(w, trace, counters)
 
 

@@ -97,7 +97,10 @@ def _instance_from_args(args, parser) -> ProblemInstance:
     try:
         if getattr(args, "csv", None):
             dataset = load_dataset_csv(args.csv)
-            return ProblemInstance(dataset, loss_kind, args.radius)
+            try:
+                return ProblemInstance(dataset, loss_kind, args.radius)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (dataset CSV {args.csv})") from None
         seed = args.seed[0] if isinstance(args.seed, list) else args.seed
         return gen_synthetic(seed, args.n, args.d, args.noise, loss_kind,
                              args.radius)

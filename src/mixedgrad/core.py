@@ -25,7 +25,12 @@ updates, and z and the epoch average (the lazy sum of averaged SGD, Xu,
 arXiv:1107.2490) are updated, and the form folded, once per block. Each
 epoch's summary counts the steps that left the fast path, by projection
 branch, and records whether its Delta-ball was certified inside the
-R-ball (EpochDomain.outer_inactive).
+R-ball (EpochDomain.outer_inactive). Every solver writes its trace
+records through _checkpoint, which takes each record at its stride with
+that moment's counters and queues its point; _flush evaluates the queued
+points' objectives in one pass over X (losses._objectives), at the end of
+an epoch or run, when the queue reaches its cap, or before a
+DivergenceError.
 """
 
 from __future__ import annotations
@@ -45,7 +50,10 @@ from .geometry import (BOTH, INNER, OUTER, EpochDomain, _project_two_balls,
 # mixedgrad.core.sample_loss by name.
 from .geometry import project_epoch_domain  # noqa: F401
 from .losses import (ROW_BLOCK, ProblemInstance, _loss_derivative,
-                     _loss_derivatives, full_objective)
+                     _loss_derivatives, _objectives)
+# full_objective stays importable from here: perfbench/tracer.py wraps
+# mixedgrad.core.full_objective by name.
+from .losses import full_objective  # noqa: F401
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 from .oracle import sample_loss  # noqa: F401
 
@@ -58,7 +66,8 @@ class DivergenceError(RuntimeError):
     """Raised when an iterate or gradient stops being finite.
 
     The solvers (run and baselines.run_sgd, run_gd, run_nag) always attach
-    the oracle counters and the trace they had reached. Only
+    the oracle counters and the trace they had reached, every record's
+    objective evaluated (_flush). Only
     _projected_gradient raises it bare (counters and trace None): run_gd
     and run_nag attach theirs as it passes, and the uncounted solves built
     on it (_certified_minimum: the reference optimum) pass it on bare.
@@ -201,18 +210,39 @@ class SolverResult(NamedTuple):
     epoch_summaries: tuple[EpochSummary, ...] = ()
 
 
-def _checkpoint(trace: list[TraceRecord], instance: ProblemInstance,
-                point: np.ndarray, epoch: int, step: int,
-                counters: OracleCounters, reference_value: float | None
-                ) -> float:
-    """Append point's trace record to the trace and return its objective,
-    whose evaluation does not touch the oracle counters. Every solver
-    writes its records here."""
-    obj = full_objective(instance, point)
-    err = obj - reference_value if reference_value is not None else math.nan
+def _checkpoint(trace: list[TraceRecord], pending: list[np.ndarray],
+                instance: ProblemInstance, point: np.ndarray, epoch: int,
+                step: int, counters: OracleCounters,
+                reference_value: float | None) -> None:
+    """Append point's trace record, with the counters of this moment, to
+    the trace and queue point in pending; _flush fills the record's
+    objective and error. Every solver writes its records here. The queue
+    is flushed here once it holds max(1, ROW_BLOCK // d) points, so the
+    queued points never exceed ROW_BLOCK entries (one point when d does)."""
     trace.append(TraceRecord(epoch, step, counters.stochastic_calls,
-                             counters.full_calls, obj, err))
-    return obj
+                             counters.full_calls, math.nan, math.nan))
+    pending.append(point)
+    if len(pending) >= max(1, ROW_BLOCK // instance.d):
+        _flush(trace, pending, instance, reference_value)
+
+
+def _flush(trace: list[TraceRecord] | None, pending: list[np.ndarray],
+           instance: ProblemInstance, reference_value: float | None
+           ) -> None:
+    """Fill the objective and error of the queued points' records, the
+    last len(pending) of the trace, from one losses._objectives call, and
+    empty the queue. The evaluation does not touch the oracle counters.
+    A solver flushes at the end of its run (run_epoch: of its epoch) and
+    before it raises DivergenceError with its trace, so every record it
+    hands back has its objective."""
+    if not pending:
+        return
+    objectives = _objectives(instance, np.array(pending)).tolist()
+    for record, obj in zip(trace[len(trace) - len(pending):], objectives):
+        record.objective = obj
+        if reference_value is not None:
+            record.error = obj - reference_value
+    pending.clear()
 
 
 def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
@@ -248,8 +278,12 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     diagnostic for the bounded-step property, and the steps that left the
     projection fast path, counted by branch. Checkpoints are appended to
     the trace every checkpoint_stride steps before step inner_iters, where
-    run's epoch-end record, with the same counters, stands for one; their
-    objective evaluations do not touch the oracle counters.
+    run's epoch-end record, with the same counters, stands for one. Each
+    record is taken at its stride, with the counters of that step; the
+    objectives of the epoch's records are evaluated in one pass over X
+    when the epoch ends, when max(1, ROW_BLOCK // d) of them are queued,
+    or before a DivergenceError (_checkpoint and _flush), and do not touch
+    the oracle counters.
 
     Each step is w <- P_domain(v), v = w (1 - eta lam) - eta g_k -
     (eta c) x_i, where c x_i = grad g_i(w + anchor) - grad g_i(anchor), c
@@ -327,6 +361,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     zga[:, 1], zga[:, 2] = g_k, anchor
     max_step_sq = 0.0
     branches = [0, 0, 0, 0]    # steps by projection branch (geometry's indices)
+    pending = []               # checkpoints whose objectives are owed
     calls = counters.stochastic_calls
     t = 0                      # steps taken
     while t < T:
@@ -377,6 +412,7 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
                     z, branch = _project_two_balls(v, domain)
                 except ValueError:
                     counters.stochastic_calls = calls + t + l + 1
+                    _flush(trace, pending, instance, reference_value)
                     raise DivergenceError(
                         f"non-finite iterate at epoch {state.epoch_index}, "
                         f"step {t + l + 1}", counters, trace) from None
@@ -399,8 +435,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
             alpha, beta, gamma = 1.0, 0.0, 0.0
             w_sq, wg, wa = _products(z, g_k, anchor)
             if trace is not None and t % checkpoint_stride == 0:
-                _checkpoint(trace, instance, z + anchor, state.epoch_index, t,
-                            counters, reference_value)
+                _checkpoint(trace, pending, instance, z + anchor,
+                            state.epoch_index, t, counters, reference_value)
+    _flush(trace, pending, instance, reference_value)
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])
     return total / (T + 1.0), float(max_step_sq), projections
@@ -543,13 +580,16 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
                     f"anchor left the feasible ball after epoch "
                     f"{state.epoch_index}", counters, trace)
             next_state.anchor = project_ball(next_state.anchor, R)
-        obj = _checkpoint(trace, instance, next_state.anchor,
-                          state.epoch_index, state.inner_iters + 1, counters,
-                          reference_value)
+        pending = []
+        _checkpoint(trace, pending, instance, next_state.anchor,
+                    state.epoch_index, state.inner_iters + 1, counters,
+                    reference_value)
+        _flush(trace, pending, instance, reference_value)
         summaries.append(EpochSummary(
             epoch=state.epoch_index, delta=state.delta, lam=state.lam,
             eta=state.eta, inner_iters=state.inner_iters,
-            anchor_after=next_state.anchor.copy(), objective_after=obj,
+            anchor_after=next_state.anchor.copy(),
+            objective_after=trace[-1].objective,
             stoch_calls=counters.stochastic_calls,
             full_calls=counters.full_calls,
             max_step_norm_sq=max_step_sq,

@@ -23,8 +23,9 @@ LEAST_SQUARES = "least_squares"
 LOGISTIC = "logistic"
 LOSS_KINDS = (LEAST_SQUARES, LOGISTIC)
 
-# Entries per block of _row_norms_sq: a block's squares take 256 KB, so a
-# pass over the rows never builds a temporary the size of the features.
+# Entries per block of _row_norms_sq and _objectives: a block's squares or
+# margins take 256 KB, so a pass over the rows never builds a temporary the
+# size of the features.
 ROW_BLOCK = 32768
 
 # Floor applied to the smoothness constant for degenerate (all-zero
@@ -98,8 +99,11 @@ class ProblemInstance:
         _check_radius(self.domain_radius)
         if self.loss_kind == LOGISTIC:
             y = self.dataset.labels
-            if not np.all(np.abs(y) == 1.0):
-                raise ValueError("logistic labels must be exactly -1 or +1")
+            bad = np.flatnonzero(np.abs(y) != 1.0)
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"example {i}: logistic label "
+                                 f"{float(y[i])!r} is not exactly -1 or +1")
         row_sq = _row_norms_sq(self.dataset.features)
         overflowed = np.flatnonzero(~np.isfinite(row_sq))
         if overflowed.size:
@@ -145,10 +149,13 @@ def _log1pexp(z: float | np.ndarray) -> float | np.ndarray:
 
 def _losses(y: float | np.ndarray, margins: float | np.ndarray,
             kind: str) -> float | np.ndarray:
-    # g_i as a function of its label and margin <w, x_i>, elementwise.
+    # g_i as a function of its label and margin <w, x_i>, elementwise. The
+    # residuals are squared in place: _objectives then holds two
+    # block-sized arrays at a time, the margins and these.
     if kind == LEAST_SQUARES:
         r = y - margins
-        return r * r
+        r *= r
+        return r
     return _log1pexp(-y * margins)
 
 
@@ -203,12 +210,32 @@ def loss_grad(instance: ProblemInstance, i: int, w: np.ndarray) -> np.ndarray:
 
 
 def full_objective(instance: ProblemInstance, w: np.ndarray) -> float:
-    """G(w) = (1/n) sum_i g_i(w) from one matrix-vector product; numpy
-    does the summation, deterministically on a given platform."""
+    """G(w) = (1/n) sum_i g_i(w): _objectives at the one point w."""
     w = _check_dim(instance, w)
-    losses = _losses(instance.dataset.labels, instance.dataset.features @ w,
-                     instance.loss_kind)
-    return float(losses.sum()) / instance.n
+    return float(_objectives(instance, w[None, :])[0])
+
+
+def _objectives(instance: ProblemInstance, P: np.ndarray) -> np.ndarray:
+    """G at each of the k rows of P, from one pass over X.
+
+    A block of max(1, ROW_BLOCK // k) rows at a time, P X[rows]^T gives the
+    margins of every point on the block, at most ROW_BLOCK entries (k of
+    them when k > ROW_BLOCK), and each point's losses are summed along the
+    block and added to its total; no temporary has n * k entries. numpy
+    does the summation, deterministically on a given platform. With k = 1
+    and n <= ROW_BLOCK there is one block: G(w) is the losses of one
+    matrix-vector product, summed once over n. Otherwise a point's value
+    may differ from the one it gets alone by rounding only: its margins
+    come from a matrix product, and above one block its sum is split by
+    row blocks.
+    """
+    X, y = instance.dataset.features, instance.dataset.labels
+    rows = max(1, ROW_BLOCK // P.shape[0])
+    total = np.zeros(P.shape[0])
+    for i in range(0, instance.n, rows):
+        total += _losses(y[i:i + rows], P @ X[i:i + rows].T,
+                         instance.loss_kind).sum(axis=1)
+    return total / instance.n
 
 
 def mean_gradient(instance: ProblemInstance, w: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import DivergenceError
 from mixedgrad.geometry import project_ball
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, _loss_derivative,
-                              full_objective, loss_grad)
+                              _objectives, full_objective, loss_grad)
 from mixedgrad.oracle import (OracleCounters, SeededSampler, full_grad,
                               sample_loss)
 
-from helpers import make_instance, random_instance
+from helpers import (make_instance, objective_gap_bound, random_instance,
+                     record_objective_batches)
 
 
 class TestSgd:
@@ -187,6 +188,30 @@ class TestSgdMatchesReference:
             assert exc.value.counters == OracleCounters(2, 0)
             assert [r.step for r in exc.value.trace] == steps
 
+    def test_divergence_after_checkpoints_keeps_their_records(self,
+                                                              monkeypatch):
+        # The loss derivative turns NaN at step 35, when the checkpoints at
+        # 10, 20 and 30 are still queued: they are evaluated in one batch
+        # before the DivergenceError.
+        inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
+        cfg = BaselineConfig("sgd", 50, checkpoint_stride=10)
+        healthy = run_sgd(inst, cfg, 9, reference_value=0.0).trace
+        batches = record_objective_batches(monkeypatch)
+        calls = []
+
+        def derivative(y, margin, kind):
+            calls.append(margin)
+            return (_loss_derivative(y, margin, kind) if len(calls) < 35
+                    else math.nan)
+
+        monkeypatch.setattr(mixedgrad.baselines, "_loss_derivative",
+                            derivative)
+        with pytest.raises(DivergenceError,
+                           match="^non-finite iterate at step 35$") as exc:
+            run_sgd(inst, cfg, 9, reference_value=0.0)
+        assert_queued_records_kept(inst, exc.value.trace, healthy, batches,
+                                   [10, 20, 30])
+
     def test_step_whose_square_overflows_raises_no_warning(self):
         # After one step the point is (0 + w_1) / 2, with w_1 on the sphere.
         inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
@@ -301,12 +326,12 @@ class TestSgdScalarState:
                                                              monkeypatch):
         # 32 steps on the 20,000 x 50 large-n shape hold O(d) vectors and
         # one coefficient per row drawn: no array of n entries (160 KB).
-        # The checkpoint objective, one matvec over X by design, is
-        # replaced where the one trace writer, core._checkpoint, looks it
-        # up, so that only the step loop and the lazy sum are counted.
+        # The checkpoint objective, one pass over X by design, is replaced
+        # where the trace's flush, core._flush, looks it up, so that only
+        # the step loop and the lazy sum are counted.
         inst = gen_synthetic(0, 20000, 50, 0.5, LEAST_SQUARES, 1.0)
-        monkeypatch.setattr(mixedgrad.core, "full_objective",
-                            lambda instance, w: 0.0)
+        monkeypatch.setattr(mixedgrad.core, "_objectives",
+                            lambda instance, P: np.zeros(len(P)))
         tracemalloc.start()
         try:
             run_sgd(inst, BaselineConfig("sgd", 32), 0)
@@ -376,13 +401,15 @@ class TestNag:
 def reference_full_gradient(inst, config, counters, accelerated):
     """Projected GD or Nesterov's method from 0 written plainly, one
     full_grad and one project_ball call per step. Returns (point,
-    checkpoint objectives, number of steps that projected)."""
+    checkpoint objectives, number of steps that projected); the
+    checkpoints are evaluated at the end in one _objectives call, the
+    batch run_gd and run_nag flush when fewer than ROW_BLOCK // d."""
     R = inst.domain_radius
     eta = (config.step_scale or 1.0) / inst.smoothness
     w = np.zeros(inst.d)
     w_prev = w.copy()
     theta_prev = 1.0
-    objectives = []
+    checkpoints = []
     projected = 0
     for t in range(1, config.iterations + 1):
         y = w
@@ -396,8 +423,23 @@ def reference_full_gradient(inst, config, counters, accelerated):
         w_prev, w = w, project_ball(v, R)
         projected += w is not v
         if t % config.checkpoint_stride == 0 or t == config.iterations:
-            objectives.append(full_objective(inst, w))
-    return w, objectives, projected
+            checkpoints.append(w)
+    return w, _objectives(inst, np.array(checkpoints)).tolist(), projected
+
+
+def assert_queued_records_kept(inst, trace, healthy, batches, steps):
+    """A diverged run's trace holds the records at steps, with the healthy
+    run's counters, each evaluated in the one batch flushed before the
+    DivergenceError, within rounding of its point's objective."""
+    assert [r.step for r in trace] == steps
+    assert [(r.step, r.stoch_calls, r.full_calls) for r in trace] \
+        == [(r.step, r.stoch_calls, r.full_calls)
+            for r in healthy[:len(steps)]]
+    assert [len(P) for P in batches] == [len(steps)]
+    for record, p in zip(trace, batches[0]):
+        assert abs(record.objective - full_objective(inst, p)) \
+            <= objective_gap_bound(inst, p)
+        assert record.error == record.objective
 
 
 FULL_GRADIENT = [(run_gd, "gd", False), (run_nag, "nag", True)]
@@ -423,6 +465,28 @@ class TestFullGradientMatchesReference:
         np.testing.assert_array_equal(point, ref_point)
         assert [r.objective for r in trace] == ref_objectives
         assert c_run == c_ref == OracleCounters(0, cfg.iterations)
+
+    @pytest.mark.parametrize("solver, method, accelerated", FULL_GRADIENT)
+    def test_divergence_after_checkpoints_keeps_their_records(
+            self, solver, method, accelerated, monkeypatch):
+        # The full gradient turns NaN at its 25th call, when the
+        # checkpoints at 10 and 20 are still queued.
+        inst = gen_synthetic(2, 40, 5, 0.3, LEAST_SQUARES, 1.0)
+        cfg = BaselineConfig(method, 50, checkpoint_stride=10)
+        healthy = solver(inst, cfg, reference_value=0.0).trace
+        batches = record_objective_batches(monkeypatch)
+
+        def gradient(instance, w, counters):
+            g = full_grad(instance, w, counters)
+            return g if counters.full_calls < 25 else g * math.nan
+
+        monkeypatch.setattr(mixedgrad.baselines, "full_grad", gradient)
+        with pytest.raises(DivergenceError,
+                           match="^non-finite iterate at step 25$") as exc:
+            solver(inst, cfg, reference_value=0.0)
+        assert exc.value.counters == OracleCounters(0, 25)
+        assert_queued_records_kept(inst, exc.value.trace, healthy, batches,
+                                   [10, 20])
 
     @pytest.mark.parametrize("solver, method, accelerated", FULL_GRADIENT)
     def test_divergence_at_first_step(self, solver, method, accelerated):

@@ -358,6 +358,23 @@ def test_csv_row_whose_norm_overflows_is_an_argparse_error(solver, tmp_path,
     assert not out.exists()
 
 
+def test_csv_with_a_bad_logistic_label_is_an_argparse_error(tmp_path,
+                                                            capsys):
+    # A least-squares dataset read as logistic: the error names the first
+    # label that is not +-1, its example and the file.
+    data = tmp_path / "data.csv"
+    data.write_text("y,x1,x2\n1.0,1.0,0.0\n-1.0,0.3,0.5\n0.25,0.3,0.2\n")
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--csv", str(data), "--loss", "logistic", "--out",
+              str(out)])
+    assert exc.value.code == 2
+    assert (f"bench run: error: example 2: logistic label 0.25 is not "
+            f"exactly -1 or +1 (dataset CSV {data})"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 FOUND_CSV = "y,x1,x2\n" + "1.0,5e153,0.0\n-1.0,5e153,0.0\n" * 5
 
 

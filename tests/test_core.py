@@ -16,14 +16,15 @@ from mixedgrad.core import (CertificateError, DivergenceError, EpochState,
                             shrink_schedule, theory_params)
 from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
                                 project_ball, project_epoch_domain)
-from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
+from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, ROW_BLOCK, Dataset,
                               ProblemInstance, _loss_derivative,
                               _loss_derivatives, full_objective, loss_grad,
                               mean_gradient)
 from mixedgrad.oracle import OracleCounters, SeededSampler, sample_loss
 
 from helpers import (epoch_subproblem_optimum, make_instance,
-                     mean_curvature, random_instance)
+                     mean_curvature, objective_gap_bound, random_instance,
+                     record_objective_batches)
 
 
 class TestAnchorGradient:
@@ -819,6 +820,71 @@ class TestRun:
         cfg = MixedGradConfig(eta1=value, delta1=value, t1=10, epochs=3,
                               lambda1=value)
         assert cfg.eta1 == cfg.delta1 == cfg.lambda1 == value
+
+
+class TestDeferredCheckpoints:
+    def test_divergence_mid_epoch_keeps_the_queued_records(self,
+                                                           monkeypatch):
+        # Epochs of 8, 32 and 128 steps at stride 5. The loss derivative
+        # turns NaN at epoch 3's step 63, when its checkpoints 5, ..., 60
+        # are still queued: they are evaluated in one batch before the
+        # DivergenceError, and keep the healthy run's counters.
+        inst = random_instance(n=30, d=4, seed=3)
+        cfg = MixedGradConfig(eta1=0.1, delta1=1.0, t1=8, epochs=3,
+                              lambda1=1.0, checkpoint_stride=5)
+        ref = 0.25
+        healthy = run(inst, cfg, seed=0, reference_value=ref).trace
+        batches = record_objective_batches(monkeypatch)
+        calls = []
+
+        def derivative(y, margin, kind):
+            calls.append(margin)
+            return (_loss_derivative(y, margin, kind)
+                    if len(calls) < 8 + 32 + 63 else math.nan)
+
+        monkeypatch.setattr(core, "_loss_derivative", derivative)
+        with pytest.raises(DivergenceError,
+                           match="epoch 3, step 63$") as exc:
+            run(inst, cfg, seed=0, reference_value=ref)
+        assert exc.value.counters == OracleCounters(8 + 32 + 63, 3)
+        trace = exc.value.trace
+        assert [(r.epoch, r.step) for r in trace if r.epoch == 3] \
+            == [(3, t) for t in range(5, 61, 5)]
+        assert [(r.epoch, r.step, r.stoch_calls, r.full_calls)
+                for r in trace] == [(r.epoch, r.step, r.stoch_calls,
+                                     r.full_calls)
+                                    for r in healthy[:len(trace)]]
+        assert len(batches[-1]) == 12
+        points = np.concatenate(batches)
+        assert len(points) == len(trace)
+        for record, p in zip(trace, points):
+            assert math.isfinite(record.objective)
+            assert abs(record.objective - full_objective(inst, p)) \
+                <= objective_gap_bound(inst, p)
+            assert record.error == record.objective - ref
+
+    def test_queue_is_flushed_at_its_cap(self, monkeypatch):
+        # d = 2000 caps the queue at ROW_BLOCK // d = 16 points. At stride
+        # 1 epochs of 8, 32 and 128 steps queue 7, 31 and 127 checkpoints,
+        # so epochs 2 and 3 flush inside the epoch; every record is still
+        # written, in order, with its point's objective.
+        d = 2000
+        cap = ROW_BLOCK // d
+        inst = random_instance(n=10, d=d, seed=4)
+        cfg = MixedGradConfig(eta1=0.1, delta1=1.0, t1=8, epochs=3,
+                              lambda1=1.0, checkpoint_stride=1)
+        batches = record_objective_batches(monkeypatch)
+        trace = run(inst, cfg, seed=0).trace
+        assert [(r.epoch, r.step) for r in trace] == [
+            (k, t) for k, T in ((1, 8), (2, 32), (3, 128))
+            for t in [*range(1, T), T + 1]]
+        assert [len(P) for P in batches] == [
+            7, 1, cap, 31 - cap, 1, *[cap] * 7, 127 - 7 * cap, 1]
+        points = np.concatenate(batches)
+        assert len(points) == len(trace)
+        for record, p in zip(trace, points):
+            assert abs(record.objective - full_objective(inst, p)) \
+                <= objective_gap_bound(inst, p)
 
 
 class TestEpochSubproblem:

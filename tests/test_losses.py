@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, ROW_BLOCK, Dataset,
                               ProblemInstance, _loss_derivative,
-                              _loss_derivatives, _row_norms_sq,
-                              full_objective, load_dataset_csv, loss_grad,
-                              loss_value, mean_gradient, mean_smoothness,
-                              save_dataset_csv)
+                              _loss_derivatives, _losses, _objectives,
+                              _row_norms_sq, full_objective, load_dataset_csv,
+                              loss_grad, loss_value, mean_gradient,
+                              mean_smoothness, save_dataset_csv)
+
+from helpers import objective_gap_bound
 
 
 def make_instance(X, y, kind, radius=1.0):
@@ -120,6 +123,64 @@ class TestFullObjective:
                                                             rel=1e-14)
 
 
+def gaussian_instance(rng, n, d, kind):
+    """n Gaussian rows with Gaussian (least squares) or +-1 labels."""
+    y = (rng.standard_normal(n) if kind == LEAST_SQUARES
+         else np.where(rng.standard_normal(n) >= 0, 1.0, -1.0))
+    return make_instance(rng.standard_normal((n, d)), y, kind)
+
+
+class TestObjectives:
+    @pytest.mark.parametrize("n, d, kind", [
+        (200, 20, LEAST_SQUARES), (200, 20, LOGISTIC), (40, 5, LOGISTIC),
+        (1, 3, LEAST_SQUARES), (20000, 50, LEAST_SQUARES)])
+    def test_one_point_is_one_matrix_vector_sum(self, n, d, kind):
+        # With n <= ROW_BLOCK a single point's rows are one block, so its
+        # value is the losses of one matrix-vector product summed over n,
+        # bit for bit, and full_objective is that one-point call.
+        rng = np.random.default_rng(n + d)
+        inst = gaussian_instance(rng, n, d, kind)
+        X, y = inst.dataset.features, inst.dataset.labels
+        for w in 0.3 * rng.standard_normal((20, d)):
+            plain = float(_losses(y, X @ w, kind).sum()) / n
+            assert _objectives(inst, w[None, :]).tolist() == [plain]
+            assert full_objective(inst, w) == plain
+
+    @pytest.mark.parametrize("n, d, k", [
+        (200, 20, 21),
+        (1, 3, 40),
+        # n > ROW_BLOCK: a single point's sum is split in two blocks, a
+        # batch's in more.
+        (ROW_BLOCK + 3, 1, 3),
+        # k > ROW_BLOCK // d: the batch itself exceeds ROW_BLOCK entries,
+        # and each block is a few rows.
+        (40, 50, ROW_BLOCK // 50 + 7)])
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+    def test_batch_matches_each_point_within_rounding(self, n, d, k, kind):
+        rng = np.random.default_rng(n * k)
+        inst = gaussian_instance(rng, n, d, kind)
+        P = 0.3 * rng.standard_normal((k, d))
+        batch = _objectives(inst, P)
+        assert batch.shape == (k,)
+        for value, p in zip(batch.tolist(), P):
+            assert abs(value - full_objective(inst, p)) \
+                <= objective_gap_bound(inst, p)
+
+    def test_batch_allocates_no_n_by_k_array(self):
+        # 21 points on the 20,000 x 50 large-n shape: an array of every
+        # point's margins would take 3.4 MB, a block's take 256 KB.
+        rng = np.random.default_rng(0)
+        inst = gaussian_instance(rng, 20000, 50, LEAST_SQUARES)
+        P = 0.01 * rng.standard_normal((21, 50))
+        tracemalloc.start()
+        try:
+            _objectives(inst, P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * ROW_BLOCK * 8 < 20000 * 21 * 8
+
+
 def beta(dataset, kind):
     return ProblemInstance(dataset, kind, 1.0).smoothness
 
@@ -184,6 +245,13 @@ class TestRowNorms:
                                                  r"feature norm \|\|x_i\|\|\^2 "
                                                  r"overflows to inf"):
                 make_instance(X, np.ones(6), kind)
+
+    def test_instance_names_the_first_bad_logistic_label(self):
+        X = np.ones((5, 2))
+        with pytest.raises(ValueError, match=r"^example 3: logistic label "
+                                             r"0\.5 is not exactly -1 or "
+                                             r"\+1$"):
+            make_instance(X, [1.0, -1.0, 1.0, 0.5, 2.0], LOGISTIC)
 
     def test_beta_that_overflows_is_rejected(self):
         # ||x_0||^2 = 1e308 is finite: logistic beta is a quarter of it,
