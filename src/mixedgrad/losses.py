@@ -141,22 +141,31 @@ def _check_dim(instance: ProblemInstance, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _log1pexp(z: float | np.ndarray) -> float | np.ndarray:
+def _log1pexp(z: np.ndarray) -> float | np.ndarray:
     # ln(1+exp(z)) without overflow for large positive z, elementwise:
-    # z + ln(1+exp(-z)) for z > 0, ln(1+exp(z)) otherwise.
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    # z + ln(1+exp(-z)) for z > 0, ln(1+exp(z)) otherwise, taken as
+    # max(z, 0) + ln(1+exp(-|z|)). The second term is formed in z, which
+    # this overwrites.
+    loss = np.maximum(z, 0.0)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.log1p(z, out=z)
+    loss += z
+    return loss
 
 
 def _losses(y: float | np.ndarray, margins: float | np.ndarray,
             kind: str) -> float | np.ndarray:
-    # g_i as a function of its label and margin <w, x_i>, elementwise. The
-    # residuals are squared in place: _objectives then holds two
-    # block-sized arrays at a time, the margins and these.
+    # g_i as a function of its label and margin <w, x_i>, elementwise. Each
+    # step after the first is taken in place, so _objectives holds at most
+    # three block-sized arrays at a time: the margins, and the residuals
+    # or -y m and its running loss.
     if kind == LEAST_SQUARES:
         r = y - margins
         r *= r
         return r
-    return _log1pexp(-y * margins)
+    return _log1pexp(np.asarray(-y * margins))
 
 
 def loss_value(instance: ProblemInstance, i: int, w: np.ndarray) -> float:
