@@ -237,12 +237,13 @@ def _flush(trace: list[TraceRecord] | None, pending: list[np.ndarray],
     hands back has its objective."""
     if not pending:
         return
-    objectives = _objectives(instance, np.array(pending)).tolist()
-    for record, obj in zip(trace[len(trace) - len(pending):], objectives):
+    P = np.array(pending)
+    pending.clear()            # before _objectives adds its temporaries
+    objectives = _objectives(instance, P).tolist()
+    for record, obj in zip(trace[len(trace) - len(P):], objectives):
         record.objective = obj
         if reference_value is not None:
             record.error = obj - reference_value
-    pending.clear()
 
 
 def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
