@@ -157,10 +157,10 @@ def _log1pexp(z: np.ndarray) -> float | np.ndarray:
 
 def _losses(y: float | np.ndarray, margins: float | np.ndarray,
             kind: str) -> float | np.ndarray:
-    # g_i as a function of its label and margin <w, x_i>, elementwise. Each
-    # step after the first is taken in place, so _objectives holds at most
-    # three block-sized arrays at a time: the margins, and the residuals
-    # or -y m and its running loss.
+    # g_i as a function of its label and margin <w, x_i>, elementwise.
+    # Every step after the first works in place, so with its margins a
+    # block of _objectives holds two block-sized arrays for least squares
+    # (the residuals) and three for logistic (-y m and the losses).
     if kind == LEAST_SQUARES:
         r = y - margins
         r *= r
