@@ -8,14 +8,15 @@ core.SolverResult, as core.run does. SGD touches only the stochastic
 counter; GD and NAG only the full-gradient counter.
 
 SGD's step has core.run_epoch's scalar form: the iterate is held as
-w = alpha z with ||w||^2 a Python float (the lazy scaling of Pegasos), so
-a step is one dot, one axpy and scalar updates, and a projection onto the
-R-ball only rescales alpha; a step the scalars cannot decide is taken on
-the explicit point with the ball kernel. Its average is run_epoch's lazy
-sum (averaged SGD, Xu, arXiv:1107.2490), and its steps run in
-run_epoch's blocks, each ending with one product that closes the lazy sum
-and a fold of the form. GD and NAG run core._projected_gradient with the
-ball kernel, one call per iterate.
+w = alpha z with ||w||^2 a Python float (the lazy scaling of Pegasos), and
+a projection onto the R-ball only rescales alpha; a step the scalars
+cannot decide is taken on the explicit point with the ball kernel. Its
+steps run in run_epoch's blocks, whose Gram matrix gives each step's
+margin, so a step is one dot over the block and scalar updates. Its
+average is run_epoch's lazy sum (averaged SGD, Xu, arXiv:1107.2490), and
+each block ends with one product that adds the block's steps to z, one
+that closes the lazy sum, and a fold of the form. GD and NAG run
+core._projected_gradient with the ball kernel, one call per iterate.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ import numpy as np
 
 from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult,
                    TraceRecord, _check_counts, _check_positive, _checkpoint,
-                   _flush, _projected_gradient)
+                   _flush, _projected_gradient, _step_block)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.project_ball by name.
 from .geometry import project_ball  # noqa: F401
-from .losses import ROW_BLOCK, ProblemInstance, _loss_derivative
+from .losses import ProblemInstance, _loss_derivative
 # full_objective and loss_grad stay importable from here:
 # perfbench/tracer.py wraps mixedgrad.baselines.full_objective and
 # mixedgrad.baselines.loss_grad by name.
@@ -73,30 +74,37 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
 
     Step t is w <- P_R(v), v = w + m x_i, with m = -eta_t g, eta_t =
     c/sqrt(t) and g the loss derivative at the margin w.x_i. The iterate
-    is held as w = alpha z with ||w||^2 a Python float, so a step is one
-    dot, z.x_i, one axpy, z += (m / alpha) x_i, and scalar updates:
-    ||v||^2 = ||w||^2 + 2 m (w.x_i) + m^2 ||x_i||^2 decides the R-ball
-    test, and a projection only scales alpha by R / ||v||. A step whose
-    square is not finite or is negative, or whose projection would take
-    alpha below core.COEFFICIENT_RANGE, forms v and projects it with the
-    ball kernel (geometry._project_ball), whose ValueError for a
-    non-finite v raises DivergenceError with the stochastic counter at the
-    steps taken; the form restarts there at w = z.
+    is held as w = alpha z with ||w||^2 a Python float, so a step adds
+    k x_i to z, k = m / alpha, and updates scalars: ||v||^2 = ||w||^2 +
+    2 m (w.x_i) + m^2 ||x_i||^2 decides the R-ball test, and a projection
+    only scales alpha by R / ||v||. A step whose square is not finite or
+    is negative, or whose projection would take alpha below
+    core.COEFFICIENT_RANGE, forms v and projects it with the ball kernel
+    (geometry._project_ball), whose ValueError for a non-finite v raises
+    DivergenceError with the stochastic counter at the steps taken; the
+    form restarts there at w = z.
 
     The steps run in blocks, as core.run_epoch's do: each ends at the next
-    checkpoint or at T, has at most ROW_BLOCK // d steps, draws its index
-    array in one oracle.sample_losses call and gathers with it, once, its
-    rows XB, labels and ||x_i||^2 (instance._row_sq); the steps take the
-    labels and ||x_i||^2 in order, as lists of floats. The average is
-    run_epoch's lazy sum: a restart or a block end adds A z to a running
-    sum, A the sum of alpha since the last one, and each axpy z += k x_i
-    stores A k as the block's coefficient qb_l. Every block
-    ends the same way: total -= qb XB (sum_j q_j x_j is linear, so each
-    term may be subtracted at any time before the point is read), total
-    += A z, and a fold of the form, z <- w, alpha = 1, with ||w||^2
-    recomputed from z, so no scalar form outlives its block; a checkpoint
-    only decides whether the point is recorded there. numpy's overflow
-    warning is silenced once for the whole run."""
+    checkpoint or at T, has at most min(STEP_BLOCK, ROW_BLOCK // d) steps
+    (core._step_block), draws its index array in one oracle.sample_losses
+    call and gathers with it, once, its rows XB, labels and ||x_i||^2
+    (instance._row_sq); the steps take the labels and ||x_i||^2 in order,
+    as lists of floats. The Gram matrix G = XB XB^T gives step l's z.x_i
+    as z0.x_i + kb.G_l, kb holding the block's additions k (zero past step
+    l), and one product XB z0, taken at the first addition, gives z0.x_i;
+    z += kb XB once, when the block ends or before an explicit step. While
+    kb is zero (from the block's start or an explicit step to the next
+    addition) alpha is 1 and the margin is the dot z.x_i, so a run of
+    explicit steps does the reference's arithmetic.
+    The average is run_epoch's lazy sum: a restart or a block end adds
+    A z to a running sum, A the sum of alpha since the last one, and each
+    addition k x_i stores A k as the block's coefficient qb_l. Every block
+    ends the same way: z += kb XB, total -= qb XB (sum_j q_j x_j is
+    linear, so each term may be subtracted at any time before the point
+    is read), total += A z, and a fold of the form, z <- w, alpha = 1,
+    with ||w||^2 recomputed from z, so no scalar form outlives its block;
+    a checkpoint only decides whether the point is recorded there. numpy's
+    overflow warning is silenced once for the whole run."""
     if config.method != SGD:
         raise ValueError("config.method must be 'sgd'")
     R = instance.domain_radius
@@ -112,7 +120,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     kind = instance.loss_kind
     low = COEFFICIENT_RANGE[0]
     T, stride = config.iterations, config.checkpoint_stride
-    block = max(1, ROW_BLOCK // instance.d)
+    block = _step_block(instance.d)
     z = np.zeros(instance.d)
     alpha, w_sq = 1.0, 0.0     # w = alpha z, ||w||^2
     total = z.copy()           # running sum of the iterates
@@ -122,11 +130,17 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         span = min(block, stride - t % stride, T - t)
         idx = sample_losses(sampler, counters, instance.n, span)
         XB = X[idx]
+        G = XB @ XB.T
+        kb = np.zeros(span)    # z's additions k, step by step
         qb = np.zeros(span)    # the lazy sum's A k, step by step
-        for l, (x, y, xx) in enumerate(
-                zip(XB, labels[idx].tolist(), x_sq[idx].tolist())):
+        zx0 = None             # rows' z.x_i; None while kb is 0 (alpha 1)
+        for l, (G_l, y, xx) in enumerate(
+                zip(G, labels[idx].tolist(), x_sq[idx].tolist())):
             # loss_grad written out.
-            wx = alpha * float(z.dot(x))
+            if zx0 is None:
+                wx = float(z.dot(XB[l]))
+            else:
+                wx = alpha * (zx0[l] + float(kb.dot(G_l)))
             eta = c / math.sqrt(t + l + 1)
             m = -eta * _loss_derivative(y, wx, kind)
             v_sq = w_sq + 2.0 * m * wx + m * m * xx
@@ -135,16 +149,23 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
                 v_norm = math.sqrt(v_sq)
                 scale = 1.0 if v_norm <= R else R / v_norm
             if alpha * scale >= low:
+                if zx0 is None:
+                    zx0 = (XB @ z).tolist()
                 k = m / alpha
-                z += k * x
+                kb[l] = k
                 qb[l] = A * k
                 alpha *= scale
                 w_sq = scale * scale * v_sq
             else:
+                if zx0 is not None:
+                    z += kb @ XB
+                    total -= qb @ XB
+                    kb[:] = qb[:] = 0.0
+                    zx0 = None
                 total += z * A
                 A = 0.0
                 try:
-                    z = _project_ball(z * alpha + m * x, R)
+                    z = _project_ball(z * alpha + m * XB[l], R)
                 except ValueError:
                     counters.stochastic_calls = t + l + 1
                     _flush(trace, pending, instance, reference_value)
@@ -154,6 +175,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
                 alpha, w_sq = 1.0, float(z.dot(z))
             A += alpha
         t += span
+        z += kb @ XB
         total -= qb @ XB
         total += z * A
         A = 0.0

@@ -257,6 +257,18 @@ def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
 # point, which resets the form to w = z.
 COEFFICIENT_RANGE = (1e-2, 1e2)
 
+# Most steps in one block of run_epoch or baselines.run_sgd: the fastest cap
+# from 100 to 250 for both loops at d = 20 and 50 (CHANGES.md). STEP_BLOCK^2
+# <= ROW_BLOCK keeps a block's Gram matrix within ROW_BLOCK entries;
+# _step_block keeps its rows there too.
+STEP_BLOCK = 100
+
+
+def _step_block(d: int) -> int:
+    """The block cap of the stochastic loops: min(STEP_BLOCK, ROW_BLOCK // d)
+    steps, at least one."""
+    return max(1, min(STEP_BLOCK, ROW_BLOCK // d))
+
 
 def _products(w: np.ndarray, g_k: np.ndarray, anchor: np.ndarray
               ) -> tuple[float, float, float]:
@@ -304,11 +316,12 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     infinite v makes that kernel raise, which raises DivergenceError.
 
     The steps run in blocks, each ending at the next checkpoint or the
-    epoch's end, of at most min(ROW_BLOCK // d, isqrt(ROW_BLOCK)) steps, so
-    no temporary exceeds ROW_BLOCK entries. A block draws its index array
-    in one oracle.sample_losses call and gathers with it, once, its rows
-    XB, labels and ||x_i||^2 (instance._row_sq); the steps take the labels
-    and ||x_i||^2 in order, as lists of floats. One product
+    epoch's end, of at most min(STEP_BLOCK, ROW_BLOCK // d) steps
+    (_step_block, which baselines.run_sgd shares), so no temporary exceeds
+    ROW_BLOCK entries. A block draws its index array in one
+    oracle.sample_losses call and gathers with it, once, its rows XB,
+    labels and ||x_i||^2 (instance._row_sq); the steps take the labels and
+    ||x_i||^2 in order, as lists of floats. One product
     XB [z, g_k, anchor] gives each step's z.x_i at the block's start,
     g_k.x_i and anchor.x_i, and losses._loss_derivatives the anchor loss
     derivatives; the Gram matrix G = XB XB^T gives step l's z.x_i as
@@ -347,8 +360,12 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     g_sq, ga = float(g_k.dot(g_k)), float(g_k.dot(anchor))
     a_sq = domain.anchor_sq
     v_base = eta * eta * g_sq          # ||eta g_k||^2
+    # The step's constant products, rounded as the step would round them.
+    shrink_sq, shrink_eta = shrink * shrink, shrink * eta
+    eta_g_sq, eta_ga = eta * g_sq, eta * ga
     low, high = COEFFICIENT_RANGE
-    block = max(1, min(ROW_BLOCK // instance.d, math.isqrt(ROW_BLOCK)))
+    neg_high = -high
+    block = _step_block(instance.d)
 
     def combine(cz, cg, ca):
         return z * cz + (g_k * cg + anchor * ca)
@@ -389,18 +406,19 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
             m = -eta * c
             alpha_v, beta_v = shrink * alpha, shrink * beta - eta
             gamma_v = shrink * gamma
-            v_sq = (shrink * shrink * w_sq + v_base + m * m * xx
-                    + 2.0 * (m * (shrink * wx - eta * gx) - shrink * eta * wg))
-            va = shrink * wa - eta * ga + m * ax
+            v_sq = (shrink_sq * w_sq + v_base + m * m * xx
+                    + 2.0 * (m * (shrink * wx - eta * gx) - shrink_eta * wg))
+            va = shrink * wa - eta_ga + m * ax
             k_v, k_a, branch, w_sq = _two_ball_coefficients(v_sq, va, domain)
             if (branch != BOTH and low <= alpha_v <= high
-                    and -high <= beta_v <= high and -high <= gamma_v <= high):
+                    and neg_high <= beta_v <= high
+                    and neg_high <= gamma_v <= high):
                 k = m / alpha_v
                 kb[l] = k
                 qb[l] = A * k
                 alpha, beta = k_v * alpha_v, k_v * beta_v
                 gamma = k_v * gamma_v + k_a
-                wg = k_v * (shrink * wg - eta * g_sq + m * gx) + k_a * ga
+                wg = k_v * (shrink * wg - eta_g_sq + m * gx) + k_a * ga
                 wa = k_v * va + k_a * a_sq
             else:
                 z += kb @ XB

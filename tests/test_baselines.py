@@ -131,9 +131,11 @@ class TestSgdMatchesReference:
         # ||w||^2 in scalars, so the points agree within
         # sgd_rounding_bound, not bit for bit; the counters exactly. The
         # strides give one-step blocks (1), blocks that do not divide the
-        # run (7) and blocks that do (50).
+        # run (7), blocks that do (50), and blocks capped at STEP_BLOCK
+        # (250): the 100-step blocks end at folds that are not checkpoints,
+        # and each checkpoint ends a partial block of 50 steps.
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
-        for stride in (1, 7, 50):
+        for stride in (1, 7, 50, 250):
             cfg = BaselineConfig("sgd", 600, step_scale=0.5,
                                  checkpoint_stride=stride)
             assert cfg.step_scale * inst.smoothness <= 2
@@ -244,11 +246,12 @@ class TestSgdScalarState:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_scalar_norm_tracks_the_explicit_one(self, kind, monkeypatch):
         # Before every step (each call of the loss derivative) the ||w||^2
-        # carried in scalars must agree with the explicit alpha^2 z.z to an
-        # absolute 16 u stride M^2: each step rounds about a dozen terms of
-        # its update of ||w||^2, each at most M^2 (step_term_bound), and
-        # scales the error it inherits by at most 1 (a projection), over at
-        # most stride steps since the last fold.
+        # carried in scalars must agree with the explicit w.w, w = alpha
+        # (z + kb XB) (z lags the block's additions kb until the block ends),
+        # to an absolute 16 u stride M^2: each step rounds about a dozen
+        # terms of its update of ||w||^2, each at most M^2 (step_term_bound),
+        # and scales the error it inherits by at most 1 (a projection), over
+        # at most stride steps since the last fold.
         inst = gen_synthetic(2, 40, 5, 0.3, kind, 0.2)
         cfg = BaselineConfig("sgd", 600, step_scale=0.5, checkpoint_stride=50)
         M = step_term_bound(inst, cfg)
@@ -257,8 +260,8 @@ class TestSgdScalarState:
 
         def checked(*args):
             state = sys._getframe(1).f_locals
-            alpha, z = state["alpha"], state["z"]
-            gaps.append(abs(state["w_sq"] - alpha * alpha * float(z.dot(z))))
+            w = state["alpha"] * (state["z"] + state["kb"] @ state["XB"])
+            gaps.append(abs(state["w_sq"] - float(w.dot(w))))
             return _loss_derivative(*args)
 
         monkeypatch.setattr(mixedgrad.baselines, "_loss_derivative", checked)

@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mixedgrad.baselines
 from mixedgrad import core
+from mixedgrad.baselines import BaselineConfig, run_sgd
 from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import (CertificateError, DivergenceError, EpochState,
                             MixedGradConfig, ProjectionCounts,
@@ -661,14 +663,14 @@ class TestRun:
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     def test_scalar_norm_tracks_the_explicit_one(self, kind, monkeypatch):
         # Every block but an epoch's last ends with a fold of the scalar form,
-        # whatever the stride, and a block is at most 181 steps
-        # (min(ROW_BLOCK // d, isqrt(ROW_BLOCK)) at d = 20), so some fold or
-        # epoch end comes at least every 181 steps: at stride 100 the folds
+        # whatever the stride, and a block is at most 100 steps
+        # (min(STEP_BLOCK, ROW_BLOCK // d) at d = 20), so some fold or
+        # epoch end comes at least every 100 steps: at stride 100 the folds
         # are the checkpoints, at stride 10^4 most are not. At a fold
         # run_epoch recomputes w.w from the vector; when the fold follows a
         # scalar step, the ||w||^2 carried in scalars, the square the scalar
         # kernel last returned, must agree with it to an absolute
-        # 16 u n S^2, n = min(stride, 181). A step taken on the explicit
+        # 16 u n S^2, n = min(stride, 100). A step taken on the explicit
         # point drops the carried square and takes w.w from the vector, so
         # its own w.w, and a fold with no scalar step since, have nothing to
         # compare. Each step rounds about a dozen terms of its update of
@@ -682,7 +684,7 @@ class TestRun:
         beta = inst.smoothness
         L = 2.0 if kind == LEAST_SQUARES else 0.25
         eta, delta, u = 0.5 / beta, 1.0, 2.0 ** -53
-        block = 181
+        block = 100
 
         def draw(*args):
             idx = sample_losses(*args)
@@ -885,6 +887,40 @@ class TestDeferredCheckpoints:
         for record, p in zip(trace, points):
             assert abs(record.objective - full_objective(inst, p)) \
                 <= objective_gap_bound(inst, p)
+
+
+class TestStepBlock:
+    @pytest.mark.parametrize("d, cap", [(20, 100), (500, 65)])
+    def test_blocks_of_both_loops_stay_within_the_cap(self, d, cap,
+                                                      monkeypatch):
+        # Each block draws its indices in one sample_losses call, so the
+        # sizes drawn are the block lengths. At stride 1000 neither loop's
+        # blocks are cut by a checkpoint before the cap,
+        # min(STEP_BLOCK, ROW_BLOCK // d): STEP_BLOCK = 100 at d = 20, and
+        # ROW_BLOCK // d = 65 at d = 500. The block's Gram matrix stays
+        # within ROW_BLOCK entries.
+        assert core.STEP_BLOCK ** 2 <= ROW_BLOCK
+        sizes = []
+
+        def draw(*args):
+            idx = sample_losses(*args)
+            sizes.append(len(idx))
+            return idx
+
+        sample_losses = core.sample_losses
+        monkeypatch.setattr(core, "sample_losses", draw)
+        monkeypatch.setattr(mixedgrad.baselines, "sample_losses", draw)
+        inst = gen_synthetic(0, 100, d, 0.1, LEAST_SQUARES, 1.0)
+        beta = inst.smoothness
+        run(inst, MixedGradConfig(eta1=0.5 / beta, delta1=1.0, t1=32,
+                                  epochs=4, lambda1=0.05 * beta,
+                                  checkpoint_stride=1000), seed=0)
+        assert sum(sizes) == 32 * (4 ** 4 - 1) // 3
+        assert max(sizes) == cap
+        sizes.clear()
+        run_sgd(inst, BaselineConfig("sgd", 2500, checkpoint_stride=1000), 0)
+        assert sum(sizes) == 2500
+        assert max(sizes) == cap
 
 
 class TestEpochSubproblem:
