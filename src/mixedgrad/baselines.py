@@ -11,12 +11,13 @@ SGD's step has core.run_epoch's scalar form: the iterate is held as
 w = alpha z with ||w||^2 a Python float (the lazy scaling of Pegasos), and
 a projection onto the R-ball only rescales alpha; a step the scalars
 cannot decide is taken on the explicit point with the ball kernel. Its
-steps run in run_epoch's blocks, whose Gram matrix gives each step's
-margin, so a step is one dot over the block and scalar updates. Its
-average is run_epoch's lazy sum (averaged SGD, Xu, arXiv:1107.2490), and
-each block ends with one product that adds the block's steps to z, one
-that closes the lazy sum, and a fold of the form. GD and NAG run
-core._projected_gradient with the ball kernel, one call per iterate.
+steps run in core._blocks' blocks, as run_epoch's do, whose Gram matrix
+gives each step's margin, so a step is one dot over the block and scalar
+updates. Its average is run_epoch's lazy sum (averaged SGD, Xu,
+arXiv:1107.2490), and each block ends with one product that adds the
+block's steps to z, one that closes the lazy sum, and a fold of the form.
+GD and NAG run core._projected_gradient with the ball kernel, one call
+per iterate.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from itertools import islice
 import numpy as np
 
 from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult,
-                   TraceRecord, _check_counts, _check_positive, _checkpoint,
-                   _flush, _projected_gradient, _step_block)
+                   TraceRecord, _blocks, _check_counts, _check_positive,
+                   _checkpoint, _flush, _projected_gradient)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.project_ball by name.
@@ -39,7 +40,7 @@ from .losses import ProblemInstance, _loss_derivative
 # perfbench/tracer.py wraps mixedgrad.baselines.full_objective and
 # mixedgrad.baselines.loss_grad by name.
 from .losses import full_objective, loss_grad  # noqa: F401
-from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
+from .oracle import OracleCounters, SeededSampler, full_grad
 # The single-call sampler stays importable from here: perfbench/tracer.py
 # wraps mixedgrad.baselines.sample_loss by name.
 from .oracle import sample_loss  # noqa: F401
@@ -84,18 +85,12 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     DivergenceError with the stochastic counter at the steps taken; the
     form restarts there at w = z.
 
-    The steps run in blocks, as core.run_epoch's do: each ends at the next
-    checkpoint or at T, has at most min(STEP_BLOCK, ROW_BLOCK // d) steps
-    (core._step_block), draws its index array in one oracle.sample_losses
-    call and gathers with it, once, its rows XB, labels and ||x_i||^2
-    (instance._row_sq); the steps take the labels and ||x_i||^2 in order,
-    as lists of floats. The Gram matrix G = XB XB^T gives step l's z.x_i
-    as z0.x_i + kb.G_l, kb holding the block's additions k (zero past step
-    l), and one product XB z0, taken at the first addition, gives z0.x_i;
-    z += kb XB once, when the block ends or before an explicit step. While
-    kb is zero (from the block's start or an explicit step to the next
-    addition) alpha is 1 and the margin is the dot z.x_i, so a run of
-    explicit steps does the reference's arithmetic.
+    The steps run in core._blocks' blocks. One product XB z0, taken at a
+    block's first addition, gives the rows' z0.x_i, and the Gram matrix
+    then gives each step's; z += kb XB once, when the block ends or before
+    an explicit step. While kb is zero (from the block's start or an
+    explicit step to the next addition) alpha is 1 and the margin is the
+    dot z.x_i, so a run of explicit steps does the reference's arithmetic.
     The average is run_epoch's lazy sum: a restart or a block end adds
     A z to a running sum, A the sum of alpha since the last one, and each
     addition k x_i stores A k as the block's coefficient qb_l. Every block
@@ -115,27 +110,17 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
     sampler = SeededSampler(seed)
     trace: list[TraceRecord] = []
     pending = []               # checkpoints whose objectives are owed
-    X, labels = instance.dataset.features, instance.dataset.labels
-    x_sq = instance._row_sq
     kind = instance.loss_kind
     low = COEFFICIENT_RANGE[0]
     T, stride = config.iterations, config.checkpoint_stride
-    block = _step_block(instance.d)
     z = np.zeros(instance.d)
     alpha, w_sq = 1.0, 0.0     # w = alpha z, ||w||^2
     total = z.copy()           # running sum of the iterates
     A = 0.0                    # alpha summed since total grew
-    t = 0                      # steps taken
-    while t < T:
-        span = min(block, stride - t % stride, T - t)
-        idx = sample_losses(sampler, counters, instance.n, span)
-        XB = X[idx]
-        G = XB @ XB.T
-        kb = np.zeros(span)    # z's additions k, step by step
-        qb = np.zeros(span)    # the lazy sum's A k, step by step
+    for t, end, XB, yB, xxs, G, kb, qb in _blocks(instance, sampler,
+                                                  counters, T, stride):
         zx0 = None             # rows' z.x_i; None while kb is 0 (alpha 1)
-        for l, (G_l, y, xx) in enumerate(
-                zip(G, labels[idx].tolist(), x_sq[idx].tolist())):
+        for l, (G_l, y, xx) in enumerate(zip(G, yB.tolist(), xxs)):
             # loss_grad written out.
             if zx0 is None:
                 wx = float(z.dot(XB[l]))
@@ -174,16 +159,15 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
                         trace) from None
                 alpha, w_sq = 1.0, float(z.dot(z))
             A += alpha
-        t += span
         z += kb @ XB
         total -= qb @ XB
         total += z * A
         A = 0.0
         z *= alpha
         alpha, w_sq = 1.0, float(z.dot(z))
-        if t % stride == 0 or t == T:
-            point = total / (t + 1.0)
-            _checkpoint(trace, pending, instance, point, 0, t, counters,
+        if end % stride == 0 or end == T:
+            point = total / (end + 1.0)
+            _checkpoint(trace, pending, instance, point, 0, end, counters,
                         reference_value)
     _flush(trace, pending, instance, reference_value)
     return SolverResult(point, trace, counters)  # as checkpointed at step T

@@ -25,6 +25,7 @@ from .geometry import project_ball  # noqa: F401
 from .losses import (LEAST_SQUARES, LOGISTIC, Dataset, ProblemInstance,
                      _check_radius, _read_csv, _row_norms_sq, _write_csv,
                      full_objective, mean_gradient, mean_smoothness)
+from .oracle import _is_seed
 
 TRACE_COLUMNS = ["solver", "seed", "epoch", "step", "stoch_calls",
                  "full_calls", "objective", "error", "status"]
@@ -38,9 +39,8 @@ ERROR_FLOOR = 1e-14
 
 
 def _check_seeds(seeds) -> None:
-    """Philox takes only nonnegative integer seeds; a bool is not one."""
-    bad = [s for s in seeds if isinstance(s, bool)
-           or not isinstance(s, (int, np.integer)) or s < 0]
+    """Reject a list of seeds by oracle's rule, naming every bad one."""
+    bad = [s for s in seeds if not _is_seed(s)]
     if bad:
         raise ValueError(f"seeds must be nonnegative integers, got "
                          f"{', '.join(map(repr, bad))}")

@@ -17,11 +17,12 @@ al., Math. Prog. 2011), with ||w||^2, w.g_k and w.anchor kept as Python
 floats, and its projection is geometry._two_ball_coefficients on ||v||^2
 and v.anchor. A step that kernel cannot decide (both balls active, or a
 square that is not finite or is negative) is taken on the explicit point
-with geometry._project_two_balls. The steps run in short blocks that end
-at each checkpoint: the block's rows are gathered once, one product gives
-their anchor margins and their dots with g_k and z, and their Gram matrix
-gives each step's z.x_i, so a step is one dot over the block and scalar
-updates, and z and the epoch average (the lazy sum of averaged SGD, Xu,
+with geometry._project_two_balls. The steps run in the short blocks of
+_blocks, which baselines.run_sgd iterates too: a block ends at each
+checkpoint, draws and gathers its rows once, and its Gram matrix gives
+each step's z.x_i, so a step is one dot over the block and scalar
+updates. One product gives the rows' anchor margins and their dots with
+g_k and z, and z and the epoch average (the lazy sum of averaged SGD, Xu,
 arXiv:1107.2490) are updated, and the form folded, once per block. Each
 epoch's summary counts the steps that left the fast path, by projection
 branch, and records whether its Delta-ball was certified inside the
@@ -257,17 +258,42 @@ def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
 # point, which resets the form to w = z.
 COEFFICIENT_RANGE = (1e-2, 1e2)
 
-# Most steps in one block of run_epoch or baselines.run_sgd: the fastest cap
-# from 100 to 250 for both loops at d = 20 and 50 (CHANGES.md). STEP_BLOCK^2
-# <= ROW_BLOCK keeps a block's Gram matrix within ROW_BLOCK entries;
-# _step_block keeps its rows there too.
+# Most steps in one block of _blocks: the fastest cap from 100 to 250 for
+# both stochastic loops at d = 20 and 50 (CHANGES.md). STEP_BLOCK^2 <=
+# ROW_BLOCK keeps a block's Gram matrix within ROW_BLOCK entries.
 STEP_BLOCK = 100
 
 
-def _step_block(d: int) -> int:
-    """The block cap of the stochastic loops: min(STEP_BLOCK, ROW_BLOCK // d)
-    steps, at least one."""
-    return max(1, min(STEP_BLOCK, ROW_BLOCK // d))
+def _blocks(instance: ProblemInstance, sampler: SeededSampler,
+            counters: OracleCounters, T: int, stride: int):
+    """The blocks of T stochastic steps that run_epoch and
+    baselines.run_sgd iterate, as (t, end, XB, yB, xxs, G, kb, qb).
+
+    Steps t + 1, ..., end form one block, t being the steps taken before
+    it. A block ends at the next multiple of stride (a checkpoint) or at T,
+    and has at most min(STEP_BLOCK, ROW_BLOCK // d) steps, at least one, so
+    neither its rows nor its Gram matrix exceed ROW_BLOCK entries. It draws
+    its indices in one oracle.sample_losses call, which counts them at
+    once (a loop that stops inside the block sets the stochastic counter
+    back to the steps it took), and gathers with them, once, its rows XB,
+    its labels yB and their ||x_i||^2 (instance._row_sq) as the list of
+    floats xxs. G = XB XB^T gives step l's z.x_i as z0.x_i + kb.G_l, where
+    z0 is z at the block's start (or at its last explicit step) and kb,
+    zeroed here, holds the block's additions k to z (zero past step l);
+    qb, zeroed here, holds the lazy sum's coefficients A k. Each loop ends
+    the block with z += kb XB and total -= qb XB, so z and the running sum
+    of the iterates are updated once per block, not once per step.
+    """
+    X, labels = instance.dataset.features, instance.dataset.labels
+    cap = max(1, min(STEP_BLOCK, ROW_BLOCK // instance.d))
+    t = 0
+    while t < T:
+        span = min(cap, stride - t % stride, T - t)
+        idx = sample_losses(sampler, counters, instance.n, span)
+        XB = X[idx]
+        yield (t, t + span, XB, labels[idx], instance._row_sq[idx].tolist(),
+               XB @ XB.T, np.zeros(span), np.zeros(span))
+        t += span
 
 
 def _products(w: np.ndarray, g_k: np.ndarray, anchor: np.ndarray
@@ -315,25 +341,18 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     recomputes the three products from the point it returns; a NaN or
     infinite v makes that kernel raise, which raises DivergenceError.
 
-    The steps run in blocks, each ending at the next checkpoint or the
-    epoch's end, of at most min(STEP_BLOCK, ROW_BLOCK // d) steps
-    (_step_block, which baselines.run_sgd shares), so no temporary exceeds
-    ROW_BLOCK entries. A block draws its index array in one
-    oracle.sample_losses call and gathers with it, once, its rows XB,
-    labels and ||x_i||^2 (instance._row_sq); the steps take the labels and
-    ||x_i||^2 in order, as lists of floats. One product
-    XB [z, g_k, anchor] gives each step's z.x_i at the block's start,
-    g_k.x_i and anchor.x_i, and losses._loss_derivatives the anchor loss
-    derivatives; the Gram matrix G = XB XB^T gives step l's z.x_i as
-    z0.x_i + kb.G_l, kb holding the block's additions k (zero past step
-    l). z += kb XB once, when the block ends or before an explicit step,
-    which then takes z.x_i for the rest of the block from one XB z; G
-    stays valid. Every block ends by closing the lazy sum (below) and,
-    unless the epoch ends there, folding the form: z <- w, the
-    coefficients reset and the three products recomputed from z. So no
-    scalar form outlives its block, and the carried ||w||^2 never drifts
-    for more than one block, whatever checkpoint_stride is; a checkpoint
-    only decides whether a record of the folded w is written.
+    The steps run in _blocks' blocks. One product XB [z, g_k, anchor] at
+    a block's start gives each step's z0.x_i, g_k.x_i and anchor.x_i, and
+    losses._loss_derivatives the anchor loss derivatives; the steps take
+    them, the labels and ||x_i||^2 in order, as floats, and read z.x_i
+    from the Gram matrix. An explicit step adds kb XB to z first and then
+    takes z0.x_i for the rest of the block from one XB z; G stays valid.
+    Every block ends by closing the lazy sum (below) and, unless the epoch
+    ends there, folding the form: z <- w, the coefficients reset and the
+    three products recomputed from z. So no scalar form outlives its
+    block, and the carried ||w||^2 never drifts for more than one block,
+    whatever checkpoint_stride is; a checkpoint only decides whether a
+    record of the folded w is written.
 
     The average is the lazy sum of averaged SGD. A block end or an explicit
     step adds A z + B g_k + C anchor to a running sum, A, B and C being the
@@ -352,8 +371,6 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     T = state.inner_iters
     lam, eta = state.lam, state.eta
     domain = EpochDomain(anchor, instance.domain_radius, state.delta)
-    X, labels = instance.dataset.features, instance.dataset.labels
-    x_sq = instance._row_sq
     kind = instance.loss_kind
     shrink = 1.0 - eta * lam
     two_lam, lam_sq = 2.0 * lam, lam * lam
@@ -365,7 +382,6 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     eta_g_sq, eta_ga = eta * g_sq, eta * ga
     low, high = COEFFICIENT_RANGE
     neg_high = -high
-    block = _step_block(instance.d)
 
     def combine(cz, cg, ca):
         return z * cz + (g_k * cg + anchor * ca)
@@ -381,20 +397,14 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     branches = [0, 0, 0, 0]    # steps by projection branch (geometry's indices)
     pending = []               # checkpoints whose objectives are owed
     calls = counters.stochastic_calls
-    t = 0                      # steps taken
-    while t < T:
-        span = min(block, checkpoint_stride - t % checkpoint_stride, T - t)
-        idx = sample_losses(sampler, counters, instance.n, span)
-        XB, yB = X[idx], labels[idx]
+    for t, end, XB, yB, xxs, G, kb, qb in _blocks(
+            instance, sampler, counters, T, checkpoint_stride):
         zga[:, 0] = z
         margins = XB @ zga
         zx0, gxs, axs = margins.T.tolist()
         d_anchors = _loss_derivatives(yB, margins[:, 2], kind).tolist()
-        G = XB @ XB.T
-        kb = np.zeros(span)    # z's additions k, step by step
-        qb = np.zeros(span)    # the lazy sum's A k, step by step
         for l, (y, xx, G_l, gx, ax, d_anchor) in enumerate(
-                zip(yB.tolist(), x_sq[idx].tolist(), G, gxs, axs, d_anchors)):
+                zip(yB.tolist(), xxs, G, gxs, axs, d_anchors)):
             wx = alpha * (zx0[l] + float(kb.dot(G_l))) + beta * gx + gamma * ax
             c = _loss_derivative(y, wx + ax, kind) - d_anchor
             # ||c * x_i + lam * w||^2, expanded into scalars.
@@ -442,20 +452,19 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
             A += alpha
             B += beta
             C += gamma
-        t += span
         z += kb @ XB
         total -= qb @ XB
         total += combine(A, B, C)
         A = B = C = 0.0
         # No fold ends the epoch, and run's epoch-end record (step T + 1)
         # stands for a checkpoint at T.
-        if t < T:
+        if end < T:
             z = combine(alpha, beta, gamma)
             alpha, beta, gamma = 1.0, 0.0, 0.0
             w_sq, wg, wa = _products(z, g_k, anchor)
-            if trace is not None and t % checkpoint_stride == 0:
+            if trace is not None and end % checkpoint_stride == 0:
                 _checkpoint(trace, pending, instance, z + anchor,
-                            state.epoch_index, t, counters, reference_value)
+                            state.epoch_index, end, counters, reference_value)
     _flush(trace, pending, instance, reference_value)
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])

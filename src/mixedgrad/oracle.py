@@ -27,12 +27,23 @@ class OracleCounters:
     full_calls: int = 0
 
 
+def _is_seed(seed) -> bool:
+    """Philox takes only nonnegative integer seeds; a bool is not one."""
+    return (not isinstance(seed, bool)
+            and isinstance(seed, (int, np.integer)) and seed >= 0)
+
+
 class SeededSampler:
-    """Reproducible uniform index source backed by Philox (counter-based)."""
+    """Reproducible uniform index source backed by Philox (counter-based).
+    A seed that is not a nonnegative integer raises ValueError; none is
+    rounded or parsed into one."""
 
     ALGORITHM = "philox4x64"
 
     def __init__(self, seed: int):
+        if not _is_seed(seed):
+            raise ValueError(f"seed must be a nonnegative integer, "
+                             f"got {seed!r}")
         self.seed = int(seed)
         self._rng = np.random.Generator(np.random.Philox(self.seed))
 

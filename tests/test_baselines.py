@@ -211,6 +211,8 @@ class TestSgdMatchesReference:
         with pytest.raises(DivergenceError,
                            match="^non-finite iterate at step 35$") as exc:
             run_sgd(inst, cfg, 9, reference_value=0.0)
+        # Step 35 is step 5 of the block that starts at 30.
+        assert exc.value.counters == OracleCounters(35, 0)
         assert_queued_records_kept(inst, exc.value.trace, healthy, batches,
                                    [10, 20, 30])
 

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import mixedgrad.baselines
 from mixedgrad import core
 from mixedgrad.baselines import BaselineConfig, run_sgd
 from mixedgrad.bench import gen_synthetic
@@ -890,12 +889,38 @@ class TestDeferredCheckpoints:
 
 
 class TestStepBlock:
+    @pytest.mark.parametrize("T, stride, d, cap", [
+        (1, 1, 20, 100), (500, 7, 20, 100), (2500, 1000, 20, 100),
+        (300, 1000, 500, 65), (10, 1000, 40000, 1)])
+    def test_blocks_tile_the_steps_with_the_drawn_rows(self, T, stride, d,
+                                                       cap):
+        # The cap is min(STEP_BLOCK, ROW_BLOCK // d), at least one: at
+        # d = 40000 a single row exceeds ROW_BLOCK entries.
+        inst = random_instance(n=30, d=d, seed=1)
+        # Drawn in one call, the same sequence as the blocks' draws.
+        drawn = SeededSampler(5).draw_block(inst.n, T)
+        counters = OracleCounters()
+        ends = [0]
+        for t, end, XB, yB, xxs, G, kb, qb in core._blocks(
+                inst, SeededSampler(5), counters, T, stride):
+            assert t == ends[-1] and 0 < end - t <= cap
+            assert counters.stochastic_calls == end
+            idx = drawn[t:end]
+            np.testing.assert_array_equal(XB, inst.dataset.features[idx])
+            assert yB.tolist() == inst.dataset.labels[idx].tolist()
+            assert xxs == inst._row_sq[idx].tolist()
+            assert G.tobytes() == (XB @ XB.T).tobytes()
+            assert kb.tolist() == qb.tolist() == [0.0] * (end - t)
+            ends.append(end)
+        assert ends[-1] == T
+        assert set(range(stride, T, stride)) <= set(ends)
+
     @pytest.mark.parametrize("d, cap", [(20, 100), (500, 65)])
     def test_blocks_of_both_loops_stay_within_the_cap(self, d, cap,
                                                       monkeypatch):
-        # Each block draws its indices in one sample_losses call, so the
-        # sizes drawn are the block lengths. At stride 1000 neither loop's
-        # blocks are cut by a checkpoint before the cap,
+        # Both loops draw through core._blocks, one sample_losses call per
+        # block, so the sizes drawn are the block lengths. At stride 1000
+        # neither loop's blocks are cut by a checkpoint before the cap,
         # min(STEP_BLOCK, ROW_BLOCK // d): STEP_BLOCK = 100 at d = 20, and
         # ROW_BLOCK // d = 65 at d = 500. The block's Gram matrix stays
         # within ROW_BLOCK entries.
@@ -909,7 +934,6 @@ class TestStepBlock:
 
         sample_losses = core.sample_losses
         monkeypatch.setattr(core, "sample_losses", draw)
-        monkeypatch.setattr(mixedgrad.baselines, "sample_losses", draw)
         inst = gen_synthetic(0, 100, d, 0.1, LEAST_SQUARES, 1.0)
         beta = inst.smoothness
         run(inst, MixedGradConfig(eta1=0.5 / beta, delta1=1.0, t1=32,

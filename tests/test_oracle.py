@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+from mixedgrad.baselines import BaselineConfig, run_sgd
+from mixedgrad.core import MixedGradConfig, run
 from mixedgrad.losses import (LEAST_SQUARES, Dataset, ProblemInstance,
                               loss_grad)
 from mixedgrad.oracle import (OracleCounters, SeededSampler, full_grad,
@@ -44,6 +48,27 @@ class TestSampleLoss:
             sample_loss(SeededSampler(0), OracleCounters(), 0)
         with pytest.raises(ValueError):
             sample_losses(SeededSampler(0), OracleCounters(), 0, 5)
+
+
+class TestSeededSampler:
+    @pytest.mark.parametrize("solve", [
+        lambda inst, seed: run(inst, MixedGradConfig(
+            eta1=0.1, delta1=1.0, t1=4, epochs=1, lambda1=1.0), seed),
+        lambda inst, seed: run_sgd(inst, BaselineConfig("sgd", 4), seed)],
+        ids=["run", "run_sgd"])
+    @pytest.mark.parametrize("seed", [1.9, True, "3", -1],
+                             ids=["float", "bool", "str", "negative"])
+    def test_solvers_reject_a_seed_that_is_not_a_nonnegative_int(
+            self, solve, seed):
+        # Nothing is truncated or parsed: 1.9 and True are not seed 1, and
+        # '3' is not seed 3.
+        with pytest.raises(ValueError, match="^seed must be a nonnegative "
+                           f"integer, got {re.escape(repr(seed))}$"):
+            solve(make_instance(), seed)
+
+    def test_accepts_a_numpy_integer(self):
+        assert (SeededSampler(np.int64(3)).draw_block(100, 5).tolist()
+                == SeededSampler(3).draw_block(100, 5).tolist())
 
 
 class TestSampleLosses:
