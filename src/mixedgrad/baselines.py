@@ -3,7 +3,8 @@ Nesterov's accelerated gradient, all over the R-ball.
 
 Their convergence regimes (error ~ 1/sqrt(T), 1/T, 1/T^2 respectively on
 smooth convex problems) are what the benchmark harness measures slopes
-against. Each starts from 0, counts its own oracle calls and returns a
+against. Each starts from 0, counts its own oracle calls, writes its
+checkpoints and its DivergenceError through a core._Trace and returns a
 core.SolverResult, as core.run does. SGD touches only the stochastic
 counter; GD and NAG only the full-gradient counter.
 
@@ -28,9 +29,9 @@ from itertools import islice
 
 import numpy as np
 
-from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult,
-                   TraceRecord, _blocks, _check_counts, _check_positive,
-                   _checkpoint, _flush, _projected_gradient)
+from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult, _blocks,
+                   _check_counts, _check_positive, _projected_gradient,
+                   _Trace)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.project_ball by name.
@@ -108,8 +109,7 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         c = R * math.sqrt(instance.n) / instance.smoothness
     counters = OracleCounters()
     sampler = SeededSampler(seed)
-    trace: list[TraceRecord] = []
-    pending = []               # checkpoints whose objectives are owed
+    trace = _Trace(instance, reference_value)
     kind = instance.loss_kind
     low = COEFFICIENT_RANGE[0]
     T, stride = config.iterations, config.checkpoint_stride
@@ -153,10 +153,8 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
                     z = _project_ball(z * alpha + m * XB[l], R)
                 except ValueError:
                     counters.stochastic_calls = t + l + 1
-                    _flush(trace, pending, instance, reference_value)
-                    raise DivergenceError(
-                        f"non-finite iterate at step {t + l + 1}", counters,
-                        trace) from None
+                    raise trace.diverged(f"non-finite iterate at step "
+                                         f"{t + l + 1}", counters) from None
                 alpha, w_sq = 1.0, float(z.dot(z))
             A += alpha
         z += kb @ XB
@@ -167,10 +165,9 @@ def run_sgd(instance: ProblemInstance, config: BaselineConfig, seed: int,
         alpha, w_sq = 1.0, float(z.dot(z))
         if end % stride == 0 or end == T:
             point = total / (end + 1.0)
-            _checkpoint(trace, pending, instance, point, 0, end, counters,
-                        reference_value)
-    _flush(trace, pending, instance, reference_value)
-    return SolverResult(point, trace, counters)  # as checkpointed at step T
+            trace.checkpoint(point, 0, end, counters)
+    trace.flush()
+    return SolverResult(point, trace.records, counters)  # checkpointed at T
 
 
 @np.errstate(over="ignore")
@@ -179,14 +176,15 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
                        ) -> SolverResult:
     """The body of run_gd and run_nag (accelerated) over the R-ball: one
     call to the ball kernel (geometry._project_ball) per iterate, with
-    numpy's overflow warning silenced once for the whole run."""
+    numpy's overflow warning silenced once for the whole run. The bare
+    DivergenceError of _projected_gradient is raised again, with its
+    message, from the trace."""
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
     R = instance.domain_radius
     eta = (config.step_scale or 1.0) / instance.smoothness
     counters = OracleCounters()
-    trace: list[TraceRecord] = []
-    pending = []               # checkpoints whose objectives are owed
+    trace = _Trace(instance, reference_value)
     w = np.zeros(instance.d)
     iterates = _projected_gradient(lambda y: full_grad(instance, y, counters),
                                    lambda v: _project_ball(v, R), w, eta,
@@ -194,14 +192,11 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
     try:
         for t, w in enumerate(islice(iterates, config.iterations), 1):
             if t % config.checkpoint_stride == 0 or t == config.iterations:
-                _checkpoint(trace, pending, instance, w, 0, t, counters,
-                            reference_value)
+                trace.checkpoint(w, 0, t, counters)
     except DivergenceError as exc:
-        _flush(trace, pending, instance, reference_value)
-        exc.counters, exc.trace = counters, trace
-        raise
-    _flush(trace, pending, instance, reference_value)
-    return SolverResult(w, trace, counters)
+        raise trace.diverged(str(exc), counters) from None
+    trace.flush()
+    return SolverResult(w, trace.records, counters)
 
 
 def run_gd(instance: ProblemInstance, config: BaselineConfig,

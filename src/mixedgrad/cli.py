@@ -29,9 +29,9 @@ def _parse_kv(text: str) -> dict:
     if not text:
         return out
     for part in text.split(","):
-        key, _, val = part.partition("=")
-        key = key.strip()
-        val = val.strip()
+        key, _, val = map(str.strip, part.partition("="))
+        if key in out:
+            raise ValueError(f"repeated option {key!r}")
         try:
             out[key] = int(val)
         except ValueError:
@@ -139,8 +139,9 @@ def main(argv=None) -> int:
                        help="first-epoch steps (default 32); not with "
                        "--theory-mode")
     p_run.add_argument("--theory-mode", action="store_true")
-    p_run.add_argument("--delta", type=float, default=0.01,
-                       help="failure probability for theory mode")
+    p_run.add_argument("--delta", type=float, default=None,
+                       help="failure probability (default 0.01); only with "
+                       "--theory-mode")
     p_run.add_argument("--out", type=Path, required=True)
     p_run.add_argument("--ref-tol", type=float, default=1e-10)
 
@@ -164,7 +165,11 @@ def main(argv=None) -> int:
     if args.command == "run":
         if args.theory_mode and args.t1 is not None:
             p_run.error("--theory-mode derives T1; it would ignore: --t1")
+        if not args.theory_mode and args.delta is not None:
+            p_run.error("--delta is the failure probability of "
+                        "--theory-mode; without it, it would be ignored")
         args.t1 = 32 if args.t1 is None else args.t1
+        args.delta = 0.01 if args.delta is None else args.delta
         seeds = args.seed or [0]
         args.seed = seeds
         instance = _instance_from_args(args, p_run)

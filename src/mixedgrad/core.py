@@ -27,11 +27,7 @@ arXiv:1107.2490) are updated, and the form folded, once per block. Each
 epoch's summary counts the steps that left the fast path, by projection
 branch, and records whether its Delta-ball was certified inside the
 R-ball (EpochDomain.outer_inactive). Every solver writes its trace
-records through _checkpoint, which takes each record at its stride with
-that moment's counters and queues its point; _flush evaluates the queued
-points' objectives in one pass over X (losses._objectives), at the end of
-an epoch or run, when the queue reaches its cap, or before a
-DivergenceError.
+records, and builds its DivergenceError, through one _Trace.
 """
 
 from __future__ import annotations
@@ -66,11 +62,11 @@ MAX_FAILURE_PROBABILITY = math.exp(-4.5)
 class DivergenceError(RuntimeError):
     """Raised when an iterate or gradient stops being finite.
 
-    The solvers (run and baselines.run_sgd, run_gd, run_nag) always attach
-    the oracle counters and the trace they had reached, every record's
-    objective evaluated (_flush). Only
+    The solvers (run and baselines.run_sgd, run_gd, run_nag) build it with
+    _Trace.diverged, which attaches the oracle counters and the trace they
+    had reached, every record's objective evaluated. Only
     _projected_gradient raises it bare (counters and trace None): run_gd
-    and run_nag attach theirs as it passes, and the uncounted solves built
+    and run_nag raise theirs in its place, and the uncounted solves built
     on it (_certified_minimum: the reference optimum) pass it on bare.
     """
 
@@ -211,40 +207,52 @@ class SolverResult(NamedTuple):
     epoch_summaries: tuple[EpochSummary, ...] = ()
 
 
-def _checkpoint(trace: list[TraceRecord], pending: list[np.ndarray],
-                instance: ProblemInstance, point: np.ndarray, epoch: int,
-                step: int, counters: OracleCounters,
-                reference_value: float | None) -> None:
-    """Append point's trace record, with the counters of this moment, to
-    the trace and queue point in pending; _flush fills the record's
-    objective and error. Every solver writes its records here. The queue
-    is flushed here once it holds max(1, ROW_BLOCK // d) points, so the
-    queued points never exceed ROW_BLOCK entries (one point when d does)."""
-    trace.append(TraceRecord(epoch, step, counters.stochastic_calls,
-                             counters.full_calls, math.nan, math.nan))
-    pending.append(point)
-    if len(pending) >= max(1, ROW_BLOCK // instance.d):
-        _flush(trace, pending, instance, reference_value)
+class _Trace:
+    """The trace of one solver run: its records, and the points whose
+    objectives are still owed.
 
+    checkpoint appends a record with the counters of its moment and queues
+    its point; flush fills the queued records' objective (and error, given
+    a reference value) from one losses._objectives call, which touches no
+    oracle counter. checkpoint flushes once max(1, ROW_BLOCK // d) points
+    are queued, so the queue holds at most ROW_BLOCK entries (one point
+    when d exceeds it). A solver flushes at the end of its run (run_epoch:
+    of its epoch) and raises what diverged returns, so every record it
+    hands back has its objective.
+    """
 
-def _flush(trace: list[TraceRecord] | None, pending: list[np.ndarray],
-           instance: ProblemInstance, reference_value: float | None
-           ) -> None:
-    """Fill the objective and error of the queued points' records, the
-    last len(pending) of the trace, from one losses._objectives call, and
-    empty the queue. The evaluation does not touch the oracle counters.
-    A solver flushes at the end of its run (run_epoch: of its epoch) and
-    before it raises DivergenceError with its trace, so every record it
-    hands back has its objective."""
-    if not pending:
-        return
-    P = np.array(pending)
-    pending.clear()            # before _objectives adds its temporaries
-    objectives = _objectives(instance, P).tolist()
-    for record, obj in zip(trace[len(trace) - len(P):], objectives):
-        record.objective = obj
-        if reference_value is not None:
-            record.error = obj - reference_value
+    def __init__(self, instance: ProblemInstance,
+                 reference_value: float | None = None):
+        self.records: list[TraceRecord] = []
+        self._instance = instance
+        self._reference_value = reference_value
+        self._queue: list[np.ndarray] = []
+
+    def checkpoint(self, point: np.ndarray, epoch: int, step: int,
+                   counters: OracleCounters) -> None:
+        self.records.append(TraceRecord(
+            epoch, step, counters.stochastic_calls, counters.full_calls,
+            math.nan, math.nan))
+        self._queue.append(point)
+        if len(self._queue) >= max(1, ROW_BLOCK // self._instance.d):
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._queue:
+            return
+        P = np.array(self._queue)
+        self._queue.clear()    # before _objectives adds its temporaries
+        objectives = _objectives(self._instance, P).tolist()
+        for record, obj in zip(self.records[-len(P):], objectives):
+            record.objective = obj
+            if self._reference_value is not None:
+                record.error = obj - self._reference_value
+
+    def diverged(self, message: str, counters: OracleCounters):
+        """Flush, and return the DivergenceError carrying counters and the
+        records."""
+        self.flush()
+        return DivergenceError(message, counters, self.records)
 
 
 def anchor_gradient(instance: ProblemInstance, anchor: np.ndarray, lam: float,
@@ -305,9 +313,7 @@ def _products(w: np.ndarray, g_k: np.ndarray, anchor: np.ndarray
 @np.errstate(invalid="ignore", over="ignore")
 def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
               sampler: SeededSampler, counters: OracleCounters,
-              trace: list[TraceRecord] | None = None,
-              checkpoint_stride: int = 100,
-              reference_value: float | None = None
+              trace: _Trace, checkpoint_stride: int = 100
               ) -> tuple[np.ndarray, float, ProjectionCounts]:
     """One epoch of inner stochastic steps starting from 0, with g_k the
     anchor gradient (anchor_gradient at state.anchor and state.lam).
@@ -315,14 +321,11 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     Returns the sum of the inner_iters + 1 iterates over inner_iters + 1,
     the largest squared norm of (gradient correction + lam * w) seen, a
     diagnostic for the bounded-step property, and the steps that left the
-    projection fast path, counted by branch. Checkpoints are appended to
-    the trace every checkpoint_stride steps before step inner_iters, where
-    run's epoch-end record, with the same counters, stands for one. Each
-    record is taken at its stride, with the counters of that step; the
-    objectives of the epoch's records are evaluated in one pass over X
-    when the epoch ends, when max(1, ROW_BLOCK // d) of them are queued,
-    or before a DivergenceError (_checkpoint and _flush), and do not touch
-    the oracle counters.
+    projection fast path, counted by branch. Checkpoints, with the
+    counters of their step, are written to trace (a _Trace) every
+    checkpoint_stride steps before step inner_iters, where run's
+    epoch-end record, with the same counters, stands for one; the trace is
+    flushed when the epoch ends.
 
     Each step is w <- P_domain(v), v = w (1 - eta lam) - eta g_k -
     (eta c) x_i, where c x_i = grad g_i(w + anchor) - grad g_i(anchor), c
@@ -395,7 +398,6 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     zga[:, 1], zga[:, 2] = g_k, anchor
     max_step_sq = 0.0
     branches = [0, 0, 0, 0]    # steps by projection branch (geometry's indices)
-    pending = []               # checkpoints whose objectives are owed
     calls = counters.stochastic_calls
     for t, end, XB, yB, xxs, G, kb, qb in _blocks(
             instance, sampler, counters, T, checkpoint_stride):
@@ -441,10 +443,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
                     z, branch = _project_two_balls(v, domain)
                 except ValueError:
                     counters.stochastic_calls = calls + t + l + 1
-                    _flush(trace, pending, instance, reference_value)
-                    raise DivergenceError(
+                    raise trace.diverged(
                         f"non-finite iterate at epoch {state.epoch_index}, "
-                        f"step {t + l + 1}", counters, trace) from None
+                        f"step {t + l + 1}", counters) from None
                 alpha, beta, gamma = 1.0, 0.0, 0.0
                 w_sq, wg, wa = _products(z, g_k, anchor)
                 zx0 = (XB @ z).tolist()
@@ -462,10 +463,9 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
             z = combine(alpha, beta, gamma)
             alpha, beta, gamma = 1.0, 0.0, 0.0
             w_sq, wg, wa = _products(z, g_k, anchor)
-            if trace is not None and end % checkpoint_stride == 0:
-                _checkpoint(trace, pending, instance, z + anchor,
-                            state.epoch_index, end, counters, reference_value)
-    _flush(trace, pending, instance, reference_value)
+            if end % checkpoint_stride == 0:
+                trace.checkpoint(z + anchor, state.epoch_index, end, counters)
+    trace.flush()
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])
     return total / (T + 1.0), float(max_step_sq), projections
@@ -581,7 +581,7 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
     """
     counters = OracleCounters()
     sampler = SeededSampler(seed)
-    trace: list[TraceRecord] = []
+    trace = _Trace(instance, reference_value)
     summaries: list[EpochSummary] = []
     R = instance.domain_radius
 
@@ -597,27 +597,24 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
         g_k = anchor_gradient(instance, state.anchor, state.lam, counters)
         w_tilde, max_step_sq, projections = run_epoch(
             instance, state, g_k, sampler, counters, trace,
-            config.checkpoint_stride, reference_value)
+            config.checkpoint_stride)
         next_state = shrink_schedule(state, w_tilde, config.t1)
         # The new anchor is a convex combination of feasible points, so it
         # lies in the R-ball up to roundoff; clamp the tiny excess.
         nrm = float(np.linalg.norm(next_state.anchor))
         if nrm > R:
             if nrm > R + 1e-9:
-                raise DivergenceError(
-                    f"anchor left the feasible ball after epoch "
-                    f"{state.epoch_index}", counters, trace)
+                raise trace.diverged(f"anchor left the feasible ball after "
+                                     f"epoch {state.epoch_index}", counters)
             next_state.anchor = project_ball(next_state.anchor, R)
-        pending = []
-        _checkpoint(trace, pending, instance, next_state.anchor,
-                    state.epoch_index, state.inner_iters + 1, counters,
-                    reference_value)
-        _flush(trace, pending, instance, reference_value)
+        trace.checkpoint(next_state.anchor, state.epoch_index,
+                         state.inner_iters + 1, counters)
+        trace.flush()
         summaries.append(EpochSummary(
             epoch=state.epoch_index, delta=state.delta, lam=state.lam,
             eta=state.eta, inner_iters=state.inner_iters,
             anchor_after=next_state.anchor.copy(),
-            objective_after=trace[-1].objective,
+            objective_after=trace.records[-1].objective,
             stoch_calls=counters.stochastic_calls,
             full_calls=counters.full_calls,
             max_step_norm_sq=max_step_sq,
@@ -626,4 +623,5 @@ def run(instance: ProblemInstance, config: MixedGradConfig, seed: int,
             projections=projections))
         state = next_state
 
-    return SolverResult(state.anchor, trace, counters, tuple(summaries))
+    return SolverResult(state.anchor, trace.records, counters,
+                        tuple(summaries))

@@ -29,7 +29,7 @@ from mixedgrad import (
     run_gd, run_nag, run_sgd, theory_params,
 )
 from mixedgrad.baselines import GD, NAG, SGD
-from mixedgrad.core import EpochState, run_epoch
+from mixedgrad.core import EpochState, _Trace, run_epoch
 
 from helpers import epoch_subproblem_optimum
 
@@ -133,7 +133,7 @@ class TestCriterion3VarianceReduction:
         for i in range(inst.n):
             sampler = SimpleNamespace(draw_block=lambda n, k, i=i: [i] * k)
             mean, max_step_sq, _ = run_epoch(inst, state, g, sampler,
-                                             OracleCounters())
+                                             OracleCounters(), _Trace(inst))
             assert max_step_sq == 0.0
             assert np.array_equal(2 * mean, -(eta * g))
 

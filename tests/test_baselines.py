@@ -332,7 +332,7 @@ class TestSgdScalarState:
         # 32 steps on the 20,000 x 50 large-n shape hold O(d) vectors and
         # one coefficient per row drawn: no array of n entries (160 KB).
         # The checkpoint objective, one pass over X by design, is replaced
-        # where the trace's flush, core._flush, looks it up, so that only
+        # where the trace's flush, core._Trace.flush, looks it up, so that only
         # the step loop and the lazy sum are counted.
         inst = gen_synthetic(0, 20000, 50, 0.5, LEAST_SQUARES, 1.0)
         monkeypatch.setattr(mixedgrad.core, "_objectives",

@@ -73,11 +73,12 @@ def test_run_from_csv_dataset(tmp_path):
     assert (out / "trace_nag_seed0.csv").exists()
 
 
-def test_theory_mode_config(tmp_path):
+@pytest.mark.parametrize("delta", [["--delta", "0.01"], []])
+def test_theory_mode_config(delta, tmp_path):
+    # Without --delta, theory mode takes delta = 0.01.
     out = tmp_path / "results"
-    rc = main(["run", "--solver", "mixedgrad", "--theory-mode",
-               "--delta", "0.01", "--epochs", "2", "--n", "10", "--d", "2",
-               "--out", str(out)])
+    rc = main(["run", "--solver", "mixedgrad", "--theory-mode", *delta,
+               "--epochs", "2", "--n", "10", "--d", "2", "--out", str(out)])
     assert rc == 0
     with open(out / "summary.csv") as f:
         rows = list(csv.DictReader(f))
@@ -207,6 +208,18 @@ def test_theory_mode_rejects_t1_and_gamma_flags(flags, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "it would ignore: " + ", ".join(flags[::2]) in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_delta_without_theory_mode_is_an_argparse_error(tmp_path, capsys):
+    # --delta only feeds theory_params; without --theory-mode it would be
+    # ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", "gd:iterations=5", "--delta", "0.5",
+              "--n", "10", "--d", "2", "--out", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    assert ("bench run: error: --delta is the failure probability of "
+            "--theory-mode" in capsys.readouterr().err)
     assert not (tmp_path / "results").exists()
 
 
@@ -550,10 +563,14 @@ def test_negative_seed_is_an_argparse_error(seeds, tmp_path, capsys):
     (["--seed", "0", "--seed", "0"], "repeated seed: 0"),
     (["--solver", "gd:iterations=5", "--solver", "gd:iterations=9"],
      "repeated solver run name: gd"),
+    (["--solver", "gd:iterations=5,iterations=7"],
+     "--solver 'gd:iterations=5,iterations=7': repeated option "
+     "'iterations'"),
 ])
 def test_duplicate_runs_are_an_argparse_error(flags, message, tmp_path,
                                               capsys):
-    # Either pair of runs would write one trace file twice.
+    # Either pair of runs would write one trace file twice; a repeated
+    # option would keep only its last value.
     with pytest.raises(SystemExit) as exc:
         main(["run", "--n", "10", "--d", "2", *flags,
               "--out", str(tmp_path / "results")])

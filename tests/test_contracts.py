@@ -12,8 +12,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mixedgrad import core
 from mixedgrad import (BaselineConfig, DivergenceError, LEAST_SQUARES,
                        MixedGradConfig, OracleCounters, gen_synthetic, run,
                        run_gd, run_nag, run_sgd)
@@ -67,6 +69,46 @@ def test_divergence_carries_counters_and_trace(solver, config, seed, budget,
     assert exc.value.counters == OracleCounters(min(budget[0], 1),
                                                 min(budget[1], 1))
     assert isinstance(exc.value.trace, list)
+
+
+def push_anchor_out(monkeypatch, factor):
+    """Make core.run's schedule put each new anchor at factor * R."""
+    shrink_schedule = core.shrink_schedule
+
+    def pushed(state, w_tilde, t1):
+        next_state = shrink_schedule(state, w_tilde, t1)
+        anchor = next_state.anchor
+        next_state.anchor = anchor * (factor / np.linalg.norm(anchor))
+        return next_state
+
+    monkeypatch.setattr(core, "shrink_schedule", pushed)
+
+
+def test_anchor_outside_the_ball_diverges(instance, monkeypatch):
+    # Beyond the roundoff run clamps (1e-9), the anchor is no average of
+    # feasible points: the run stops after epoch 1, keeping the record
+    # epoch 1 took at step 4, with its objective.
+    _, config, seed, _ = SOLVERS[0]
+    assert instance.domain_radius == 1.0
+    push_anchor_out(monkeypatch, 1 + 1e-6)
+    with pytest.raises(DivergenceError,
+                       match="^anchor left the feasible ball after epoch "
+                             "1$") as exc:
+        run(instance, config, *seed)
+    assert exc.value.counters == OracleCounters(8, 1)
+    assert [(r.epoch, r.step) for r in exc.value.trace] == [(1, 4)]
+    assert math.isfinite(exc.value.trace[0].objective)
+
+
+def test_anchor_roundoff_outside_the_ball_is_clamped(instance, monkeypatch):
+    _, config, seed, budget = SOLVERS[0]
+    push_anchor_out(monkeypatch, 1 + 5e-10)
+    result = run(instance, config, *seed)
+    assert (result.counters.stochastic_calls,
+            result.counters.full_calls) == budget
+    assert len(result.epoch_summaries) == config.epochs
+    for summary in result.epoch_summaries:
+        assert np.linalg.norm(summary.anchor_after) <= 1.0
 
 
 def test_tracer_targets_resolve(monkeypatch):

@@ -12,7 +12,7 @@ from mixedgrad.baselines import BaselineConfig, run_sgd
 from mixedgrad.bench import gen_synthetic
 from mixedgrad.core import (CertificateError, DivergenceError, EpochState,
                             MixedGradConfig, ProjectionCounts,
-                            _certified_minimum, _projected_gradient,
+                            _certified_minimum, _projected_gradient, _Trace,
                             anchor_gradient, run, run_epoch,
                             shrink_schedule, theory_params)
 from mixedgrad.geometry import (BOTH, INNER, OUTER, EpochDomain,
@@ -84,7 +84,8 @@ class TestVrGradient:
                         sampler = SimpleNamespace(
                             draw_block=lambda n, k, i=i: [i] * k)
                         mean, max_sq, _ = run_epoch(inst, state, g_k, sampler,
-                                                    OracleCounters())
+                                                    OracleCounters(),
+                                                    _Trace(inst))
                         assert max_sq == 0.0
                         assert np.array_equal(2 * mean, -(eta * g_k))
 
@@ -163,7 +164,8 @@ class TestVrGradient:
             state = EpochState(1, anchor, 50.0, 0.0, 1.0, 2)
             for i in range(inst.n):
                 sampler = SimpleNamespace(draw_block=lambda n, k, i=i: [i] * k)
-                run_epoch(inst, state, -w, sampler, OracleCounters())
+                run_epoch(inst, state, -w, sampler, OracleCounters(),
+                          _Trace(inst))
                 # One block of two steps: one array of the two steps'
                 # anchor derivatives, then one derivative per step.
                 block = anchor_derivatives[-1]
@@ -204,7 +206,7 @@ class TestInnerStep:
         g_k = anchor_gradient(inst, anchor, 1.0, OracleCounters())
         state = EpochState(1, anchor, 1.0, 1.0, 0.0, 100)
         mean, max_sq, _ = run_epoch(inst, state, g_k, SeededSampler(0),
-                                    OracleCounters())
+                                    OracleCounters(), _Trace(inst))
         np.testing.assert_array_equal(mean, np.zeros(4))
         assert max_sq == 0.0
 
@@ -214,7 +216,7 @@ class TestInnerStep:
         state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 50)
         c = OracleCounters()
         with pytest.raises(DivergenceError, match="epoch 1, step 1$"):
-            run_epoch(inst, state, g_k, SeededSampler(0), c)
+            run_epoch(inst, state, g_k, SeededSampler(0), c, _Trace(inst))
         assert c.stochastic_calls == 1
 
 
@@ -224,7 +226,7 @@ class TestRunEpoch:
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, OracleCounters())
         state = EpochState(1, np.zeros(4), 1.0, 1.0, 0.1, 0)
         w_tilde, _, _ = run_epoch(inst, state, g_k, SeededSampler(0),
-                                  OracleCounters())
+                                  OracleCounters(), _Trace(inst))
         np.testing.assert_array_equal(w_tilde, np.zeros(4))
 
     def test_huge_lambda_pins_average_near_zero(self):
@@ -233,7 +235,7 @@ class TestRunEpoch:
         lam = 1e6
         state = EpochState(1, np.zeros(4), 1.0, lam, 1e-7, 200)
         w_tilde, _, _ = run_epoch(inst, state, np.zeros(4), SeededSampler(1),
-                                  c)
+                                  c, _Trace(inst))
         assert np.linalg.norm(w_tilde) <= 1e-3
 
     def test_deterministic_quadratic_reaches_subproblem_optimum(self):
@@ -245,7 +247,8 @@ class TestRunEpoch:
         c = OracleCounters()
         g_k = anchor_gradient(inst, np.zeros(1), lam, c)
         state = EpochState(1, np.zeros(1), delta, lam, eta, T)
-        w_tilde, _, _ = run_epoch(inst, state, g_k, SeededSampler(0), c)
+        w_tilde, _, _ = run_epoch(inst, state, g_k, SeededSampler(0), c,
+                                  _Trace(inst))
         w_opt = min(2 * a / (lam + 2), delta)  # closed form, clamped
         assert abs(w_tilde[0] - w_opt) <= 10 * eta
         assert np.linalg.norm(w_tilde) <= delta + 1e-12
@@ -256,7 +259,7 @@ class TestRunEpoch:
         g_k = anchor_gradient(inst, np.zeros(4), 1.0, c)
         state = EpochState(1, np.zeros(4), 1.0, 1.0, math.inf, 50)
         with pytest.raises(DivergenceError, match="epoch 1, step 1$"):
-            run_epoch(inst, state, g_k, SeededSampler(0), c)
+            run_epoch(inst, state, g_k, SeededSampler(0), c, _Trace(inst))
         assert c.stochastic_calls == 1
 
 
@@ -273,7 +276,7 @@ class TestRunEpoch:
         state = EpochState(1, np.zeros(4), delta, 1.0, 0.1, 50)
         assert EpochDomain(np.zeros(4), 1.0, delta).outer_inactive \
             == (delta < 1.0)
-        trace = []
+        trace = _Trace(inst)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError,
@@ -281,7 +284,7 @@ class TestRunEpoch:
                                      "step 1$") as exc:
                 run_epoch(inst, state, g_k, SeededSampler(0), c, trace)
         assert exc.value.counters is c and c == OracleCounters(1, 1)
-        assert exc.value.trace is trace
+        assert exc.value.trace is trace.records
 
     def test_step_whose_square_overflows_raises_no_warning(self):
         inst = random_instance(12)
@@ -290,7 +293,8 @@ class TestRunEpoch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mean, _, projections = run_epoch(
-                inst, state, g_k, SeededSampler(0), OracleCounters())
+                inst, state, g_k, SeededSampler(0), OracleCounters(),
+                _Trace(inst))
         assert projections == ProjectionCounts(30, 0, 0)
         assert np.linalg.norm(mean) > 0.1
 
@@ -305,7 +309,8 @@ class TestRunEpoch:
         state = EpochState(1, np.zeros(4), 0.5, 1.0, 1e200, 30)
         with np.errstate(over="ignore"):
             mean, _, projections = run_epoch(
-                inst, state, g_k, SeededSampler(0), OracleCounters())
+                inst, state, g_k, SeededSampler(0), OracleCounters(),
+                _Trace(inst))
             ref_mean, _, ref_projections = reference_epoch(
                 inst, state, g_k, SeededSampler(0), OracleCounters())
         assert projections == ref_projections == ProjectionCounts(30, 0, 0)
@@ -324,7 +329,8 @@ class TestRunEpoch:
         state = EpochState(1, anchor, 1.0, lam, 0.5 / inst.smoothness, 500)
         tracemalloc.start()
         try:
-            run_epoch(inst, state, g_k, SeededSampler(0), OracleCounters())
+            run_epoch(inst, state, g_k, SeededSampler(0), OracleCounters(),
+                      _Trace(inst))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -341,7 +347,8 @@ class TestRunEpoch:
         state = EpochState(1, anchor, 1.0, lam, 0.5 / inst.smoothness, 32)
         tracemalloc.start()
         try:
-            run_epoch(inst, state, g_k, SeededSampler(0), OracleCounters())
+            run_epoch(inst, state, g_k, SeededSampler(0), OracleCounters(),
+                      _Trace(inst))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -446,7 +453,7 @@ def assert_matches_reference(inst, state, g_k):
     for stride in (1, 7, 100):
         s_run, c_run = SeededSampler(3), OracleCounters()
         mean, max_sq, projections = run_epoch(inst, state, g_k, s_run, c_run,
-                                              checkpoint_stride=stride)
+                                              _Trace(inst), stride)
         np.testing.assert_allclose(
             mean, ref_mean, rtol=0,
             atol=epoch_rounding_bound(inst, state, g_k, stride))
@@ -545,7 +552,7 @@ class TestRunEpochMatchesReference:
             w = project_epoch_domain(w - eta * grad, domain)
             gd_mean += (w - gd_mean) / (t + 1)
         mean, _, _ = run_epoch(inst, state, g_k, SeededSampler(0),
-                               OracleCounters())
+                               OracleCounters(), _Trace(inst))
         np.testing.assert_allclose(mean, gd_mean, atol=1e-12)
 
 
