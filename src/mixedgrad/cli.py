@@ -3,7 +3,15 @@
     bench gen  --seed 0 --n 200 --d 20 --noise 0 --loss ls --radius 1 --out data.csv
     bench run  --seed 0 --seed 1 --solver mixedgrad:epochs=7,t1=32 --solver gd:iterations=200 \
                --n 200 --d 20 --loss ls --radius 1 --out results/
+    bench run  --solver mixedgrad-theory:epochs=4,failure_prob=0.01 --out theory/
     bench fit  --trace results/trace_mixedgrad_seed0.csv --x-field stoch_calls --skip-head 1
+
+Every solver option is a key of its --solver spec. `mixedgrad` is the
+practical recipe: t1 defaults to DEFAULT_T1, eta1 to 1/(2 beta sqrt(3 t1)),
+delta1 to the domain radius and lambda1 to beta. `mixedgrad-theory` is the
+high-probability recipe core.theory_params; it takes only epochs and
+failure_prob (default DEFAULT_FAILURE_PROB). Both take epochs from --epochs
+by default and name their runs `mixedgrad`.
 """
 
 from __future__ import annotations
@@ -22,6 +30,16 @@ from .losses import (LEAST_SQUARES, LOGISTIC, ProblemInstance,
                      load_dataset_csv, save_dataset_csv)
 
 LOSS_NAMES = {"ls": LEAST_SQUARES, "logistic": LOGISTIC}
+DEFAULT_T1 = 32
+DEFAULT_FAILURE_PROB = 0.01
+_BASELINE_OPTIONS = tuple(f.name for f in dataclasses.fields(
+    baselines.BaselineConfig) if f.name != "method")
+# The keys each --solver name accepts.
+SOLVER_OPTIONS = {
+    "mixedgrad": tuple(f.name for f in dataclasses.fields(MixedGradConfig)),
+    "mixedgrad-theory": ("epochs", "failure_prob"),
+    **dict.fromkeys(baselines.METHODS, _BASELINE_OPTIONS),
+}
 
 
 def _parse_kv(text: str) -> dict:
@@ -42,34 +60,24 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _build_solver(spec_text: str, args, instance) -> SolverConfig:
+def _build_solver(spec_text: str, epochs: int, instance) -> SolverConfig:
     """Raises ArithmeticError, TypeError or ValueError on a bad spec."""
     name, _, kv_text = spec_text.partition(":")
     kv = _parse_kv(kv_text)
-    if name == "mixedgrad":
-        config_cls, fixed = MixedGradConfig, ()
-    elif name in baselines.METHODS:
-        config_cls, fixed = baselines.BaselineConfig, ("method",)
-    else:
+    if name not in SOLVER_OPTIONS:
         raise ValueError(f"unknown solver {name!r}; accepted: "
-                         f"{', '.join(('mixedgrad',) + baselines.METHODS)}")
-    accepted = [f.name for f in dataclasses.fields(config_cls)
-                if f.name not in fixed]
+                         f"{', '.join(SOLVER_OPTIONS)}")
     for key in kv:
-        if key not in accepted:
+        if key not in SOLVER_OPTIONS[name]:
             raise ValueError(f"solver {name!r} has no option {key!r}; "
-                             f"accepted: {', '.join(accepted)}")
+                             f"accepted: {', '.join(SOLVER_OPTIONS[name])}")
+    beta = instance.smoothness
+    if name == "mixedgrad-theory":
+        return theory_params(beta, instance.domain_radius,
+                             kv.get("failure_prob", DEFAULT_FAILURE_PROB),
+                             kv.get("epochs", epochs))
     if name == "mixedgrad":
-        if args.theory_mode:
-            ignored = [key for key in kv if key != "epochs"]
-            if ignored:
-                raise ValueError(
-                    f"--theory-mode derives every mixedgrad option but "
-                    f"epochs; it would ignore: {', '.join(ignored)}")
-            return theory_params(instance.smoothness, instance.domain_radius,
-                                 args.delta, kv.get("epochs", args.epochs))
-        beta = instance.smoothness
-        t1 = kv.pop("t1", args.t1)
+        t1 = kv.get("t1", DEFAULT_T1)
         # eta1 is derived from t1, so t1 is checked first.
         _check_count("t1", t1)
         eta1 = 1.0 / (2.0 * beta * math.sqrt(3.0 * t1))
@@ -77,18 +85,11 @@ def _build_solver(spec_text: str, args, instance) -> SolverConfig:
             raise ValueError(f"the default eta1 = 1/(2 beta sqrt(3 t1)) is "
                              f"0 at beta = {beta:g}, t1 = {t1}; rescale the "
                              f"features or set eta1")
-        defaults = dict(
-            eta1=eta1,
-            delta1=instance.domain_radius,
-            t1=t1,
-            epochs=args.epochs,
-            lambda1=beta,
-        )
-        defaults.update(kv)
-        return MixedGradConfig(**defaults)
-    defaults = dict(method=name, iterations=1000)
-    defaults.update(kv)
-    return baselines.BaselineConfig(**defaults)
+        return MixedGradConfig(**{
+            "eta1": eta1, "delta1": instance.domain_radius, "t1": t1,
+            "epochs": epochs, "lambda1": beta, **kv})
+    return baselines.BaselineConfig(**{"method": name, "iterations": 1000,
+                                       **kv})
 
 
 def _instance_from_args(args, parser) -> ProblemInstance:
@@ -133,15 +134,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--csv", type=Path, default=None,
                        help="load the dataset from CSV instead of generating")
     p_run.add_argument("--solver", action="append", default=None, metavar
-                       ="NAME[:key=val,...]", help="solver spec; repeatable")
-    p_run.add_argument("--epochs", type=int, default=7)
-    p_run.add_argument("--t1", type=int, default=None,
-                       help="first-epoch steps (default 32); not with "
-                       "--theory-mode")
-    p_run.add_argument("--theory-mode", action="store_true")
-    p_run.add_argument("--delta", type=float, default=None,
-                       help="failure probability (default 0.01); only with "
-                       "--theory-mode")
+                       ="NAME[:key=val,...]", help="solver spec; repeatable; "
+                       f"NAME is one of {', '.join(SOLVER_OPTIONS)}")
+    p_run.add_argument("--epochs", type=int, default=7,
+                       help="epochs of both mixedgrad specs unless they set "
+                       "it")
     p_run.add_argument("--out", type=Path, required=True)
     p_run.add_argument("--ref-tol", type=float, default=1e-10)
 
@@ -163,20 +160,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
-        if args.theory_mode and args.t1 is not None:
-            p_run.error("--theory-mode derives T1; it would ignore: --t1")
-        if not args.theory_mode and args.delta is not None:
-            p_run.error("--delta is the failure probability of "
-                        "--theory-mode; without it, it would be ignored")
-        args.t1 = 32 if args.t1 is None else args.t1
-        args.delta = 0.01 if args.delta is None else args.delta
         seeds = args.seed or [0]
         args.seed = seeds
         instance = _instance_from_args(args, p_run)
         solvers = []
         for text in args.solver or ["mixedgrad"]:
             try:
-                solvers.append(_build_solver(text, args, instance))
+                solvers.append(_build_solver(text, args.epochs, instance))
             except (ArithmeticError, TypeError, ValueError) as exc:
                 p_run.error(f"--solver {text!r}: {exc}")
         try:

@@ -54,7 +54,7 @@ from .losses import full_objective  # noqa: F401
 from .oracle import OracleCounters, SeededSampler, full_grad, sample_losses
 from .oracle import sample_loss  # noqa: F401
 
-# Largest delta (failure probability) the theory-mode parameter formulas
+# Largest failure probability (delta) the theory_params formulas
 # accept: exp(-9/2).
 MAX_FAILURE_PROBABILITY = math.exp(-4.5)
 
@@ -116,12 +116,15 @@ def theory_params(beta: float, radius: float, failure_prob: float,
     """Config from the high-probability analysis: lambda1=16*beta,
     Delta1=R, T1=ceil(300 ln(m/delta)), eta1=1/(2 beta sqrt(3 T1)); the
     shrink factor is the fixed MixedGradConfig.gamma = 2."""
-    if not (beta > 0 and radius > 0 and epochs >= 1):
-        raise ValueError("beta, radius must be positive and epochs >= 1")
-    if not 0 < failure_prob <= MAX_FAILURE_PROBABILITY:
+    _check_count("epochs", epochs)
+    if (isinstance(failure_prob, bool)
+            or not isinstance(failure_prob, numbers.Real)
+            or not 0 < failure_prob <= MAX_FAILURE_PROBABILITY):
         raise ValueError(
-            f"failure probability must lie in (0, e^-4.5 ~ "
-            f"{MAX_FAILURE_PROBABILITY:.4g}]")
+            f"failure_prob must be a real number in (0, e^-4.5 ~ "
+            f"{MAX_FAILURE_PROBABILITY:.4g}], got {failure_prob!r}")
+    if not (beta > 0 and radius > 0):
+        raise ValueError("beta, radius must be positive")
     t1 = math.ceil(300.0 * math.log(epochs / failure_prob))
     eta1 = 1.0 / (2.0 * beta * math.sqrt(3.0 * t1))
     lambda1 = 16.0 * beta

@@ -370,10 +370,12 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by save_dataset_csv (header y,x1,...,xd).
-    An empty file, one without data rows, a row of the wrong length or an
-    entry that is not a finite number raises ValueError naming the file,
-    and the data row where there is one."""
-    rows = _read_csv(path, "dataset CSV", lambda h: h[:1] == ["y"],
+    An empty file, a header without a feature column, a file without
+    data rows, a row of the wrong length or an entry that is not a finite
+    number raises ValueError naming the file, and the data row where there
+    is one."""
+    rows = _read_csv(path, "dataset CSV",
+                     lambda h: h[:1] == ["y"] and len(h) > 1,
                      "y,x1,...,xd", repeat(_finite_float))
     if not rows:
         raise ValueError(f"dataset CSV {path} has no data rows")

@@ -7,12 +7,25 @@ import pytest
 
 import mixedgrad.bench
 import mixedgrad.cli
-from mixedgrad.bench import (ReferenceSolveError, gen_synthetic,
-                             write_trace_csv)
+from mixedgrad.bench import (ReferenceSolveError, compute_reference_optimum,
+                             gen_synthetic, write_trace_csv)
 from mixedgrad.cli import main
-from mixedgrad.core import TraceRecord
+from mixedgrad.core import TraceRecord, run, theory_params
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               load_dataset_csv, save_dataset_csv)
+
+
+@pytest.fixture
+def built_specs(monkeypatch):
+    """The ExperimentSpecs bench run builds; nothing is run or written."""
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        return {"reference_value": 0.0, "traces": [], "summary": ""}
+
+    monkeypatch.setattr(mixedgrad.cli, "run_experiment", capture)
+    return specs
 
 
 def test_gen_writes_loadable_csv(tmp_path, capsys):
@@ -73,12 +86,13 @@ def test_run_from_csv_dataset(tmp_path):
     assert (out / "trace_nag_seed0.csv").exists()
 
 
-@pytest.mark.parametrize("delta", [["--delta", "0.01"], []])
-def test_theory_mode_config(delta, tmp_path):
-    # Without --delta, theory mode takes delta = 0.01.
+@pytest.mark.parametrize("spec", ["mixedgrad-theory:failure_prob=0.01",
+                                  "mixedgrad-theory"])
+def test_theory_spec_config(spec, tmp_path):
+    # Without failure_prob, mixedgrad-theory takes delta = 0.01.
     out = tmp_path / "results"
-    rc = main(["run", "--solver", "mixedgrad", "--theory-mode", *delta,
-               "--epochs", "2", "--n", "10", "--d", "2", "--out", str(out)])
+    rc = main(["run", "--solver", spec, "--epochs", "2", "--n", "10",
+               "--d", "2", "--out", str(out)])
     assert rc == 0
     with open(out / "summary.csv") as f:
         rows = list(csv.DictReader(f))
@@ -115,12 +129,18 @@ def test_removed_solver_options_are_rejected(spec, option, accepted,
     assert not (tmp_path / "results").exists()
 
 
-def test_gamma_flag_is_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [["--gamma", "3"], ["--t1", "8"],
+                                   ["--theory-mode"], ["--delta", "0.01"]],
+                         ids=["gamma", "t1", "theory-mode", "delta"])
+def test_gamma_flag_is_rejected(flags, tmp_path, capsys):
+    # gamma is fixed; t1, theory mode and its failure probability are
+    # --solver mixedgrad and mixedgrad-theory keys.
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--gamma", "3", "--epochs", "1", "--n", "10",
+        main(["run", *flags, "--epochs", "1", "--n", "10",
               "--d", "2", "--out", str(tmp_path / "results")])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --gamma 3" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" \
+        in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 
@@ -171,6 +191,9 @@ def test_malformed_solver_spec_is_an_argparse_error(spec, tmp_path, capsys):
 @pytest.mark.parametrize("spec, message", [
     ("mixedgrad:t1=8.0,epochs=2", "t1 must be an integer >= 1, got 8.0"),
     ("mixedgrad:epochs=2.0", "epochs must be an integer >= 1, got 2.0"),
+    ("mixedgrad-theory:epochs=abc",
+     "epochs must be an integer >= 1, got 'abc'"),
+    ("mixedgrad-theory:epochs=0", "epochs must be an integer >= 1, got 0"),
     ("mixedgrad:checkpoint_stride=true",
      "checkpoint_stride must be an integer >= 1, got 'true'"),
     ("sgd:iterations=100.0", "iterations must be an integer >= 1, got 100.0"),
@@ -188,47 +211,53 @@ def test_non_integer_solver_count_is_an_argparse_error(spec, message,
     assert not out.exists()
 
 
-def test_theory_mode_rejects_options_it_would_ignore(tmp_path, capsys):
+def test_theory_spec_rejects_the_options_it_derives(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--solver", "mixedgrad:t1=8,epochs=1,eta1=5",
-              "--theory-mode", "--delta", "0.01", "--n", "10", "--d", "2",
-              "--out", str(tmp_path / "results")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "would ignore: t1, eta1" in err
-    assert not (tmp_path / "results").exists()
-
-
-@pytest.mark.parametrize("flags", [["--t1", "8"]])
-def test_theory_mode_rejects_t1_and_gamma_flags(flags, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--solver", "mixedgrad", "--theory-mode", *flags,
-              "--epochs", "1", "--delta", "0.01", "--n", "10", "--d", "2",
-              "--out", str(tmp_path / "results")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "it would ignore: " + ", ".join(flags[::2]) in err
-    assert not (tmp_path / "results").exists()
-
-
-def test_delta_without_theory_mode_is_an_argparse_error(tmp_path, capsys):
-    # --delta only feeds theory_params; without --theory-mode it would be
-    # ignored.
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--solver", "gd:iterations=5", "--delta", "0.5",
+        main(["run", "--solver", "mixedgrad-theory:t1=8,epochs=1,eta1=5",
               "--n", "10", "--d", "2", "--out", str(tmp_path / "results")])
     assert exc.value.code == 2
-    assert ("bench run: error: --delta is the failure probability of "
-            "--theory-mode" in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert ("solver 'mixedgrad-theory' has no option 't1'; accepted: "
+            "epochs, failure_prob\n") in err
     assert not (tmp_path / "results").exists()
 
 
-@pytest.mark.parametrize("flags, calls", [([], 32 + 128),
-                                          (["--t1", "16"], 16 + 64)])
-def test_t1_and_gamma_flags_without_theory_mode(flags, calls, tmp_path):
+@pytest.mark.parametrize("spec, shown", [
+    ("mixedgrad-theory:failure_prob=abc", "'abc'"),
+    ("mixedgrad-theory:failure_prob=0.1", "0.1"),
+    ("mixedgrad-theory:failure_prob=0", "0"),
+    ("mixedgrad-theory:failure_prob=nan", "nan")])
+def test_bad_failure_prob_is_an_argparse_error(spec, shown, tmp_path,
+                                               capsys):
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", spec, "--n", "10", "--d", "2", "--out",
+              str(out)])
+    assert exc.value.code == 2
+    assert (f"--solver {spec!r}: failure_prob must be a real number in "
+            f"(0, e^-4.5 ~ 0.01111], got {shown}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["mixedgrad-theory", "mixedgrad"])
+def test_zero_epochs_flag_is_an_argparse_error(spec, tmp_path, capsys):
+    # Both recipes report it alike.
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--solver", spec, "--epochs", "0", "--n", "10",
+              "--d", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--solver {spec!r}: epochs must be an integer >= 1, got 0" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, calls", [("mixedgrad", 32 + 128),
+                                         ("mixedgrad:t1=16", 16 + 64)])
+def test_t1_default_and_spec_key(spec, calls, tmp_path):
     # Default T1 = 32, and gamma is 2; two epochs spend T1 (1 + 4).
     out = tmp_path / "results"
-    rc = main(["run", "--solver", "mixedgrad", *flags, "--epochs", "2",
+    rc = main(["run", "--solver", spec, "--epochs", "2",
                "--n", "10", "--d", "2", "--out", str(out)])
     assert rc == 0
     with open(out / "summary.csv") as f:
@@ -237,52 +266,79 @@ def test_t1_and_gamma_flags_without_theory_mode(flags, calls, tmp_path):
 
 
 def test_default_eta1_is_theory_params_formula_to_the_bit(tmp_path,
-                                                          monkeypatch):
+                                                          built_specs):
     # eta1 = 1/(2 beta sqrt(3 t1)) with math.sqrt, as in
     # core.theory_params. At t1 = 2609 and beta = 2 (least squares, one
     # row of norm 1), (3 t1) ** 0.5 gives 0.002825805992426818 instead.
     data = tmp_path / "data.csv"
     data.write_text("y,x1\n1.0,1.0\n")
-    specs = []
-
-    def capture(spec):
-        specs.append(spec)
-        return {"reference_value": 0.0, "traces": [], "summary": ""}
-
-    monkeypatch.setattr(mixedgrad.cli, "run_experiment", capture)
-    rc = main(["run", "--csv", str(data), "--t1", "2609", "--out",
-               str(tmp_path / "results")])
+    rc = main(["run", "--csv", str(data), "--solver", "mixedgrad:t1=2609",
+               "--out", str(tmp_path / "results")])
     assert rc == 0
-    assert specs[0].instance.smoothness == 2.0
-    assert specs[0].solvers[0].eta1 == 0.0028258059924268176
+    assert built_specs[0].instance.smoothness == 2.0
+    assert built_specs[0].solvers[0].eta1 == 0.0028258059924268176
 
 
-@pytest.mark.parametrize("flags, shown", [
-    (["--t1", "0"], "0"), (["--t1", "-4"], "-4"),
-    (["--solver", "mixedgrad:t1=-4"], "-4"),
-    (["--solver", "mixedgrad:t1=abc"], "'abc'")])
-def test_bad_t1_is_an_argparse_error(flags, shown, tmp_path, capsys):
+@pytest.mark.parametrize("t1, shown", [("0", "0"), ("-4", "-4"),
+                                       ("abc", "'abc'"), ("2.5", "2.5")])
+def test_bad_t1_is_an_argparse_error(t1, shown, tmp_path, capsys):
     # eta1 is derived from t1, so t1 is checked before it is used.
     out = tmp_path / "results"
     with pytest.raises(SystemExit) as exc:
-        main(["run", *flags, "--n", "10", "--d", "2", "--out", str(out)])
+        main(["run", "--solver", f"mixedgrad:t1={t1}", "--n", "10", "--d",
+              "2", "--out", str(out)])
     assert exc.value.code == 2
     assert f"t1 must be an integer >= 1, got {shown}" \
         in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_theory_mode_takes_epochs_from_the_solver_spec(tmp_path):
+def test_theory_spec_takes_epochs_from_its_key(tmp_path):
     out = tmp_path / "results"
-    rc = main(["run", "--solver", "mixedgrad:epochs=1", "--theory-mode",
-               "--delta", "0.01", "--epochs", "3", "--n", "10", "--d", "2",
-               "--out", str(out)])
+    rc = main(["run", "--solver", "mixedgrad-theory:epochs=1", "--epochs",
+               "3", "--n", "10", "--d", "2", "--out", str(out)])
     assert rc == 0
     with open(out / "summary.csv") as f:
         rows = list(csv.DictReader(f))
     # T1 = ceil(300 ln(1/0.01)) = 1382, one epoch
     assert (int(rows[0]["stoch_calls"]), int(rows[0]["full_calls"])) \
         == (1382, 1)
+
+
+@pytest.mark.parametrize("spec, failure_prob, epochs", [
+    ("mixedgrad-theory", 0.01, 4),
+    ("mixedgrad-theory:epochs=2", 0.01, 2),
+    ("mixedgrad-theory:epochs=2,failure_prob=0.005", 0.005, 2)])
+def test_theory_spec_builds_theory_params(spec, failure_prob, epochs,
+                                          tmp_path, built_specs):
+    rc = main(["run", "--solver", spec, "--epochs", "4", "--n", "10",
+               "--d", "2", "--out", str(tmp_path / "results")])
+    assert rc == 0
+    instance = built_specs[0].instance
+    assert built_specs[0].solvers == [theory_params(
+        instance.smoothness, instance.domain_radius, failure_prob, epochs)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP "
+                   "item 1: the practical recipe's halving Delta_k-ball "
+                   "leaves the optimum out of reach after epoch 2")
+def test_default_mixedgrad_keeps_the_optimum_within_reach(tmp_path,
+                                                          built_specs):
+    # After epoch k the anchor can move by at most sum_{j>k} Delta_j =
+    # Delta_k more, so a negative margin Delta_k - ||anchor_after - w_ref||
+    # means no further epoch reaches w_ref. On this instance the margins
+    # are +0.234, -0.242, -0.452, -0.508, -0.516 and -0.518.
+    rc = main(["run", "--n", "200", "--d", "20", "--noise", "0.5",
+               "--seed", "0", "--epochs", "6", "--solver", "mixedgrad",
+               "--out", str(tmp_path / "results")])
+    assert rc == 0
+    (spec,) = built_specs
+    w_ref, _ = compute_reference_optimum(spec.instance, 1e-10)
+    result = run(spec.instance, spec.solvers[0], seed=0)
+    margins = [s.delta - np.linalg.norm(s.anchor_after - w_ref)
+               for s in result.epoch_summaries]
+    assert len(margins) == 6
+    assert all(margin >= 0 for margin in margins), margins
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -319,6 +375,8 @@ def test_bad_instance_flags_are_an_argparse_error(command, flags, message,
     ("y,x1,x2\n1.0,0.5,0.25\n2.0,nan,0.5\n",
      "data row 2: entry 'nan' is not finite"),
     ("\ny,x1\n1.0,0.5\n", "is not a dataset CSV: its header must be "
+     "y,x1,...,xd"),
+    ("y\n1.0\n2.0\n", "is not a dataset CSV: its header must be "
      "y,x1,...,xd"),
 ])
 def test_bad_csv_is_an_argparse_error(content, message, tmp_path, capsys):
@@ -441,8 +499,8 @@ def test_default_step_that_underflows_names_beta(tmp_path, capsys):
     data.write_text("y,x1,x2\n1.0,1e150,0.0\n-1.0,0.0,1e150\n")
     out = tmp_path / "results"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--csv", str(data), "--t1", str(10 ** 16), "--out",
-              str(out)])
+        main(["run", "--csv", str(data), "--solver",
+              f"mixedgrad:t1={10 ** 16}", "--out", str(out)])
     assert exc.value.code == 2
     assert ("the default eta1 = 1/(2 beta sqrt(3 t1)) is 0 at beta = 2e+300"
             in capsys.readouterr().err)
@@ -563,6 +621,8 @@ def test_negative_seed_is_an_argparse_error(seeds, tmp_path, capsys):
     (["--seed", "0", "--seed", "0"], "repeated seed: 0"),
     (["--solver", "gd:iterations=5", "--solver", "gd:iterations=9"],
      "repeated solver run name: gd"),
+    (["--solver", "mixedgrad", "--solver", "mixedgrad-theory"],
+     "repeated solver run name: mixedgrad"),
     (["--solver", "gd:iterations=5,iterations=7"],
      "--solver 'gd:iterations=5,iterations=7': repeated option "
      "'iterations'"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -611,6 +612,21 @@ class TestTheoryParams:
     def test_rejects_large_failure_probability(self):
         with pytest.raises(ValueError):
             theory_params(1.0, 1.0, 0.1, 5)
+
+    @pytest.mark.parametrize("epochs", [0, -2, 2.0, True, "abc", None])
+    def test_rejects_an_epoch_count_that_is_not_a_positive_integer(
+            self, epochs):
+        with pytest.raises(ValueError, match=f"^epochs must be an integer "
+                           f">= 1, got {re.escape(repr(epochs))}$"):
+            theory_params(1.0, 1.0, 0.01, epochs)
+
+    @pytest.mark.parametrize("failure_prob", [0, -0.01, 0.1, math.nan,
+                                              True, "abc", None])
+    def test_rejects_a_failure_prob_outside_its_range(self, failure_prob):
+        with pytest.raises(ValueError, match=f"^failure_prob must be a real "
+                           f"number in .*, got "
+                           f"{re.escape(repr(failure_prob))}$"):
+            theory_params(1.0, 1.0, failure_prob, 3)
 
     @pytest.mark.parametrize("beta", [1e307, 1e308])
     def test_rejects_a_beta_whose_parameters_overflow(self, beta):
