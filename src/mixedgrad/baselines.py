@@ -29,9 +29,8 @@ from itertools import islice
 
 import numpy as np
 
-from .core import (COEFFICIENT_RANGE, DivergenceError, SolverResult, _blocks,
-                   _check_counts, _check_positive, _projected_gradient,
-                   _Trace)
+from .core import (COEFFICIENT_RANGE, SolverResult, _blocks, _check_counts,
+                   _check_positive, _projected_gradient, _Trace)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.baselines.project_ball by name.
@@ -176,9 +175,10 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
                        ) -> SolverResult:
     """The body of run_gd and run_nag (accelerated) over the R-ball: one
     call to the ball kernel (geometry._project_ball) per iterate, with
-    numpy's overflow warning silenced once for the whole run. The bare
-    DivergenceError of _projected_gradient is raised again, with its
-    message, from the trace."""
+    numpy's overflow warning silenced once for the whole run. The kernel's
+    ValueError for a non-finite point, which core._projected_gradient
+    passes on, raises trace.diverged's DivergenceError naming step t + 1,
+    t the iterates reached, with the full-gradient counter at t + 1."""
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
     R = instance.domain_radius
@@ -189,12 +189,14 @@ def _run_full_gradient(instance: ProblemInstance, config: BaselineConfig,
     iterates = _projected_gradient(lambda y: full_grad(instance, y, counters),
                                    lambda v: _project_ball(v, R), w, eta,
                                    accelerated=method == NAG)
+    t = 0
     try:
         for t, w in enumerate(islice(iterates, config.iterations), 1):
             if t % config.checkpoint_stride == 0 or t == config.iterations:
                 trace.checkpoint(w, 0, t, counters)
-    except DivergenceError as exc:
-        raise trace.diverged(str(exc), counters) from None
+    except ValueError:
+        raise trace.diverged(f"non-finite iterate at step {t + 1}",
+                             counters) from None
     trace.flush()
     return SolverResult(w, trace.records, counters)
 

@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .core import (CertificateError, DivergenceError, MixedGradConfig,
-                   SolverResult, TraceRecord, _certified_minimum,
-                   run as run_mixedgrad)
+from .core import (DivergenceError, MixedGradConfig, SolverResult,
+                   TraceRecord, _certified_minimum, run as run_mixedgrad)
 from .geometry import _project_ball
 # project_ball stays importable from here: perfbench/tracer.py wraps
 # mixedgrad.bench.project_ball by name.
@@ -76,10 +75,6 @@ def gen_synthetic(seed: int, n: int, d: int, noise_sd: float,
     return ProblemInstance(Dataset(X, y), loss_kind, radius)
 
 
-class ReferenceSolveError(CertificateError):
-    """The reference solve hit its iteration cap."""
-
-
 def compute_reference_optimum(instance: ProblemInstance, tolerance: float,
                               max_iterations: int = 10 ** 6
                               ) -> tuple[np.ndarray, float]:
@@ -90,22 +85,20 @@ def compute_reference_optimum(instance: ProblemInstance, tolerance: float,
 
     The certificate is the gradient-mapping residual of a step-1/L
     projected gradient step, checked on every core.RESIDUAL_INTERVAL-th
-    iterate and on iterate max_iterations. Returns the first checked iterate whose
-    residual is below the tolerance, with its objective value. Raises
-    ReferenceSolveError if no checked iterate reaches it.
+    iterate and on iterate max_iterations. Returns the first checked
+    iterate whose residual is below the tolerance, with its objective
+    value. Raises core's CertificateError if no checked iterate reaches it
+    or a point of the solve is not finite (naming its step).
     """
     if not 0 < tolerance <= 1e-6:
         raise ValueError("tolerance must lie in (0, 1e-6]")
     R = instance.domain_radius
     # mean_gradient is looked up at call time, so a wrapper installed on
     # bench.mean_gradient sees every gradient the solve takes.
-    try:
-        w, _ = _certified_minimum(lambda y: mean_gradient(instance, y),
-                                  lambda v: _project_ball(v, R),
-                                  1.0 / mean_smoothness(instance), instance.d,
-                                  tolerance, max_iterations)
-    except CertificateError as exc:
-        raise ReferenceSolveError(f"reference solve: {exc}") from None
+    w, _ = _certified_minimum(lambda y: mean_gradient(instance, y),
+                              lambda v: _project_ball(v, R),
+                              1.0 / mean_smoothness(instance), instance.d,
+                              tolerance, max_iterations)
     return w, full_objective(instance, w)
 
 
@@ -256,7 +249,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     its summary row reports them with a nan final error, and the
     experiment continues. Returns a manifest with the written paths. The
     output directory is made only once the reference solve has succeeded,
-    so a ReferenceSolveError leaves none behind.
+    so a CertificateError (the reference solve failed) leaves none behind.
     """
     w_star, g_star = compute_reference_optimum(spec.instance,
                                                spec.reference_tolerance)

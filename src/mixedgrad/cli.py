@@ -23,9 +23,10 @@ import sys
 from pathlib import Path
 
 from . import baselines
-from .bench import (ExperimentSpec, ReferenceSolveError, SolverConfig,
-                    fit_slope, gen_synthetic, read_trace_csv, run_experiment)
-from .core import MixedGradConfig, _check_count, theory_params
+from .bench import (ExperimentSpec, SolverConfig, fit_slope, gen_synthetic,
+                    read_trace_csv, run_experiment)
+from .core import (CertificateError, MixedGradConfig, _check_count,
+                   theory_params)
 from .losses import (LEAST_SQUARES, LOGISTIC, ProblemInstance,
                      load_dataset_csv, save_dataset_csv)
 
@@ -92,8 +93,9 @@ def _build_solver(spec_text: str, epochs: int, instance) -> SolverConfig:
                                        **kv})
 
 
-def _instance_from_args(args, parser) -> ProblemInstance:
-    """Bad instance flags or an unreadable --csv file are a parser error."""
+def _instance_from_args(args, parser, seed: int) -> ProblemInstance:
+    """The --csv dataset, or else the synthetic instance of seed. Bad
+    instance flags or an unreadable --csv file are a parser error."""
     loss_kind = LOSS_NAMES[args.loss]
     try:
         if getattr(args, "csv", None):
@@ -102,7 +104,6 @@ def _instance_from_args(args, parser) -> ProblemInstance:
                 return ProblemInstance(dataset, loss_kind, args.radius)
             except ValueError as exc:
                 raise ValueError(f"{exc} (dataset CSV {args.csv})") from None
-        seed = args.seed[0] if isinstance(args.seed, list) else args.seed
         return gen_synthetic(seed, args.n, args.d, args.noise, loss_kind,
                              args.radius)
     except (OSError, ValueError) as exc:
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "gen":
-        instance = _instance_from_args(args, p_gen)
+        instance = _instance_from_args(args, p_gen, args.seed)
         try:
             save_dataset_csv(instance.dataset, args.out)
         except OSError as exc:
@@ -161,8 +162,8 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         seeds = args.seed or [0]
-        args.seed = seeds
-        instance = _instance_from_args(args, p_run)
+        # The instance does not depend on the order of the --seed flags.
+        instance = _instance_from_args(args, p_run, min(seeds))
         solvers = []
         for text in args.solver or ["mixedgrad"]:
             try:
@@ -170,14 +171,16 @@ def main(argv=None) -> int:
             except (ArithmeticError, TypeError, ValueError) as exc:
                 p_run.error(f"--solver {text!r}: {exc}")
         try:
-            spec = ExperimentSpec(instance, solvers, seeds, args.out,
-                                  reference_tolerance=args.ref_tol)
-        except ValueError as exc:
-            p_run.error(str(exc))
-        try:
+            try:
+                spec = ExperimentSpec(instance, solvers, seeds, args.out,
+                                      reference_tolerance=args.ref_tol)
+            except ValueError as exc:
+                p_run.error(str(exc))
             manifest = run_experiment(spec)
-        except ReferenceSolveError as exc:
-            p_run.error(f"--ref-tol {args.ref_tol:g}: {exc}")
+        except CertificateError as exc:
+            p_run.error(f"--ref-tol {args.ref_tol:g}: reference solve: {exc}")
+        except OSError as exc:
+            p_run.error(f"--out {args.out}: {exc.strerror}")
         print(f"reference objective: {manifest['reference_value']:.6e}")
         for path in manifest["traces"]:
             print(f"trace: {path}")

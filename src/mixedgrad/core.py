@@ -60,18 +60,16 @@ MAX_FAILURE_PROBABILITY = math.exp(-4.5)
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate or gradient stops being finite.
+    """Raised by a solver (run and baselines.run_sgd, run_gd, run_nag) whose
+    iterate stops being finite, or whose anchor leaves the R-ball.
 
-    The solvers (run and baselines.run_sgd, run_gd, run_nag) build it with
-    _Trace.diverged, which attaches the oracle counters and the trace they
-    had reached, every record's objective evaluated. Only
-    _projected_gradient raises it bare (counters and trace None): run_gd
-    and run_nag raise theirs in its place, and the uncounted solves built
-    on it (_certified_minimum: the reference optimum) pass it on bare.
+    Only _Trace.diverged builds it, so it always carries the oracle
+    counters and the trace records the run had reached, every record's
+    objective evaluated.
     """
 
-    def __init__(self, message: str, counters: OracleCounters | None = None,
-                 trace: list[TraceRecord] | None = None):
+    def __init__(self, message: str, counters: OracleCounters,
+                 trace: list[TraceRecord]):
         super().__init__(message)
         self.counters = counters
         self.trace = trace
@@ -219,9 +217,11 @@ class _Trace:
     a reference value) from one losses._objectives call, which touches no
     oracle counter. checkpoint flushes once max(1, ROW_BLOCK // d) points
     are queued, so the queue holds at most ROW_BLOCK entries (one point
-    when d exceeds it). A solver flushes at the end of its run (run_epoch:
-    of its epoch) and raises what diverged returns, so every record it
-    hands back has its objective.
+    when d exceeds it). A solver flushes at the end of its run (run: after
+    each epoch's end record, so an epoch's queued checkpoints and its end
+    record share one call) and raises what diverged returns, so every
+    record it hands back has its objective. diverged is the one place that
+    builds a DivergenceError.
     """
 
     def __init__(self, instance: ProblemInstance,
@@ -327,8 +327,10 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     projection fast path, counted by branch. Checkpoints, with the
     counters of their step, are written to trace (a _Trace) every
     checkpoint_stride steps before step inner_iters, where run's
-    epoch-end record, with the same counters, stands for one; the trace is
-    flushed when the epoch ends.
+    epoch-end record, with the same counters, stands for one. run_epoch
+    does not flush the trace: records it queued may still lack their
+    objective when it returns, and run's flush after the epoch-end record
+    evaluates them with it.
 
     Each step is w <- P_domain(v), v = w (1 - eta lam) - eta g_k -
     (eta c) x_i, where c x_i = grad g_i(w + anchor) - grad g_i(anchor), c
@@ -345,7 +347,8 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
     COEFFICIENT_RANGE, forms v and projects it with
     geometry._project_two_balls, whose branch is the one counted, and
     recomputes the three products from the point it returns; a NaN or
-    infinite v makes that kernel raise, which raises DivergenceError.
+    infinite v makes that kernel raise ValueError, which run_epoch turns
+    into trace.diverged's DivergenceError.
 
     The steps run in _blocks' blocks. One product XB [z, g_k, anchor] at
     a block's start gives each step's z0.x_i, g_k.x_i and anchor.x_i, and
@@ -468,7 +471,6 @@ def run_epoch(instance: ProblemInstance, state: EpochState, g_k: np.ndarray,
             w_sq, wg, wa = _products(z, g_k, anchor)
             if end % checkpoint_stride == 0:
                 trace.checkpoint(z + anchor, state.epoch_index, end, counters)
-    trace.flush()
     projections = ProjectionCounts(
         branches[INNER], branches[OUTER], branches[BOTH])
     return total / (T + 1.0), float(max_step_sq), projections
@@ -501,9 +503,10 @@ def _projected_gradient(grad, project, w: np.ndarray, eta: float,
     y_t = w_{t-1}, or when accelerated Nesterov's extrapolated point
     w_{t-1} + ((theta_t - 1) / theta_{t+1}) (w_{t-1} - w_{t-2}) with
     theta_1 = 1, theta_{t+1} = (1 + sqrt(1 + 4 theta_t^2)) / 2 and
-    w_{-1} = w_0 (so the first step is a plain one). A non-finite point,
-    which project must reject with ValueError, raises DivergenceError,
-    without counters or trace.
+    w_{-1} = w_0 (so the first step is a plain one). project must reject a
+    non-finite point with ValueError, which passes to the caller: the
+    failing step is the one after the last iterate yielded, and each
+    caller turns it into its own error.
 
     With restart (accelerated only; used by _certified_minimum, never by
     run_nag) the momentum is reset by the gradient rule of
@@ -512,18 +515,13 @@ def _projected_gradient(grad, project, w: np.ndarray, eta: float,
     """
     w_prev = w
     theta_prev = 1.0
-    for t in itertools.count(1):
+    while True:
         y = w
         if accelerated:
             theta = (1.0 + math.sqrt(1.0 + 4.0 * theta_prev * theta_prev)) / 2.0
             y = w + ((theta_prev - 1.0) / theta) * (w - w_prev)
             theta_prev = theta
-        v = y - eta * grad(y)
-        try:
-            p = project(v)
-        except ValueError:
-            raise DivergenceError(f"non-finite iterate at step {t}") from None
-        w_prev, w = w, p
+        w_prev, w = w, project(y - eta * grad(y))
         if restart and (y - w).dot(w - w_prev) > 0:
             theta_prev = 1.0
         yield w
@@ -536,8 +534,9 @@ RESIDUAL_INTERVAL = 10
 
 
 class CertificateError(RuntimeError):
-    """A certified minimization reached its iteration cap before any checked
-    iterate's residual fell below the tolerance."""
+    """A certified minimization failed: it reached its iteration cap before
+    any checked iterate's residual fell below the tolerance, or one of its
+    points was not finite."""
 
 
 @np.errstate(over="ignore")
@@ -554,20 +553,25 @@ def _certified_minimum(grad, project, eta: float, d: int, tol: float,
     it is checked on every RESIDUAL_INTERVAL-th iterate and on iterate
     max_iterations. Returns the first checked (w, r) with r < tol, or
     raises CertificateError, naming the smallest residual checked, if no
-    checked iterate reaches it.
+    checked iterate reaches it. If project rejects a point as non-finite,
+    whether the step to iterate t + 1 or the residual check of iterate t
+    formed it, the CertificateError names step t + 1.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     iterates = _projected_gradient(grad, project, np.zeros(d), eta,
                                    accelerated=True, restart=True)
-    smallest = math.inf
-    for t, w in enumerate(itertools.islice(iterates, max_iterations), 1):
-        if t % RESIDUAL_INTERVAL and t < max_iterations:
-            continue
-        r = float(np.linalg.norm(w - project(w - eta * grad(w))))
-        if r < tol:
-            return w, r
-        smallest = min(smallest, r)
+    smallest, t = math.inf, 0
+    try:
+        for t, w in enumerate(itertools.islice(iterates, max_iterations), 1):
+            if t % RESIDUAL_INTERVAL and t < max_iterations:
+                continue
+            r = float(np.linalg.norm(w - project(w - eta * grad(w))))
+            if r < tol:
+                return w, r
+            smallest = min(smallest, r)
+    except ValueError:
+        raise CertificateError(f"non-finite iterate at step {t + 1}") from None
     raise CertificateError(
         f"residual did not fall below {tol} on any checked iterate (every "
         f"{RESIDUAL_INTERVAL}th and the last) within {max_iterations} "

@@ -5,9 +5,10 @@ variance-reduction invariants, projection correctness, gradient
 correctness, rate separation against baselines, per-epoch containment,
 the bounded-step property, and geometric per-epoch error decay.
 Criterion 3 checks the solver's own step: run_epoch at w = 0, and the
-loss_grad difference, which tests/test_core.py ties to run_epoch's scalar
-correction (the difference of the loss derivatives at the two margins,
-times x_i) to 4 ulp, and that scalar form to run_epoch bit for bit.
+loss_grad difference, which tests/test_core.py ties to a plainly written
+scalar correction (the difference of the loss derivatives at the two
+margins, times x_i) to 4 ulp, and to run_epoch's own correction within a
+first-order rounding bound derived in the test.
 
 Each test ends with a single printed PASS line carrying the measured
 quantities (run pytest with -s or check captured stdout). A failed

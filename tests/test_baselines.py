@@ -75,7 +75,8 @@ def reference_sgd(inst, config, seed, counters):
         derivative = _loss_derivative(y[i], float(w @ x), kind)
         v = w - ((c / math.sqrt(t)) * derivative) * x
         if not np.isfinite(v).all():
-            raise DivergenceError(f"non-finite iterate at step {t}")
+            raise DivergenceError(f"non-finite iterate at step {t}",
+                                  counters, [])
         w = project_ball(v, inst.domain_radius)
         projected += w is not v
         total += w
@@ -424,7 +425,8 @@ def reference_full_gradient(inst, config, counters, accelerated):
             theta_prev = theta
         v = y - eta * full_grad(inst, y, counters)
         if not np.isfinite(v).all():
-            raise DivergenceError(f"non-finite iterate at step {t}")
+            raise DivergenceError(f"non-finite iterate at step {t}",
+                                  counters, [])
         w_prev, w = w, project_ball(v, R)
         projected += w is not v
         if t % config.checkpoint_stride == 0 or t == config.iterations:

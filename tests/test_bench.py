@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from mixedgrad.baselines import BaselineConfig
-from mixedgrad.bench import (ExperimentSpec, ReferenceSolveError,
-                             compute_reference_optimum, fit_slope,
-                             gen_synthetic, read_trace_csv, run_experiment,
-                             write_trace_csv)
+from mixedgrad.bench import (ExperimentSpec, compute_reference_optimum,
+                             fit_slope, gen_synthetic, read_trace_csv,
+                             run_experiment, write_trace_csv)
 import mixedgrad.bench
-from mixedgrad.core import DivergenceError, MixedGradConfig, TraceRecord
+from mixedgrad.core import (CertificateError, DivergenceError,
+                            MixedGradConfig, TraceRecord)
 from mixedgrad.geometry import project_ball
 from mixedgrad.oracle import OracleCounters
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
@@ -159,8 +159,16 @@ class TestReferenceOptimum:
 
     def test_iteration_cap_reported(self):
         inst = gen_synthetic(0, 10, 3, 0.0, LEAST_SQUARES, 1.0)
-        with pytest.raises(ReferenceSolveError):
+        with pytest.raises(CertificateError, match="within 3 iterations"):
             compute_reference_optimum(inst, 1e-12, max_iterations=3)
+
+    def test_non_finite_gradient_is_a_certificate_error(self, monkeypatch):
+        inst = gen_synthetic(0, 10, 3, 0.0, LEAST_SQUARES, 1.0)
+        monkeypatch.setattr(mixedgrad.bench, "mean_gradient",
+                            lambda instance, w: w * math.nan)
+        with pytest.raises(CertificateError,
+                           match="^non-finite iterate at step 1$"):
+            compute_reference_optimum(inst, 1e-10)
 
     def test_rejects_nonpositive_iteration_cap(self):
         inst = gen_synthetic(0, 10, 3, 0.0, LEAST_SQUARES, 1.0)
@@ -379,13 +387,13 @@ class TestRunExperiment:
     def test_failed_reference_solve_makes_no_output_directory(
             self, instance, tmp_path, monkeypatch):
         def fail(instance, tolerance):
-            raise ReferenceSolveError("reference solve: no certificate")
+            raise CertificateError("no certificate")
 
         monkeypatch.setattr(mixedgrad.bench, "compute_reference_optimum",
                             fail)
         spec = ExperimentSpec(instance, [BaselineConfig("gd", 5)], seeds=[0],
                               out_dir=tmp_path / "out" / "nested")
-        with pytest.raises(ReferenceSolveError, match="no certificate"):
+        with pytest.raises(CertificateError, match="no certificate"):
             run_experiment(spec)
         assert not (tmp_path / "out").exists()
 

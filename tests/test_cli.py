@@ -1,5 +1,7 @@
 import csv
+import errno
 import math
+import os
 import warnings
 
 import numpy as np
@@ -7,10 +9,10 @@ import pytest
 
 import mixedgrad.bench
 import mixedgrad.cli
-from mixedgrad.bench import (ReferenceSolveError, compute_reference_optimum,
-                             gen_synthetic, write_trace_csv)
+from mixedgrad.bench import (compute_reference_optimum, gen_synthetic,
+                             write_trace_csv)
 from mixedgrad.cli import main
-from mixedgrad.core import TraceRecord, run, theory_params
+from mixedgrad.core import CertificateError, TraceRecord, run, theory_params
 from mixedgrad.losses import (LEAST_SQUARES, LOGISTIC, Dataset,
                               load_dataset_csv, save_dataset_csv)
 
@@ -164,8 +166,8 @@ def test_failed_reference_solve_is_an_argparse_error(tmp_path, capsys,
     # The real solve at --ref-tol 1e-300 runs 10^6 iterations before it
     # gives up; a stub fails at once, as the solve would.
     def fail(instance, tolerance):
-        raise ReferenceSolveError(
-            f"reference solve: residual did not fall below {tolerance}")
+        raise CertificateError(
+            f"residual did not fall below {tolerance}")
 
     monkeypatch.setattr(mixedgrad.bench, "compute_reference_optimum", fail)
     out = tmp_path / "results"
@@ -175,6 +177,20 @@ def test_failed_reference_solve_is_an_argparse_error(tmp_path, capsys,
     assert exc.value.code == 2
     assert ("bench run: error: --ref-tol 1e-300: reference solve: residual "
             "did not fall below 1e-300") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_reference_solve_is_an_argparse_error(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(mixedgrad.bench, "mean_gradient",
+                        lambda instance, w: w * math.nan)
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--epochs", "1", "--n", "10", "--d", "2",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("bench run: error: --ref-tol 1e-10: reference solve: non-finite "
+            "iterate at step 1") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -603,6 +619,58 @@ def test_gen_out_naming_no_writable_file_is_an_argparse_error(
     assert (f"bench gen: error: --out {out}: {message}"
             in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_out_with_a_too_long_name_is_an_argparse_error(tmp_path,
+                                                           capsys):
+    out = tmp_path / ("x" * 300) / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--epochs", "1", "--n", "10", "--d", "2",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"bench run: error: --out {out}: File name too long"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_that_cannot_write_its_output_is_an_argparse_error(
+        tmp_path, capsys, monkeypatch):
+    # An OSError while the experiment writes, here a full disk.
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(mixedgrad.bench, "_write_csv", full_disk)
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--epochs", "1", "--n", "10", "--d", "2",
+              "--solver", "gd:iterations=5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"bench run: error: --out {out}: {os.strerror(errno.ENOSPC)}"
+            in capsys.readouterr().err)
+
+
+def test_seed_order_does_not_change_the_run(tmp_path, capsys):
+    # The synthetic instance is that of the smallest seed, whatever the
+    # order of the --seed flags: both orders print seed 0's reference line
+    # and write the same summary rows (but for wall time) and traces.
+    def bench_run(*seeds):
+        out = tmp_path.joinpath(*seeds)
+        flags = [flag for seed in seeds for flag in ("--seed", seed)]
+        assert main(["run", *flags, "--n", "30", "--d", "4", "--epochs", "2",
+                     "--solver", "mixedgrad:t1=4", "--out", str(out)]) == 0
+        reference = capsys.readouterr().out.splitlines()[0]
+        rows = {}
+        with open(out / "summary.csv") as f:
+            for r in csv.DictReader(f):
+                del r["wall_ms"]
+                rows[r["solver"], r["seed"]] = r
+        traces = {p.name: p.read_bytes() for p in out.glob("trace_*.csv")}
+        return reference, rows, traces
+
+    ascending, descending = bench_run("0", "1"), bench_run("1", "0")
+    assert ascending == descending
+    assert len(ascending[2]) == 2
+    assert ascending[0] == bench_run("0")[0]
 
 
 @pytest.mark.parametrize("seeds", [["0", "-1"], ["-1"]])

@@ -466,6 +466,12 @@ def assert_matches_reference(inst, state, g_k):
 
 
 class TestRunEpochMatchesReference:
+    """run_epoch against reference_epoch through assert_matches_reference:
+    the mean within epoch_rounding_bound, the rest exactly. The
+    test_bit_identical* ids are older than the scalar form, which rounds
+    differently from the reference; they are kept so that results recorded
+    by test id stay comparable."""
+
     @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
     @pytest.mark.parametrize("radius, delta, anchor", [
         (100.0, 50.0, [0.25, -0.125, 0.0, 0.5]),   # interior: fast path
@@ -890,8 +896,10 @@ class TestDeferredCheckpoints:
     def test_queue_is_flushed_at_its_cap(self, monkeypatch):
         # d = 2000 caps the queue at ROW_BLOCK // d = 16 points. At stride
         # 1 epochs of 8, 32 and 128 steps queue 7, 31 and 127 checkpoints,
-        # so epochs 2 and 3 flush inside the epoch; every record is still
-        # written, in order, with its point's objective.
+        # each followed by its epoch-end record, and only run flushes at an
+        # epoch's end: epoch 1's 8 records are one batch, and the 160 of
+        # epochs 2 and 3 fill ten batches at the cap. Every record is
+        # still written, in order, with its point's objective.
         d = 2000
         cap = ROW_BLOCK // d
         inst = random_instance(n=10, d=d, seed=4)
@@ -902,8 +910,7 @@ class TestDeferredCheckpoints:
         assert [(r.epoch, r.step) for r in trace] == [
             (k, t) for k, T in ((1, 8), (2, 32), (3, 128))
             for t in [*range(1, T), T + 1]]
-        assert [len(P) for P in batches] == [
-            7, 1, cap, 31 - cap, 1, *[cap] * 7, 127 - 7 * cap, 1]
+        assert [len(P) for P in batches] == [8, *[cap] * 10]
         points = np.concatenate(batches)
         assert len(points) == len(trace)
         for record, p in zip(trace, points):
@@ -1013,6 +1020,27 @@ class TestEpochSubproblem:
         with pytest.raises(CertificateError) as exc:
             _certified_minimum(grad, project, 1.0, 2, 1e-12, 11)
         assert str(exc.value).endswith(f"was {r[9]:.3g}")
+
+    @pytest.mark.parametrize("finite_calls, step", [(0, 1), (10, 11),
+                                                    (11, 11)])
+    def test_non_finite_point_is_a_certificate_error(self, finite_calls,
+                                                     step):
+        # Iterates 1, ..., 10 each take one gradient, and the residual
+        # check of iterate 10 the eleventh; the step to iterate 11 the
+        # twelfth. A NaN in either of those names step 11, and a NaN
+        # first gradient step 1.
+        A, b = np.diag([1.0, 0.01]), np.array([1.0, 0.5])
+        calls = []
+
+        def grad(w):
+            calls.append(w)
+            return A @ w - b if len(calls) <= finite_calls else w * math.nan
+
+        with pytest.raises(CertificateError,
+                           match=f"^non-finite iterate at step {step}$"):
+            _certified_minimum(grad, lambda v: project_ball(v, 10.0), 1.0, 2,
+                               1e-12, 100)
+        assert len(calls) == finite_calls + 1
 
     def test_rejects_nonpositive_iteration_cap(self):
         inst = random_instance(12, seed=3)
